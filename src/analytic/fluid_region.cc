@@ -9,7 +9,10 @@ namespace hpcc::analytic {
 
 FluidRegion::FluidRegion(sim::Simulator* simulator, topo::Topology* topology,
                          const FluidRegionParams& params)
-    : simulator_(simulator), topology_(topology), params_(params) {
+    : simulator_(simulator),
+      topology_(topology),
+      params_(params),
+      dlink_index_(2 * topology->links().size(), kNotInterned) {
   if (params_.tick <= 0) {
     throw std::invalid_argument("FluidRegion requires a positive tick");
   }
@@ -18,9 +21,8 @@ FluidRegion::FluidRegion(sim::Simulator* simulator, topo::Topology* topology,
 }
 
 uint32_t FluidRegion::InternDirectedLink(size_t link_index, bool a_to_b) {
-  const uint64_t key = static_cast<uint64_t>(link_index) * 2 + (a_to_b ? 0 : 1);
-  auto it = dlink_index_.find(key);
-  if (it != dlink_index_.end()) return it->second;
+  uint32_t& slot = dlink_index_[link_index * 2 + (a_to_b ? 0 : 1)];
+  if (slot != kNotInterned) return slot;
   const topo::LinkSpec& l = topology_->links()[link_index];
   DirectedLink d;
   const uint32_t egress_node = a_to_b ? l.a : l.b;
@@ -29,10 +31,9 @@ uint32_t FluidRegion::InternDirectedLink(size_t link_index, bool a_to_b) {
   d.cap_per_tick =
       static_cast<double>(l.bps) / 8.0 * tick_seconds_;  // B*T in bytes
   d.last_pkt_tx = d.port->tx_bytes();
-  const uint32_t index = static_cast<uint32_t>(dlinks_.size());
+  slot = static_cast<uint32_t>(dlinks_.size());
   dlinks_.push_back(d);
-  dlink_index_.emplace(key, index);
-  return index;
+  return slot;
 }
 
 void FluidRegion::AddFlow(uint64_t id, uint32_t src, uint32_t dst,

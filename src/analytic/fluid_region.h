@@ -4,7 +4,11 @@
 // This generalizes the single-link FluidLink map (analytic/fluid.h) into a
 // runtime engine over the real topology: each fluid flow is reduced to a
 // window trajectory W(t) walked once per coarse RTT tick, coupled across
-// every directed link on its (designed-topology, first-parent BFS) path.
+// every directed link on its designed-topology first-parent path
+// (Topology::ShortestPathLinks: the builder's path model on fat-trees, in
+// O(path length) per admission; a full-fabric BFS elsewhere). Known fidelity
+// limit: that path is deterministic, so on a fat-tree every cross-pod fluid
+// flow climbs through agg 0 and core 0 — fluid load is not ECMP-spread.
 // Per tick, per directed link of capacity B (bytes servable per tick T):
 //
 //   pkt    = real bytes the shared egress port transmitted since last tick
@@ -36,7 +40,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -132,7 +135,10 @@ class FluidRegion {
   FluidRegionParams params_;
   double tick_seconds_ = 0;
 
-  std::map<uint64_t, uint32_t> dlink_index_;  // link*2 + dir -> dlinks_ index
+  static constexpr uint32_t kNotInterned = UINT32_MAX;
+  // link*2 + dir -> dlinks_ index (kNotInterned until first use). dlinks_
+  // keeps creation order, which every per-tick pass iterates in.
+  std::vector<uint32_t> dlink_index_;
   std::vector<DirectedLink> dlinks_;
   std::vector<Flow> flows_;
   std::vector<FlowRecord> records_;

@@ -10,6 +10,7 @@ FatTreeTopology MakeFatTree(sim::Simulator* simulator,
   FatTreeTopology out;
   out.topo = std::make_unique<Topology>(simulator);
   Topology& t = *out.topo;
+  FatTreePathModel::LinkTables tables;
 
   auto tier_of = [&out](uint32_t id, FatTreeTopology::Tier tier) {
     if (out.tiers.size() <= id) out.tiers.resize(id + 1);
@@ -34,6 +35,7 @@ FatTreeTopology MakeFatTree(sim::Simulator* simulator,
       tier_of(agg, FatTreeTopology::Tier::kAgg);
       // Agg position `a` connects to core group `a`.
       for (int k = 0; k < options.cores_per_agg; ++k) {
+        if (a == 0 && k == 0) tables.agg0_core0.push_back(t.links().size());
         t.AddLink(agg, out.core_ids[a * options.cores_per_agg + k],
                   options.fabric_bps, options.link_delay);
       }
@@ -43,6 +45,7 @@ FatTreeTopology MakeFatTree(sim::Simulator* simulator,
           options.sw, "tor" + std::to_string(p) + "_" + std::to_string(r));
       out.tor_ids.push_back(tor);
       tier_of(tor, FatTreeTopology::Tier::kTor);
+      if (!pod_aggs.empty()) tables.tor_agg0.push_back(t.links().size());
       for (uint32_t agg : pod_aggs) {
         t.AddLink(tor, agg, options.fabric_bps, options.link_delay);
       }
@@ -52,12 +55,13 @@ FatTreeTopology MakeFatTree(sim::Simulator* simulator,
                               "_" + std::to_string(h));
         out.host_ids.push_back(host);
         tier_of(host, FatTreeTopology::Tier::kHost);
+        tables.host_link.push_back(t.links().size());
         t.AddLink(host, tor, options.host_bps, options.link_delay);
       }
     }
   }
-  t.SetPathModel(std::make_unique<FatTreePathModel>(options, out.host_ids,
-                                                    t.num_nodes()));
+  t.SetPathModel(std::make_unique<FatTreePathModel>(
+      options, out.host_ids, t.num_nodes(), std::move(tables)));
   if (snapshot != nullptr) t.AdoptSnapshot(std::move(snapshot));
   t.Finalize();
   return out;
@@ -65,13 +69,10 @@ FatTreeTopology MakeFatTree(sim::Simulator* simulator,
 
 FatTreePathModel::FatTreePathModel(const FatTreeOptions& options,
                                    const std::vector<uint32_t>& host_ids,
-                                   size_t num_nodes)
+                                   size_t num_nodes, LinkTables tables)
     : tors_per_pod_(options.tors_per_pod),
       hosts_per_tor_(options.hosts_per_tor),
-      host_bps_(options.host_bps),
-      fabric_bps_(options.fabric_bps),
-      link_delay_(options.link_delay),
-      num_hosts_(host_ids.size()),
+      tables_(std::move(tables)),
       host_index_(num_nodes, -1) {
   for (size_t i = 0; i < host_ids.size(); ++i) {
     host_index_[host_ids[i]] = static_cast<int32_t>(i);
@@ -82,30 +83,42 @@ FatTreePathModel::FatTreePathModel(const FatTreeOptions& options,
   }
 }
 
-bool FatTreePathModel::Links(uint32_t src, uint32_t dst,
-                             Profile* out) const {
-  if (src >= host_index_.size() || dst >= host_index_.size()) return false;
+int FatTreePathModel::PathLinks(uint32_t src, uint32_t dst,
+                                Path* out) const {
+  if (src >= host_index_.size() || dst >= host_index_.size()) return -1;
   const int32_t si = host_index_[src];
   const int32_t di = host_index_[dst];
-  if (si < 0 || di < 0) return false;  // switches: fall back to BFS
-  out->num_segs = 0;
-  if (si == di) return true;  // zero-link path, matching the BFS answer
+  if (si < 0 || di < 0) return -1;  // switches: fall back to BFS
+  if (si == di) return 0;  // zero-link path, matching the BFS answer
   const int32_t stor = si / hosts_per_tor_;
   const int32_t dtor = di / hosts_per_tor_;
-  out->segs[out->num_segs++] = Seg{host_bps_, link_delay_, 2};
-  if (stor == dtor) return true;  // host -> ToR -> host
-  // Same pod: 2 fabric links (ToR->Agg->ToR); cross pod: 4 (via a core).
-  const int fabric =
-      stor / tors_per_pod_ == dtor / tors_per_pod_ ? 2 : 4;
-  out->segs[out->num_segs++] = Seg{fabric_bps_, link_delay_, fabric};
-  return true;
+  const int32_t spod = stor / tors_per_pod_;
+  const int32_t dpod = dtor / tors_per_pod_;
+  // The BFS walk takes the first adjacent parent at every hop, and the
+  // builder links every ToR to its pod's agg 0 first and every agg 0 to
+  // core 0 first — so the walk climbs through agg 0 (and core 0).
+  if (stor != dtor && tables_.tor_agg0.empty()) return -1;
+  if (spod != dpod && tables_.agg0_core0.empty()) return -1;
+  Path& p = *out;
+  int n = 0;
+  p[n++] = tables_.host_link[si];
+  if (stor != dtor) {
+    p[n++] = tables_.tor_agg0[stor];
+    if (spod != dpod) {
+      p[n++] = tables_.agg0_core0[spod];
+      p[n++] = tables_.agg0_core0[dpod];
+    }
+    p[n++] = tables_.tor_agg0[dtor];
+  }
+  p[n++] = tables_.host_link[di];
+  return n;
 }
 
 bool FatTreePathModel::MaxRttPair(uint32_t* src, uint32_t* dst) const {
   // Builder host order makes front/back the structurally farthest pair
   // (cross-pod when pods >= 2, cross-rack when a pod has >= 2 ToRs), and
   // with uniform link delays more hops never cost less.
-  if (num_hosts_ < 2) return false;
+  if (tables_.host_link.size() < 2) return false;
   *src = first_host_;
   *dst = last_host_;
   return true;

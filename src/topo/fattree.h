@@ -59,30 +59,36 @@ FatTreeTopology MakeFatTree(
     sim::Simulator* simulator, const FatTreeOptions& options,
     std::shared_ptr<const FabricSnapshot> snapshot = nullptr);
 
-// Analytic designed-topology path model for the regular fat-tree: hop count
-// and link composition from pod arithmetic over the builder's host order
-// (2 hops same-rack, 4 same-pod, 6 cross-pod; host links at the ends,
-// fabric links between). Installed by MakeFatTree so BaseRtt / IdealFct /
-// MaxBaseRtt answer in O(1) instead of BFS — experiment setup and per-flow
-// FCT normalization stop scaling with fabric size. Must agree exactly with
-// the BFS answers; the routing tests compare all pairs on several shapes.
+// Analytic designed-topology path model for the regular fat-tree: the exact
+// first-parent BFS path from pod arithmetic over the builder's link order —
+// host -> ToR -> pod agg 0 [-> core 0 -> dst-pod agg 0] -> dst ToR -> host
+// (2 links same-rack, 4 same-pod, 6 cross-pod). Installed by MakeFatTree so
+// ShortestPathLinks / BaseRtt / IdealFct / MaxBaseRtt answer in O(path
+// length) instead of a full-fabric BFS — experiment setup, per-flow FCT
+// normalization and fluid-flow admission stop scaling with fabric size.
+// Must agree exactly with the BFS walk; the routing tests compare all pairs
+// on several shapes.
 class FatTreePathModel : public PathModel {
  public:
+  // Link indices MakeFatTree records while it builds.
+  struct LinkTables {
+    std::vector<size_t> host_link;   // per host (builder order): its NIC link
+    std::vector<size_t> tor_agg0;    // per ToR: ToR -> pod agg 0
+    std::vector<size_t> agg0_core0;  // per pod: agg 0 -> core 0
+  };
   FatTreePathModel(const FatTreeOptions& options,
-                   const std::vector<uint32_t>& host_ids, size_t num_nodes);
+                   const std::vector<uint32_t>& host_ids, size_t num_nodes,
+                   LinkTables tables);
 
-  bool Links(uint32_t src, uint32_t dst, Profile* out) const override;
+  int PathLinks(uint32_t src, uint32_t dst, Path* out) const override;
   bool MaxRttPair(uint32_t* src, uint32_t* dst) const override;
 
  private:
   int tors_per_pod_;
   int hosts_per_tor_;
-  int64_t host_bps_;
-  int64_t fabric_bps_;
-  sim::TimePs link_delay_;
+  LinkTables tables_;
   uint32_t first_host_ = 0;
   uint32_t last_host_ = 0;
-  size_t num_hosts_ = 0;
   // node id -> linear host index in builder order (-1 for switches).
   std::vector<int32_t> host_index_;
 };

@@ -11,6 +11,19 @@
 #include "net/packet.h"
 
 namespace hpcc::topo {
+namespace {
+
+// RTT contribution of one traversed link: both-way propagation + forward
+// data serialization + returning ACK serialization.
+sim::TimePs LinkRttCost(const LinkSpec& l) {
+  const int data_bytes = net::kPayloadBytes + net::kDataHeaderBytes +
+                         core::IntStack::kWorstCaseWireBytes;
+  return 2 * l.delay +                                  // both directions
+         sim::SerializationTime(data_bytes, l.bps) +    // data forward
+         sim::SerializationTime(net::kAckHeaderBytes, l.bps);  // ack back
+}
+
+}  // namespace
 
 Topology::Topology(sim::Simulator* simulator) : simulator_(simulator) {
   // Enabled by HPCC_ROUTE_ORACLE=1 (any non-empty value other than "0");
@@ -409,6 +422,15 @@ int Topology::PathHops(uint32_t src, uint32_t dst) const {
 
 std::vector<size_t> Topology::ShortestPathLinks(uint32_t src,
                                                 uint32_t dst) const {
+  PathModel::Path buf;
+  const int n =
+      path_model_ != nullptr ? path_model_->PathLinks(src, dst, &buf) : -1;
+  if (n < 0) return ShortestPathLinksViaBfs(src, dst);
+  return std::vector<size_t>(buf.begin(), buf.begin() + n);
+}
+
+std::vector<size_t> Topology::ShortestPathLinksViaBfs(uint32_t src,
+                                                      uint32_t dst) const {
   // Ideal-FCT/base-RTT queries describe the *designed* topology, ignoring
   // transient link failures: a flow whose last ACK lands just after a
   // failure partitions the fabric must normalize against the same
@@ -434,33 +456,35 @@ std::vector<size_t> Topology::ShortestPathLinks(uint32_t src,
   return path;
 }
 
-sim::TimePs Topology::LinkRttCost(int64_t bps, sim::TimePs delay) {
-  const int data_bytes = net::kPayloadBytes + net::kDataHeaderBytes +
-                         core::IntStack::kWorstCaseWireBytes;
-  return 2 * delay +                                  // both directions
-         sim::SerializationTime(data_bytes, bps) +    // data forward
-         sim::SerializationTime(net::kAckHeaderBytes, bps);  // ack back
+void Topology::PathCost::Add(const LinkSpec& l) {
+  rtt += LinkRttCost(l);
+  bottleneck_bps = std::min(bottleneck_bps, l.bps);
+}
+
+Topology::PathCost Topology::Cost(uint32_t src, uint32_t dst) const {
+  PathModel::Path buf;
+  const int n =
+      path_model_ != nullptr ? path_model_->PathLinks(src, dst, &buf) : -1;
+  if (n < 0) return CostViaBfs(src, dst);
+  PathCost cost;
+  for (int i = 0; i < n; ++i) cost.Add(links_[buf[i]]);
+  return cost;
+}
+
+Topology::PathCost Topology::CostViaBfs(uint32_t src, uint32_t dst) const {
+  PathCost cost;
+  for (const size_t li : ShortestPathLinksViaBfs(src, dst)) {
+    cost.Add(links_[li]);
+  }
+  return cost;
 }
 
 sim::TimePs Topology::BaseRttViaBfs(uint32_t src, uint32_t dst) const {
-  sim::TimePs rtt = 0;
-  for (size_t li : ShortestPathLinks(src, dst)) {
-    const LinkSpec& l = links_[li];
-    rtt += LinkRttCost(l.bps, l.delay);
-  }
-  return rtt;
+  return CostViaBfs(src, dst).rtt;
 }
 
 sim::TimePs Topology::BaseRtt(uint32_t src, uint32_t dst) const {
-  PathModel::Profile p;
-  if (path_model_ != nullptr && path_model_->Links(src, dst, &p)) {
-    sim::TimePs rtt = 0;
-    for (int i = 0; i < p.num_segs; ++i) {
-      rtt += p.segs[i].count * LinkRttCost(p.segs[i].bps, p.segs[i].delay);
-    }
-    return rtt;
-  }
-  return BaseRttViaBfs(src, dst);
+  return Cost(src, dst).rtt;
 }
 
 sim::TimePs Topology::MaxBaseRtt() const {
@@ -474,7 +498,7 @@ sim::TimePs Topology::MaxBaseRtt() const {
   }
   // Exact over every host pair: one BFS per destination, then propagate the
   // first-parent path cost down the distance layers — cost[src] equals
-  // BaseRtt(src, dst) because ShortestPathLinks walks the same first
+  // BaseRtt(src, dst) because ShortestPathLinksViaBfs walks the same first
   // adjacent parent at every step.
   sim::TimePs best = 0;
   std::vector<uint32_t> order(nodes_.size());
@@ -495,8 +519,7 @@ sim::TimePs Topology::MaxBaseRtt() const {
       }
       for (const Edge& e : adj_[n]) {
         if (dist[e.peer] == dist[n] - 1) {
-          cost[n] = cost[e.peer] + LinkRttCost(links_[e.link].bps,
-                                               links_[e.link].delay);
+          cost[n] = cost[e.peer] + LinkRttCost(links_[e.link]);
           break;
         }
       }
@@ -509,21 +532,11 @@ sim::TimePs Topology::MaxBaseRtt() const {
 }
 
 int64_t Topology::BottleneckBpsViaBfs(uint32_t src, uint32_t dst) const {
-  int64_t bps = std::numeric_limits<int64_t>::max();
-  for (size_t li : ShortestPathLinks(src, dst)) {
-    bps = std::min(bps, links_[li].bps);
-  }
-  return bps;
+  return CostViaBfs(src, dst).bottleneck_bps;
 }
 
 int64_t Topology::BottleneckBps(uint32_t src, uint32_t dst) const {
-  PathModel::Profile p;
-  if (path_model_ != nullptr && path_model_->Links(src, dst, &p)) {
-    int64_t bps = std::numeric_limits<int64_t>::max();
-    for (int i = 0; i < p.num_segs; ++i) bps = std::min(bps, p.segs[i].bps);
-    return bps;
-  }
-  return BottleneckBpsViaBfs(src, dst);
+  return Cost(src, dst).bottleneck_bps;
 }
 
 sim::TimePs Topology::IdealFct(uint32_t src, uint32_t dst,
@@ -531,7 +544,7 @@ sim::TimePs Topology::IdealFct(uint32_t src, uint32_t dst,
   // Standalone transfer: all packets back-to-back at the bottleneck, plus one
   // base RTT (first byte propagation + last ACK). Header overhead uses the
   // INT-free header so the denominator is identical across schemes.
-  const int64_t bottleneck = BottleneckBps(src, dst);
+  const PathCost path = Cost(src, dst);
   const uint64_t mtu = net::kPayloadBytes;
   const uint64_t full = bytes / mtu;
   const uint64_t rem = bytes % mtu;
@@ -540,8 +553,8 @@ sim::TimePs Topology::IdealFct(uint32_t src, uint32_t dst,
       (rem > 0 ? rem + net::kDataHeaderBytes : 0);
   if (bytes == 0) wire_bytes = net::kDataHeaderBytes;
   return sim::SerializationTime(static_cast<int64_t>(wire_bytes),
-                                bottleneck) +
-         BaseRtt(src, dst);
+                                path.bottleneck_bps) +
+         path.rtt;
 }
 
 size_t Topology::RoutingResidentBytes() const {

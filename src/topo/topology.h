@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,29 +35,22 @@ struct LinkSpec {
 };
 
 // Analytic path model a regular-fabric builder can install so the
-// designed-topology queries (BaseRtt / BottleneckBps / IdealFct /
-// MaxBaseRtt) answer in O(1) from structural arithmetic instead of a BFS
-// per call. The model must agree exactly with the BFS answers — the routing
-// tests compare them pairwise — since IdealFct is the denominator of FCT
-// slowdown and any drift would shift every reported number.
+// designed-topology path queries (ShortestPathLinks / BaseRtt /
+// BottleneckBps / IdealFct / MaxBaseRtt) answer in O(path length) from
+// structural arithmetic instead of a full-fabric BFS per call. The model
+// must return exactly the first-parent BFS walk — the routing tests compare
+// them pairwise — since the hybrid engine pins fluid flows to that path and
+// IdealFct is the denominator of FCT slowdown.
 class PathModel {
  public:
-  struct Seg {
-    int64_t bps = 0;
-    sim::TimePs delay = 0;
-    int count = 0;
-  };
-  // Link composition of one designed-topology shortest path, grouped by
-  // (bps, delay). Order is irrelevant: every per-link quantity we sum is
-  // commutative.
-  struct Profile {
-    std::array<Seg, 3> segs;
-    int num_segs = 0;
-  };
+  // Longest path a model may return.
+  static constexpr int kMaxLinks = 8;
+  using Path = std::array<size_t, kMaxLinks>;
   virtual ~PathModel() = default;
-  // Fills the composition of a shortest src -> dst path. Returns false when
-  // the model cannot answer (caller falls back to BFS).
-  virtual bool Links(uint32_t src, uint32_t dst, Profile* out) const = 0;
+  // Writes the LinkSpec indices of the designed-topology first-parent path
+  // src -> dst, in walk order, into `out` and returns how many; -1 when the
+  // model cannot answer (caller falls back to BFS). Never allocates.
+  virtual int PathLinks(uint32_t src, uint32_t dst, Path* out) const = 0;
   // A host pair attaining the maximum BaseRtt. False when fewer than two
   // hosts exist.
   virtual bool MaxRttPair(uint32_t* src, uint32_t* dst) const = 0;
@@ -158,10 +152,13 @@ class Topology {
   // ignored). The per-link traversal direction is recoverable by walking
   // from `src`: the endpoint matching the current node is the egress side.
   // The hybrid fluid engine uses this to pin each fluid flow's link list.
+  // Answered by the path model when one is installed, else by BFS.
   std::vector<size_t> ShortestPathLinks(uint32_t src, uint32_t dst) const;
 
   // BFS-only variants bypassing the analytic model — the oracle the model
   // equality tests compare against.
+  std::vector<size_t> ShortestPathLinksViaBfs(uint32_t src,
+                                              uint32_t dst) const;
   sim::TimePs BaseRttViaBfs(uint32_t src, uint32_t dst) const;
   int64_t BottleneckBpsViaBfs(uint32_t src, uint32_t dst) const;
 
@@ -187,9 +184,16 @@ class Topology {
 
   std::vector<int> BfsDistances(uint32_t from,
                                 bool respect_link_state = true) const;
-  // RTT contribution of one traversed link: both-way propagation + forward
-  // data serialization + returning ACK serialization.
-  static sim::TimePs LinkRttCost(int64_t bps, sim::TimePs delay);
+  // Base RTT and bottleneck of one designed-topology path.
+  struct PathCost {
+    sim::TimePs rtt = 0;
+    int64_t bottleneck_bps = std::numeric_limits<int64_t>::max();
+    void Add(const LinkSpec& l);
+  };
+  // Cost of the first-parent path: from the model's link list when it
+  // answers (no allocation), else from the BFS walk.
+  PathCost Cost(uint32_t src, uint32_t dst) const;
+  PathCost CostViaBfs(uint32_t src, uint32_t dst) const;
 
   // ECMP candidates of `node` toward the root of the `dist` BFS (ascending
   // port order) — the single definition the full and incremental rebuild

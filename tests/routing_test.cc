@@ -286,12 +286,11 @@ TEST(Routing, OutOfRangeDestinationIsCheckedDrop) {
 
 // ---- Analytic fat-tree path model vs BFS ------------------------------------
 
-void ExpectModelMatchesBfs(const FatTreeOptions& o, const char* context) {
-  sim::Simulator s;
-  auto ft = MakeFatTree(&s, o);
-  Topology& t = *ft.topo;
+void ExpectModelMatchesBfsOn(const Topology& t, const char* context) {
   for (const uint32_t a : t.hosts()) {
     for (const uint32_t b : t.hosts()) {
+      ASSERT_EQ(t.ShortestPathLinks(a, b), t.ShortestPathLinksViaBfs(a, b))
+          << context << " hosts " << a << "->" << b;
       if (a == b) continue;
       ASSERT_EQ(t.BaseRtt(a, b), t.BaseRttViaBfs(a, b))
           << context << " hosts " << a << "->" << b;
@@ -299,6 +298,12 @@ void ExpectModelMatchesBfs(const FatTreeOptions& o, const char* context) {
           << context << " hosts " << a << "->" << b;
     }
   }
+}
+
+void ExpectModelMatchesBfs(const FatTreeOptions& o, const char* context) {
+  sim::Simulator s;
+  auto ft = MakeFatTree(&s, o);
+  ExpectModelMatchesBfsOn(*ft.topo, context);
 }
 
 TEST(FatTreeModel, MatchesBfsOnEveryPair) {
@@ -321,6 +326,31 @@ TEST(FatTreeModel, MatchesBfsOnEveryPair) {
   skewed.fabric_bps = 100'000'000'000;
   skewed.link_delay = sim::Us(2);
   ExpectModelMatchesBfs(skewed, "skewed speeds");
+
+  FatTreeOptions single_core;  // one core per agg position, 3-wide pods
+  single_core.pods = 4;
+  single_core.tors_per_pod = 3;
+  single_core.aggs_per_pod = 3;
+  single_core.cores_per_agg = 1;
+  single_core.hosts_per_tor = 2;
+  ExpectModelMatchesBfs(single_core, "one core per agg");
+}
+
+TEST(FatTreeModel, PathIgnoresLinkStateLikeBfs) {
+  // The model answers for the designed topology, as the BFS walk does: a
+  // fabric link on the first-parent path going down changes neither.
+  sim::Simulator s;
+  FatTreeOptions o;
+  auto ft = MakeFatTree(&s, o);
+  Topology& t = *ft.topo;
+  const uint32_t src = ft.host_ids.front();
+  const uint32_t dst = ft.host_ids.back();
+  const std::vector<size_t> before = t.ShortestPathLinks(src, dst);
+  ASSERT_EQ(before.size(), 6u);  // cross-pod
+  t.SetLinkUp(before[2], false);  // src-pod agg 0 -> core 0
+  EXPECT_EQ(t.ShortestPathLinks(src, dst), before);
+  EXPECT_EQ(t.ShortestPathLinksViaBfs(src, dst), before);
+  ExpectModelMatchesBfsOn(t, "agg0-core0 down");
 }
 
 TEST(FatTreeModel, MaxBaseRttMatchesExhaustiveSearch) {
