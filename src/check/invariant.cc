@@ -33,12 +33,6 @@ InvariantMonitor* MonitorRegistry::Add(
   return m;
 }
 
-void MonitorRegistry::AttachTo(topo::Topology& topology) {
-  for (uint32_t id = 0; id < topology.num_nodes(); ++id) {
-    topology.node(id).set_check_hooks(this);
-  }
-}
-
 void MonitorRegistry::AttachTo(topo::Topology& topology,
                                const std::vector<uint32_t>& nodes) {
   for (uint32_t id : nodes) topology.node(id).set_check_hooks(this);

@@ -93,11 +93,10 @@ class MonitorRegistry final : public NetHooks {
   InvariantMonitor* Add(std::unique_ptr<InvariantMonitor> monitor);
   size_t num_monitors() const { return monitors_.size(); }
 
-  // Installs this registry as the check-hooks sink of every node in the
-  // topology. The registry must outlive the simulation.
-  void AttachTo(topo::Topology& topology);
-  // Shard-local variant: installs on the listed nodes only, so each lane's
-  // registry sees exactly its own nodes' hooks (no cross-thread reports).
+  // Installs this registry as the check-hooks sink of the listed nodes (one
+  // lane's share of the fabric), so each lane's registry sees exactly its
+  // own nodes' hooks (no cross-thread reports). The registry must outlive
+  // the simulation.
   void AttachTo(topo::Topology& topology, const std::vector<uint32_t>& nodes);
 
   // Optional clock: hooks without a time argument (enqueue/dequeue/drop)

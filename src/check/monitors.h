@@ -211,18 +211,15 @@ void CheckFlowProgress(MonitorRegistry& registry, runner::Experiment& e,
                        sim::TimePs now, int stall_rtos = 4);
 
 // Builds the full standard monitor set with bounds taken from `e`'s
-// topology/config and attaches `registry` to every node. The registry must
+// topology/config, clocks `registry` by lane `lane`'s simulator and attaches
+// it to that lane's nodes (every node when shards == 1). The bounds derive
+// from the full topology, so they are lane-independent; every monitor keys
+// its state per (node, port[, prio]) or per flow, and a flow's packets are
+// only ever observed by the nodes on its path — each lane's registry sees a
+// self-consistent slice, and clean runs stay clean. The registry must
 // outlive the experiment's run.
 void InstallStandardMonitors(MonitorRegistry& registry, runner::Experiment& e,
-                             const StandardMonitorOptions& options = {});
-
-// Shard-local variant: the same monitor set with the same bounds (derived
-// from the full topology, so they are lane-independent), but clocked by lane
-// `lane`'s simulator and attached only to that lane's nodes. Every monitor
-// keys its state per (node, port[, prio]) or per flow, and a flow's packets
-// are only ever observed by the nodes on its path — each lane's registry
-// sees a self-consistent slice, and clean runs stay clean.
-void InstallStandardMonitors(MonitorRegistry& registry, runner::Experiment& e,
-                             const StandardMonitorOptions& options, int lane);
+                             const StandardMonitorOptions& options = {},
+                             int lane = 0);
 
 }  // namespace hpcc::check

@@ -1,6 +1,7 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/int_header.h"
 #include "host/flow.h"
@@ -120,12 +121,6 @@ void TelemetryRecorder::OnIntEcho(uint64_t flow_id, const core::IntStack& stack,
 // ---------------------------------------------------------------------------
 // TelemetrySession
 
-TelemetrySession::TelemetrySession(const TelemetryConfig& cfg,
-                                   check::MonitorRegistry* registry,
-                                   runner::Experiment* experiment)
-    : TelemetrySession(cfg, std::vector<check::MonitorRegistry*>{registry},
-                       experiment) {}
-
 TelemetrySession::TelemetrySession(
     const TelemetryConfig& cfg,
     const std::vector<check::MonitorRegistry*>& registries,
@@ -164,6 +159,9 @@ void TelemetrySession::Start() {
            static_cast<sim::TimePs>(c.drain_factor *
                                     static_cast<double>(c.duration));
   if (!cfg_.trace) return;
+  if (experiment_->shards() > 1) {
+    throw std::logic_error("telemetry trace samplers require shards=1");
+  }
   sim::Simulator& sim = experiment_->simulator();
   if (cfg_.queue_tracks > 0 && cfg_.queue_sample_us > 0) {
     queue_interval_ = std::max<sim::TimePs>(

@@ -151,24 +151,22 @@ class TelemetryRecorder final : public check::InvariantMonitor {
 // CSV a run with telemetry off does.
 class TelemetrySession {
  public:
-  TelemetrySession(const TelemetryConfig& cfg, check::MonitorRegistry* registry,
-                   runner::Experiment* experiment);
-  // Sharded variant: one recorder per lane registry. Counter totals are
-  // summed over the lanes by counters(); sampled tracks require trace mode,
-  // which forces shards=1, so the samplers only ever run single-sim.
+  // One recorder per lane registry (lane order). Counter totals are summed
+  // over the lanes by counters().
   TelemetrySession(const TelemetryConfig& cfg,
                    const std::vector<check::MonitorRegistry*>& registries,
                    runner::Experiment* experiment);
 
   // Schedules the samplers (must be called before Experiment::Run). Sampling
-  // covers [0, duration * (1 + drain_factor)].
+  // covers [0, duration * (1 + drain_factor)]. The samplers read lane 0's
+  // live state, so trace mode requires shards=1 (throws std::logic_error).
   void Start();
 
   const TelemetryConfig& config() const { return cfg_; }
   const TelemetryRecorder& recorder() const { return *recorder_; }
   // Counter totals over every lane recorder (== recorder().counters() on a
   // single-registry session). Plain sums, so the aggregate is byte-equal to
-  // the single-sim totals whatever the shard count.
+  // the one-lane totals whatever the shard count.
   TelemetryCounters counters() const;
   // Warm restore (single-lane sessions only — warm checkpoints force
   // shards=1): seeds the recorder with the checkpoint's counter baseline.

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <barrier>
-#include <cassert>
 #include <cstdio>
+#include <exception>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -103,7 +102,7 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
         "flow_class=fluid requires the hybrid engine (hybrid.enabled)");
   }
   if (!config_.trace_file.empty()) {
-    // Parse once; sharded lanes share the parsed records by pointer.
+    // Parse once; replicated lane sources share the parsed records.
     trace_records_ =
         std::make_shared<const std::vector<workload::TraceRecord>>(
             workload::LoadFlowTrace(config_.trace_file));
@@ -118,8 +117,6 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     }
   }
 
-  fct_ = MakeFctRecorder();
-
   if (config_.hybrid.enabled) {
     analytic::FluidRegionParams fp;
     fp.tick = config_.hybrid.tick > 0 ? config_.hybrid.tick : base_rtt_;
@@ -128,45 +125,19 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
     fp.qlen_cap_bytes = MakeSwitchConfig().buffer_bytes;
     fluid_ = std::make_unique<analytic::FluidRegion>(simulator_.get(),
                                                      topology_.get(), fp);
+    // Hybrid runs are one-lane: fluid completions feed lane 0's recorders.
     fluid_->set_completion_callback(
         [this](const analytic::FluidRegion::FlowRecord& rec, sim::TimePs now) {
-          fct_->Record(rec.size_bytes, now - rec.start,
-                       topology_->IdealFct(rec.src, rec.dst, rec.size_bytes));
+          Lane& lane = *lanes_[0];
+          lane.fct->Record(rec.size_bytes, now - rec.start,
+                           topology_->IdealFct(rec.src, rec.dst,
+                                               rec.size_bytes));
           if (rec.size_bytes <= config_.short_flow_bytes) {
-            short_fct_us_.Add(sim::ToUs(now - rec.start));
+            lane.short_fct_us.Add(sim::ToUs(now - rec.start));
           }
         });
   }
-
-  if (config_.shards > 1) {
-    SetupShards();
-    return;
-  }
-  lane_node_ids_.resize(1);
-  lane_node_ids_[0].resize(topology_->num_nodes());
-  std::iota(lane_node_ids_[0].begin(), lane_node_ids_[0].end(), 0u);
-
-  // Flow completion wiring: every host reports into the shared recorder.
-  for (uint32_t h : hosts_) {
-    topology_->host(h).set_flow_done_callback(
-        [this](const host::Flow& f, sim::TimePs now) {
-          if (f.failed) {
-            // Give-up: the flow never delivered, so it must not feed the FCT
-            // distributions — only the failure count.
-            ++flows_failed_;
-            return;
-          }
-          ++flows_completed_;
-          const auto& s = f.spec();
-          fct_->Record(s.size_bytes, now - s.start_time,
-                       topology_->IdealFct(s.src, s.dst, s.size_bytes));
-          if (s.size_bytes <= config_.short_flow_bytes) {
-            short_fct_us_.Add(sim::ToUs(now - s.start_time));
-          }
-        });
-  }
-  InstallMonitors();
-  MakeSources(simulator_.get(), 0, &sources_);
+  SetupLanes();
 }
 
 void Experiment::MakeSources(
@@ -228,7 +199,7 @@ void Experiment::MakeSources(
 
 Experiment::~Experiment() = default;
 
-void Experiment::SetupShards() {
+void Experiment::SetupLanes() {
   const int n = config_.shards;
   std::vector<int> lane_of =
       config_.topology == TopologyKind::kFatTree
@@ -241,12 +212,9 @@ void Experiment::SetupShards() {
           "sharded run needs a positive delay on every cut link");
     }
   }
-  total_ports_ = 0;
-  for (uint32_t id = 0; id < topology_->num_nodes(); ++id) {
-    total_ports_ += topology_->node(id).num_ports();
-  }
   lane_node_ids_.resize(n);
   for (uint32_t id = 0; id < topology_->num_nodes(); ++id) {
+    total_ports_ += topology_->node(id).num_ports();
     lane_node_ids_[partition_.lane_of_node[id]].push_back(id);
   }
 
@@ -288,8 +256,8 @@ void Experiment::SetupShards() {
     lane.pfc = std::make_unique<stats::PfcMonitor>();
     lane.pfc->AttachTo(*topology_, lane_node_ids_[i]);
     lane.queue_monitor = std::make_unique<stats::QueueMonitor>(
-        lane.sim, topology_.get(), config_.queue_sample_interval);
-    lane.queue_monitor->set_switches(partition_.lane_switches[i]);
+        lane.sim, topology_.get(), config_.queue_sample_interval,
+        partition_.lane_switches[i]);
   }
   // Flow completion wiring: every host reports into its owning lane's
   // recorder (IdealFct is a const query with local search state, so
@@ -299,6 +267,8 @@ void Experiment::SetupShards() {
     topology_->host(h).set_flow_done_callback(
         [this, lane](const host::Flow& f, sim::TimePs now) {
           if (f.failed) {
+            // Give-up: the flow never delivered, so it must not feed the FCT
+            // distributions — only the failure count.
             ++lane->flows_failed;
             return;
           }
@@ -311,90 +281,65 @@ void Experiment::SetupShards() {
           }
         });
   }
-  // Replicated sources: every lane draws the full workload with the
-  // single-sim seeds over ALL hosts; AddFlowOnLane keeps only the flows the
-  // lane owns, while phantom draws still consume the lane's flow-id counter,
-  // so ids match shards=1 creation order exactly. (Hybrid runs never get
-  // here — fluid dispatch requires shards=1 — so AddWorkloadFlow reduces to
-  // AddFlowOnLane for every replicated source.)
+  // Replicated sources: every lane draws the full workload with the same
+  // seeds over ALL hosts; AddFlowOnLane keeps only the flows the lane owns,
+  // while phantom draws still consume the lane's flow-id counter, so ids
+  // match shards=1 creation order exactly.
   for (int i = 0; i < n; ++i) {
     MakeSources(lanes_[i]->sim, i, &lanes_[i]->sources);
   }
 }
 
-void Experiment::InstallMonitors() {
-  pfc_monitor_.AttachTo(*topology_);
-  queue_monitor_ = std::make_unique<stats::QueueMonitor>(
-      simulator_.get(), topology_.get(), config_.queue_sample_interval);
-  total_ports_ = 0;
-  for (uint32_t id = 0; id < topology_->num_nodes(); ++id) {
-    total_ports_ += topology_->node(id).num_ports();
+void Experiment::RequireOneLane(const char* surface) const {
+  if (config_.shards > 1) {
+    throw std::logic_error(std::string(surface) +
+                           " require shards=1 (they live in lane 0)");
   }
 }
 
 host::Flow* Experiment::AddFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                                 sim::TimePs start) {
-  if (config_.shards > 1) {
-    // Replicate the draw in every lane so flow-id counters stay aligned;
-    // exactly one lane owns `src` and returns the live flow.
-    host::Flow* out = nullptr;
-    for (int i = 0; i < config_.shards; ++i) {
-      host::Flow* f = AddFlowOnLane(i, src, dst, bytes, start);
-      if (f != nullptr) out = f;
-    }
-    return out;
+  // Replicate the draw in every lane so flow-id counters stay aligned;
+  // exactly one lane owns `src` and returns the live flow.
+  host::Flow* out = nullptr;
+  for (int i = 0; i < config_.shards; ++i) {
+    host::Flow* f = AddFlowOnLane(i, src, dst, bytes, start);
+    if (f != nullptr) out = f;
   }
-  if (src == dst) throw std::invalid_argument("flow src == dst");
-  host::HostNode& h = topology_->host(src);
-  host::FlowSpec spec;
-  spec.id = next_flow_id_++;
-  spec.src = src;
-  spec.dst = dst;
-  spec.size_bytes = bytes;
-  spec.start_time = start;
-
-  cc::CcContext ctx;
-  ctx.nic_bps = h.port(0).bandwidth_bps();
-  ctx.base_rtt = base_rtt_;
-  ctx.mtu_bytes = h.config().mtu_bytes;
-  ctx.simulator = simulator_.get();
-
-  auto flow = std::make_unique<host::Flow>(spec, cc::MakeCc(config_.cc, ctx),
-                                           config_.recovery);
-  host::Flow* raw = flow.get();
-  h.AddFlow(std::move(flow));
-  flow_ptrs_.push_back(raw);
-  return raw;
+  return out;
 }
 
 host::Flow* Experiment::AddFlowOnLane(int lane, uint32_t src, uint32_t dst,
                                       uint64_t bytes, sim::TimePs start) {
-  if (config_.shards == 1) return AddFlow(src, dst, bytes, start);
   if (src == dst) throw std::invalid_argument("flow src == dst");
   Lane& L = *lanes_[lane];
   const uint64_t id = L.next_flow_id++;  // consumed whether owned or not
   if (partition_.lane_of_node[src] != lane) return nullptr;
 
-  host::HostNode& h = topology_->host(src);
   host::FlowSpec spec;
   spec.id = id;
   spec.src = src;
   spec.dst = dst;
   spec.size_bytes = bytes;
   spec.start_time = start;
+  std::unique_ptr<host::Flow> flow = NewFlow(L, spec);
+  host::Flow* raw = flow.get();
+  topology_->host(src).AddFlow(std::move(flow));
+  return raw;
+}
 
+std::unique_ptr<host::Flow> Experiment::NewFlow(Lane& lane,
+                                                const host::FlowSpec& spec) {
+  const host::HostNode& h = topology_->host(spec.src);
   cc::CcContext ctx;
   ctx.nic_bps = h.port(0).bandwidth_bps();
   ctx.base_rtt = base_rtt_;
   ctx.mtu_bytes = h.config().mtu_bytes;
-  ctx.simulator = L.sim;
-
+  ctx.simulator = lane.sim;
   auto flow = std::make_unique<host::Flow>(spec, cc::MakeCc(config_.cc, ctx),
                                            config_.recovery);
-  host::Flow* raw = flow.get();
-  h.AddFlow(std::move(flow));
-  L.flow_ptrs.push_back(raw);
-  return raw;
+  lane.flow_ptrs.push_back(flow.get());
+  return flow;
 }
 
 void Experiment::AddWorkloadFlow(workload::FlowClass flow_class, int lane,
@@ -412,20 +357,16 @@ void Experiment::AddFluidFlow(uint32_t src, uint32_t dst, uint64_t bytes,
   if (fluid_ == nullptr) {
     throw std::logic_error("fluid flow without hybrid.enabled");
   }
-  // Same id space as packet flows (shards==1 here), so packet and fluid
-  // flows interleave in one creation order and the trace hash stays total.
-  const uint64_t id = next_flow_id_++;
+  // Same id space as packet flows (hybrid runs are one-lane), so packet and
+  // fluid flows interleave in one creation order and the trace hash stays
+  // total.
+  const uint64_t id = lanes_[0]->next_flow_id++;
   fluid_->AddFlow(id, src, dst, bytes, start);
 }
 
 void Experiment::InstallLinkEvent(sim::TimePs at, size_t link, bool up) {
   if (link >= topology_->links().size()) {
     throw std::invalid_argument("link event index out of range");
-  }
-  if (config_.shards == 1) {
-    simulator_->ScheduleAt(
-        at, [this, link, up] { topology_->SetLinkUp(link, up); });
-    return;
   }
   for (auto& lp : lanes_) {
     Lane& lane = *lp;
@@ -438,61 +379,33 @@ void Experiment::InstallLinkEvent(sim::TimePs at, size_t link, bool up) {
 
 host::Flow* Experiment::AddReadFlow(uint32_t requester, uint32_t responder,
                                     uint64_t bytes, sim::TimePs start) {
-  if (config_.shards > 1) {
-    throw std::logic_error("read flows require shards=1");
-  }
+  RequireOneLane("read flows");
   if (requester == responder) {
     throw std::invalid_argument("read requester == responder");
   }
-  host::HostNode& resp = topology_->host(responder);
+  Lane& lane = *lanes_[0];
   host::FlowSpec spec;
-  spec.id = next_flow_id_++;
+  spec.id = lane.next_flow_id++;
   spec.src = responder;  // data flows responder -> requester
   spec.dst = requester;
   spec.size_bytes = bytes;
   spec.start_time = start;
-
-  cc::CcContext ctx;
-  ctx.nic_bps = resp.port(0).bandwidth_bps();
-  ctx.base_rtt = base_rtt_;
-  ctx.mtu_bytes = resp.config().mtu_bytes;
-  ctx.simulator = simulator_.get();
-
-  auto flow = std::make_unique<host::Flow>(spec, cc::MakeCc(config_.cc, ctx),
-                                           config_.recovery);
+  std::unique_ptr<host::Flow> flow = NewFlow(lane, spec);
   host::Flow* raw = flow.get();
-  resp.AddPendingFlow(std::move(flow));
-  flow_ptrs_.push_back(raw);
+  topology_->host(responder).AddPendingFlow(std::move(flow));
 
   const uint64_t id = spec.id;
-  simulator_->ScheduleAt(start, [this, requester, responder, id]() {
+  lane.sim->ScheduleAt(start, [this, requester, responder, id]() {
     topology_->host(requester).SendReadRequest(id, responder);
   });
   return raw;
 }
 
-void Experiment::RunUntil(sim::TimePs until) {
-  if (config_.shards > 1) {
-    throw std::logic_error("RunUntil requires shards=1");
-  }
-  if (!queue_monitor_started_) {
-    queue_monitor_started_ = true;
-    queue_monitor_->Start(config_.duration);
-  }
-  simulator_->Run(until);
-}
-
 void Experiment::set_event_budget(uint64_t max_total_events) {
-  simulator_->set_event_budget(max_total_events);
-  for (auto& lp : lanes_) {
-    if (lp->owned_sim != nullptr) {
-      lp->owned_sim->set_event_budget(max_total_events);
-    }
-  }
+  for (auto& lp : lanes_) lp->sim->set_event_budget(max_total_events);
 }
 
 bool Experiment::budget_exhausted() const {
-  if (simulator_->budget_exhausted()) return true;
   for (const auto& lp : lanes_) {
     if (lp->sim->budget_exhausted()) return true;
   }
@@ -501,14 +414,10 @@ bool Experiment::budget_exhausted() const {
 
 void Experiment::set_wall_deadline(
     std::chrono::steady_clock::time_point deadline) {
-  simulator_->set_wall_deadline(deadline);
-  for (auto& lp : lanes_) {
-    if (lp->owned_sim != nullptr) lp->owned_sim->set_wall_deadline(deadline);
-  }
+  for (auto& lp : lanes_) lp->sim->set_wall_deadline(deadline);
 }
 
 bool Experiment::deadline_exceeded() const {
-  if (simulator_->deadline_exceeded()) return true;
   for (const auto& lp : lanes_) {
     if (lp->sim->deadline_exceeded()) return true;
   }
@@ -517,7 +426,6 @@ bool Experiment::deadline_exceeded() const {
 
 std::vector<const host::Flow*> Experiment::AllFlows() const {
   std::vector<const host::Flow*> out;
-  out.insert(out.end(), flow_ptrs_.begin(), flow_ptrs_.end());
   for (const auto& lp : lanes_) {
     out.insert(out.end(), lp->flow_ptrs.begin(), lp->flow_ptrs.end());
   }
@@ -544,21 +452,15 @@ void Experiment::DrainInbound(Lane& lane, sim::TimePs horizon) {
   }
 }
 
-ExperimentResult Experiment::RunSharded() {
+void Experiment::RunRounds(sim::TimePs until, bool drain) {
   const int n = config_.shards;
-  // Same per-lane start order as the single-sim Run, so every lane's seq
-  // counter replays the same schedule sequence.
-  for (auto& lp : lanes_) {
-    Lane& lane = *lp;
-    for (auto& src : lane.sources) src->Start();
-    lane.queue_monitor->Start(config_.duration);
+  // Coordinator application order: the script events not yet applied, by
+  // (time, install order). Lane marker lists stay install-ordered, so sorted
+  // entries carry their install index to look up each lane's marker seq.
+  std::vector<size_t> order;
+  for (size_t i = 0; i < script_.size(); ++i) {
+    if (!lanes_[0]->marks[i].applied) order.push_back(i);
   }
-
-  // Coordinator application order: script events by (time, install order).
-  // Lane marker lists stay install-ordered, so sorted entries carry their
-  // install index to look up each lane's marker seq.
-  std::vector<size_t> order(script_.size());
-  std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
     return script_[a].at < script_[b].at;
   });
@@ -573,13 +475,14 @@ ExperimentResult Experiment::RunSharded() {
     sim::TimePs now = 0;       // barrier time (every lane's clock)
     sim::TimePs target = 0;    // current round horizon
     size_t mark = 0;           // script index bounding the round, or kNoMark
-    sim::TimePs chunk = 0;     // next single-sim Run horizon
+    sim::TimePs chunk = 0;     // next chunk horizon: `until`, then +1 ms
     size_t cursor = 0;         // next entry of `order`
     sim::TimePs lookahead = 0;
     bool done = false;
   } shared;
+  shared.now = simulator_->now();
   shared.mark = kNoMark;
-  shared.chunk = config_.duration;
+  shared.chunk = until;
   shared.lookahead = topo::UpLookahead(*topology_, partition_);
 
   auto retarget = [&] {
@@ -602,37 +505,47 @@ ExperimentResult Experiment::RunSharded() {
     shared.target = t;
   };
 
+  // One slot per lane: a lane whose round throws parks the exception here
+  // and still arrives at the barrier, so no lane is left blocked.
+  std::vector<std::exception_ptr> errors(lanes_.size());
+
   // Runs while every lane is blocked at the barrier, so single-threaded
   // access to the whole fabric (SetLinkUp rewires routes globally) is safe.
   auto coordinate = [&]() noexcept {
-    shared.now = shared.target;
-    bool exhausted = false;
-    for (const auto& lp : lanes_) {
-      exhausted |= lp->sim->budget_exhausted() || lp->sim->deadline_exceeded();
+    // Lane clocks never run backwards: a horizon already behind them (the
+    // first chunk after a longer RunUntil) leaves them where they were.
+    shared.now = std::max(shared.now, shared.target);
+    for (size_t i = 0; i < lanes_.size(); ++i) {
+      const sim::Simulator& s = *lanes_[i]->sim;
+      if (errors[i] != nullptr || s.budget_exhausted() ||
+          s.deadline_exceeded()) {
+        shared.done = true;
+        return;
+      }
     }
     if (shared.mark != kNoMark) {
       const ScriptEvent& ev = script_[shared.mark];
       topology_->SetLinkUp(ev.link, ev.up);
+      for (auto& lp : lanes_) lp->marks[shared.mark].applied = true;
       ++shared.cursor;
       shared.lookahead = topo::UpLookahead(*topology_, partition_);
-    } else if (shared.now == shared.chunk) {
-      // Chunk boundary: replicate the single-sim drain loop's decisions
-      // exactly, so the final clock (= sim_time) is byte-identical.
+    } else if (shared.target == shared.chunk) {
+      // Chunk boundary: RunUntil stops here. A draining run continues in
+      // 1 ms chunks until every flow — packet and fluid — has settled
+      // (completed or failed) or the drain cap is reached.
       uint64_t created = 0;
-      uint64_t finished = 0;  // completed or failed — either way, settled
+      uint64_t finished = 0;
       for (const auto& lp : lanes_) {
         created += lp->flow_ptrs.size();
         finished += lp->flows_completed + lp->flows_failed;
       }
-      if (finished >= created || shared.now >= cap || exhausted) {
+      const bool settled =
+          finished >= created && (fluid_ == nullptr || !fluid_->active());
+      if (!drain || settled || shared.now >= cap) {
         shared.done = true;
         return;
       }
       shared.chunk = shared.now + sim::Ms(1);
-    }
-    if (exhausted) {
-      shared.done = true;
-      return;
     }
     retarget();
   };
@@ -640,16 +553,18 @@ ExperimentResult Experiment::RunSharded() {
   std::barrier sync(n, coordinate);
   auto lane_loop = [&](int li) {
     Lane& lane = *lanes_[li];
-    for (;;) {
-      const sim::TimePs t = shared.target;
-      const uint64_t bound =
-          shared.mark != kNoMark ? lane.marks[shared.mark].seq
-                                 : std::numeric_limits<uint64_t>::max();
-      DrainInbound(lane, t);
-      lane.sim->Run(t, bound);
+    do {
+      try {
+        const uint64_t bound =
+            shared.mark != kNoMark ? lane.marks[shared.mark].seq
+                                   : std::numeric_limits<uint64_t>::max();
+        DrainInbound(lane, shared.target);
+        lane.sim->Run(shared.target, bound);
+      } catch (...) {
+        errors[li] = std::current_exception();
+      }
       sync.arrive_and_wait();
-      if (shared.done) break;
-    }
+    } while (!shared.done);
   };
 
   retarget();
@@ -658,53 +573,47 @@ ExperimentResult Experiment::RunSharded() {
   for (int i = 1; i < n; ++i) workers.emplace_back(lane_loop, i);
   lane_loop(0);
   for (std::thread& w : workers) w.join();
-  return CollectSharded();
+  for (const std::exception_ptr& e : errors) {
+    if (e != nullptr) std::rethrow_exception(e);
+  }
+}
+
+void Experiment::StartQueueMonitor(Lane& lane) {
+  if (lane.queue_monitor_started) return;
+  lane.queue_monitor_started = true;
+  lane.queue_monitor->Start(config_.duration);
+}
+
+void Experiment::RunUntil(sim::TimePs until) {
+  for (auto& lp : lanes_) StartQueueMonitor(*lp);
+  RunRounds(until, /*drain=*/false);
 }
 
 ExperimentResult Experiment::Run() {
-  if (config_.shards > 1) return RunSharded();
   StartWorkload();
   return FinishRun();
 }
 
 void Experiment::StartWorkload() {
-  if (config_.shards > 1) {
-    throw std::logic_error("StartWorkload requires shards=1");
-  }
-  for (auto& src : sources_) src->Start();
-  if (!queue_monitor_started_) {
-    queue_monitor_started_ = true;
-    queue_monitor_->Start(config_.duration);
+  for (auto& lp : lanes_) {
+    for (auto& src : lp->sources) src->Start();
+    StartQueueMonitor(*lp);
   }
 }
 
 ExperimentResult Experiment::FinishRun() {
-  if (config_.shards > 1) {
-    throw std::logic_error("FinishRun requires shards=1");
-  }
-  simulator_->Run(config_.duration);
-  // Drain: let in-flight flows finish so their FCTs are recorded.
-  const sim::TimePs cap =
-      config_.duration +
-      static_cast<sim::TimePs>(config_.drain_factor *
-                               static_cast<double>(config_.duration));
-  while ((flows_completed_ + flows_failed_ < flow_ptrs_.size() ||
-          (fluid_ != nullptr && fluid_->active())) &&
-         simulator_->now() < cap && !simulator_->budget_exhausted() &&
-         !simulator_->deadline_exceeded()) {
-    // A frozen clock under an exhausted event budget would spin here forever.
-    simulator_->Run(simulator_->now() + sim::Ms(1));
-  }
+  RunRounds(config_.duration, /*drain=*/true);
   return Collect();
 }
 
 bool Experiment::QuiescentForWarmCheckpoint(size_t external_pending) {
-  if (config_.shards > 1) return false;
+  RequireOneLane("warm checkpoints");
   // Hybrid runs are always cold: the fluid engine's continuous link/window
   // state has no warm capture surface.
   if (fluid_ != nullptr) return false;
+  const Lane& lane = *lanes_[0];
   // Every created flow fully delivered and acknowledged.
-  if (flows_completed_ != flow_ptrs_.size()) return false;
+  if (lane.flows_completed != lane.flow_ptrs.size()) return false;
   // Every egress queue empty and every fast-path train settled; no pacing
   // wake armed anywhere (see HostNode::pending_wake_count).
   const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
@@ -718,36 +627,38 @@ bool Experiment::QuiescentForWarmCheckpoint(size_t external_pending) {
   for (uint32_t h : hosts_) {
     if (topology_->host(h).pending_wake_count() != 0) return false;
   }
-  if (pfc_monitor_.has_open_pauses()) return false;
+  if (lane.pfc->has_open_pauses()) return false;
   // Every pending event must be accounted for: the caller's external events
   // (link script, scenario-installed generators), this experiment's own
   // generators, and the queue-monitor tick. Anything else — an RTO, a CC
   // timer — means live protocol state we cannot capture.
   size_t expected = external_pending;
-  for (const auto& src : sources_) {
+  for (const auto& src : lane.sources) {
     if (src->warm_pending()) ++expected;
   }
-  if (queue_monitor_ != nullptr && queue_monitor_->tick_pending()) ++expected;
+  if (lane.queue_monitor->tick_pending()) ++expected;
   return simulator_->pending_events() == expected;
 }
 
 std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
+  RequireOneLane("warm checkpoints");
+  const Lane& lane = *lanes_[0];
   auto w = std::make_unique<WarmState>();
   const sim::TimePs now = simulator_->now();
   w->now = now;
   w->next_schedule_seq = simulator_->next_schedule_seq();
   w->events_executed = simulator_->events_executed();
-  w->next_flow_id = next_flow_id_;
-  w->flows.reserve(flow_ptrs_.size());
-  for (const host::Flow* f : flow_ptrs_) {
+  w->next_flow_id = lane.next_flow_id;
+  w->flows.reserve(lane.flow_ptrs.size());
+  for (const host::Flow* f : lane.flow_ptrs) {
     const host::FlowSpec& s = f->spec();
     w->flows.push_back({s.id, s.src, s.dst, s.size_bytes, s.start_time,
                         f->finish_time, f->done});
   }
-  w->fct = std::make_unique<stats::FctRecorder>(*fct_);
-  w->short_fct_us = short_fct_us_;
-  w->queue = queue_monitor_->CaptureWarm();
-  w->pfc = pfc_monitor_.CaptureWarm();
+  w->fct = std::make_unique<stats::FctRecorder>(*lane.fct);
+  w->short_fct_us = lane.short_fct_us;
+  w->queue = lane.queue_monitor->CaptureWarm();
+  w->pfc = lane.pfc->CaptureWarm();
   for (uint32_t s : topology_->switches()) {
     w->switches.push_back(topology_->switch_node(s).CaptureWarm());
   }
@@ -761,20 +672,21 @@ std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
   for (uint32_t h : hosts_) {
     w->hosts.push_back(topology_->host(h).CaptureWarm());
   }
-  w->sources.resize(sources_.size());
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    if (sources_[i]->first_activity() < now) {
-      w->sources[i] = sources_[i]->CaptureWarm();
+  w->sources.resize(lane.sources.size());
+  for (size_t i = 0; i < lane.sources.size(); ++i) {
+    if (lane.sources[i]->first_activity() < now) {
+      w->sources[i] = lane.sources[i]->CaptureWarm();
     }
   }
   return w;
 }
 
 bool Experiment::ValidateWarmState(const WarmState& w) {
-  if (config_.shards > 1) return false;
-  if (!queue_monitor_started_) return false;
+  RequireOneLane("warm checkpoints");
+  const Lane& lane = *lanes_[0];
+  if (!lane.queue_monitor_started) return false;
   if (w.fct == nullptr) return false;
-  if (sources_.size() != w.sources.size()) return false;
+  if (lane.sources.size() != w.sources.size()) return false;
   if (topology_->switches().size() != w.switches.size()) return false;
   if (hosts_.size() != w.hosts.size()) return false;
   const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
@@ -791,13 +703,14 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   // Validate the structural match completely before touching anything, so a
   // mismatch leaves this experiment cold-runnable.
   if (!ValidateWarmState(w)) return false;
+  Lane& lane = *lanes_[0];
   const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
 
   for (size_t i = 0; i < w.sources.size(); ++i) {
-    if (w.sources[i].has_value()) sources_[i]->RestoreWarm(*w.sources[i]);
+    if (w.sources[i].has_value()) lane.sources[i]->RestoreWarm(*w.sources[i]);
   }
-  queue_monitor_->RestoreWarm(w.queue);
-  pfc_monitor_.RestoreWarm(w.pfc);
+  lane.queue_monitor->RestoreWarm(w.queue);
+  lane.pfc->RestoreWarm(w.pfc);
   for (size_t i = 0; i < w.switches.size(); ++i) {
     topology_->switch_node(topology_->switches()[i]).RestoreWarm(
         w.switches[i]);
@@ -812,10 +725,10 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   for (size_t i = 0; i < hosts_.size(); ++i) {
     topology_->host(hosts_[i]).RestoreWarm(w.hosts[i]);
   }
-  fct_ = std::make_unique<stats::FctRecorder>(*w.fct);
-  short_fct_us_ = w.short_fct_us;
+  lane.fct = std::make_unique<stats::FctRecorder>(*w.fct);
+  lane.short_fct_us = w.short_fct_us;
   warm_flows_ = w.flows;
-  next_flow_id_ = w.next_flow_id;
+  lane.next_flow_id = w.next_flow_id;
   // Last: jump the clock and counters to T. Every event replayed above was
   // scheduled while now_ was still pre-T, so their captured (time, seq) keys
   // landed unchallenged; from here on the engine continues exactly as the
@@ -824,13 +737,14 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   return true;
 }
 
-ExperimentResult Experiment::CollectSharded() {
+ExperimentResult Experiment::Collect() {
   ExperimentResult r;
   // Every lane clock agrees at the final barrier (budget exhaustion is the
   // diagnostic exception); lane 0 is the canonical one.
   const sim::TimePs now = simulator_->now();
   r.fct = MakeFctRecorder();
   stats::PfcMonitor pfc;
+  stats::TraceHash th;
   for (const auto& lp : lanes_) {
     Lane& lane = *lp;
     lane.pfc->Finish(lane.sim->now());
@@ -845,6 +759,9 @@ ExperimentResult Experiment::CollectSharded() {
     r.flows_failed += lane.flows_failed;
     for (const host::Flow* f : lane.flow_ptrs) {
       r.retx_timeouts += f->retx_timeouts;
+      const host::FlowSpec& s = f->spec();
+      th.AddFlow(s.id, s.src, s.dst, s.size_bytes, s.start_time,
+                 f->finish_time, f->done);
     }
     r.events_executed += lane.sim->events_executed();
   }
@@ -874,65 +791,14 @@ ExperimentResult Experiment::CollectSharded() {
     r.dropped_by_reason[static_cast<int>(check::DropReason::kCorrupt)] +=
         node.corrupt_dropped_packets();
   }
-  r.sim_time = now;
-  r.base_rtt = base_rtt_;
-
-  stats::TraceHash th;
-  for (const auto& lp : lanes_) {
-    for (const host::Flow* f : lp->flow_ptrs) {
-      const host::FlowSpec& s = f->spec();
-      th.AddFlow(s.id, s.src, s.dst, s.size_bytes, s.start_time,
-                 f->finish_time, f->done);
-    }
-  }
-  r.trace_hash = th.digest();
-  SortResultDistributions(r);
-  return r;
-}
-
-ExperimentResult Experiment::Collect() {
-  if (config_.shards > 1) return CollectSharded();
-  ExperimentResult r;
-  const sim::TimePs now = simulator_->now();
-  pfc_monitor_.Finish(now);
-
-  r.fct = std::move(fct_);
-  r.queue_dist = queue_monitor_->distribution();
-  r.max_queue_bytes = queue_monitor_->max_seen_bytes();
-  r.pause_time_fraction = pfc_monitor_.PauseTimeFraction(now, total_ports_);
-  r.pause_events = pfc_monitor_.pause_count();
-  r.pause_durations_us = pfc_monitor_.DurationDistributionUs();
-  r.short_fct_us = short_fct_us_;
-  for (uint32_t s : topology_->switches()) {
-    const net::SwitchNode& sw = topology_->switch_node(s);
-    r.dropped_packets += sw.dropped_packets();
-    r.dropped_bytes += sw.dropped_bytes();
-    for (int d = 0; d < check::kNumDropReasons; ++d) {
-      r.dropped_by_reason[d] +=
-          sw.dropped_by_reason(static_cast<check::DropReason>(d));
-    }
-    r.packets_forwarded += sw.forwarded_packets();
-  }
-  const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
-  for (uint32_t id = 0; id < num_nodes; ++id) {
-    const net::Node& node = topology_->node(id);
-    for (int p = 0; p < node.num_ports(); ++p) {
-      r.train_aborts += node.port(p).train_aborts();
-    }
-    r.dropped_packets += node.corrupt_dropped_packets();
-    r.dropped_bytes += node.corrupt_dropped_bytes();
-    r.dropped_by_reason[static_cast<int>(check::DropReason::kCorrupt)] +=
-        node.corrupt_dropped_packets();
-  }
   // Warm-restored runs fold the checkpoint's completed flows back in, so the
   // report covers [0, end) exactly like a cold run's.
-  uint64_t warm_done = 0;
   for (const WarmFlowRecord& wf : warm_flows_) {
-    if (wf.done) ++warm_done;
+    ++r.flows_created;
+    if (wf.done) ++r.flows_completed;
+    th.AddFlow(wf.id, wf.src, wf.dst, wf.size_bytes, wf.start, wf.finish,
+               wf.done);
   }
-  r.flows_created = flow_ptrs_.size() + warm_flows_.size();
-  r.flows_completed = flows_completed_ + warm_done;
-  r.flows_failed = flows_failed_;
   if (fluid_ != nullptr) {
     // Fluid flows fold into the engine-inclusive totals AND get their own
     // accounting block (manifest "fluid" subtree).
@@ -944,37 +810,14 @@ ExperimentResult Experiment::Collect() {
     r.fluid_peak_queue_bytes = fluid_->peak_queue_bytes();
     r.flows_created += r.fluid_flows_created;
     r.flows_completed += r.fluid_flows_completed;
-  }
-  for (const host::Flow* f : flow_ptrs_) {
-    r.retx_timeouts += f->retx_timeouts;
-  }
-  r.sim_time = now;
-  r.events_executed = simulator_->events_executed();
-  r.base_rtt = base_rtt_;
-
-  stats::TraceHash th;
-  for (const WarmFlowRecord& wf : warm_flows_) {
-    th.AddFlow(wf.id, wf.src, wf.dst, wf.size_bytes, wf.start, wf.finish,
-               wf.done);
-  }
-  for (const host::Flow* f : flow_ptrs_) {
-    const host::FlowSpec& s = f->spec();
-    th.AddFlow(s.id, s.src, s.dst, s.size_bytes, s.start_time, f->finish_time,
-               f->done);
-  }
-  if (fluid_ != nullptr) {
     for (const auto& rec : fluid_->flows()) {
       th.AddFlow(rec.id, rec.src, rec.dst, rec.size_bytes, rec.start,
                  rec.finish, rec.done);
     }
   }
+  r.sim_time = now;
+  r.base_rtt = base_rtt_;
   r.trace_hash = th.digest();
-
-  // The recorder moved out; re-create an empty one in case Collect is called
-  // again (idempotence for tests).
-  fct_ = std::make_unique<stats::FctRecorder>(
-      config_.trace == "fbhadoop" ? stats::FctRecorder::FbHadoopBins()
-                                  : stats::FctRecorder::WebSearchBins());
   SortResultDistributions(r);
   return r;
 }

@@ -1,6 +1,12 @@
 // Experiment harness: wires a topology, a CC scheme, workload generators and
 // monitors into one runnable unit. Every bench binary (one per paper figure)
 // and example builds on this.
+//
+// Every run executes as one or more lanes (config.shards) driven by a single
+// barrier-round loop; shards=1 is simply the one-lane case. A few surfaces
+// read lane 0 directly and are refused on multi-lane runs: warm
+// checkpoint/restore, RDMA READ flows, the hybrid fluid engine and the
+// trace-export samplers.
 #pragma once
 
 #include <chrono>
@@ -154,49 +160,50 @@ class Experiment {
   explicit Experiment(const ExperimentConfig& config);
   ~Experiment();
 
-  // Manual flow injection (micro-benchmarks); returns the live Flow. On a
-  // sharded experiment this replicates the flow-id draw across every lane
-  // (legal before Run only).
+  // Manual flow injection (micro-benchmarks); returns the live Flow. Draws
+  // the flow id in every lane (AddFlowOnLane), so ids stay aligned at any
+  // lane count.
   host::Flow* AddFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                       sim::TimePs start);
   // Lane-replicated flow injection: ALWAYS consumes lane `lane`'s next flow
   // id (so ids match shards=1 creation order), but creates a live flow only
   // when the lane owns `src` — returns nullptr otherwise. Every lane's
   // replicated generator calls this with identical arguments in identical
-  // order. Equal to AddFlow when shards == 1.
+  // order.
   host::Flow* AddFlowOnLane(int lane, uint32_t src, uint32_t dst,
                             uint64_t bytes, sim::TimePs start);
   // The engine-dispatch seam every TrafficSource sink funnels through:
   // packet-class flows go to AddFlowOnLane (lane-replicated id draw), fluid
-  // ones to the FluidRegion (hybrid runs are single-lane, so the id draw is
-  // the plain counter). Both consume the same flow-id space, so packet and
+  // ones to the FluidRegion (hybrid runs are one-lane, so the id draw is
+  // lane 0's counter). Both consume the same flow-id space, so packet and
   // fluid flows interleave in one creation order.
   void AddWorkloadFlow(workload::FlowClass flow_class, int lane, uint32_t src,
                        uint32_t dst, uint64_t bytes, sim::TimePs start);
   // RDMA READ (§4.2): `requester` pulls `bytes` from `responder`. The data
   // flow runs responder -> requester; its FCT starts at the request post
-  // time, so it includes the request's propagation. Single-sim only.
+  // time, so it includes the request's propagation. Requires shards=1.
   host::Flow* AddReadFlow(uint32_t requester, uint32_t responder,
                           uint64_t bytes, sim::TimePs start);
 
-  // Schedules a link_down/link_up script event. Single-sim: one ScheduleAt
-  // driving Topology::SetLinkUp. Sharded: installs a no-op barrier marker in
-  // every lane (consuming exactly one tie-break seq, like the single-sim
-  // event) and records the event for the coordinator, which applies it
-  // between rounds while all lanes are blocked.
+  // Schedules a link_down/link_up script event: installs a no-op barrier
+  // marker in every lane (consuming exactly one tie-break seq) and records
+  // the event for the round loop's coordinator, which applies
+  // Topology::SetLinkUp between rounds while every lane is stopped just
+  // before its marker.
   void InstallLinkEvent(sim::TimePs at, size_t link, bool up);
 
   // Runs generators + simulation, drains, and collects metrics.
   ExperimentResult Run();
-  // The two halves of a single-lane Run, split so the warm-start runner can
-  // pause between them: StartWorkload starts the generators and the queue
-  // monitor (drawing the same schedule seqs a plain Run would); FinishRun
-  // executes to the workload horizon, drains, and collects. Run ==
-  // StartWorkload + FinishRun when shards == 1.
+  // The two halves of Run, split so the warm-start runner can pause between
+  // them: StartWorkload starts every lane's generators and queue monitor
+  // (drawing the same schedule seqs a plain Run would); FinishRun executes
+  // to the workload horizon, drains, and collects. Run == StartWorkload +
+  // FinishRun.
   void StartWorkload();
   ExperimentResult FinishRun();
-  // Lower-level: run the simulator to `until` without draining (micro
-  // benches drive this directly after AddFlow).
+  // Lower-level: run every lane to `until` without draining, applying
+  // scripted link events at their barriers (micro benches drive this
+  // directly after AddFlow). Starts the queue monitors, not the generators.
   void RunUntil(sim::TimePs until);
   ExperimentResult Collect();
 
@@ -211,7 +218,8 @@ class Experiment {
   // counters, pending (time, seq) pairs — so the continued run is
   // byte-identical to one that simulated [0, T) itself. Anything pending
   // that this accounting can't explain (a CC timer, an RTO) makes the
-  // instant non-quiescent and the caller falls back to a cold run.
+  // instant non-quiescent and the caller falls back to a cold run. Warm
+  // state lives in lane 0: every method below requires shards=1.
 
   // One completed pre-checkpoint flow, carried for TraceHash / flow-count
   // folding (the live Flow objects stay with the checkpointing experiment).
@@ -266,22 +274,25 @@ class Experiment {
   const ExperimentConfig& config() const { return config_; }
   const std::vector<uint32_t>& hosts() const { return hosts_; }
   sim::TimePs base_rtt() const { return base_rtt_; }
-  const std::vector<host::Flow*>& flows() const { return flow_ptrs_; }
-  uint64_t flows_completed() const { return flows_completed_; }
+  // Lane 0's live flows, creation order (every flow when shards == 1).
+  const std::vector<host::Flow*>& flows() const { return lanes_[0]->flow_ptrs; }
+  uint64_t flows_completed() const {
+    uint64_t n = 0;
+    for (const auto& lp : lanes_) n += lp->flows_completed;
+    return n;
+  }
   // The hybrid fluid engine (null unless config.hybrid.enabled).
   analytic::FluidRegion* fluid_region() { return fluid_.get(); }
   // Every live flow across all lanes (lane order, creation order within a
-  // lane; equals flows() when shards == 1). For post-run checkers like the
-  // no-progress monitor.
+  // lane). For post-run checkers like the no-progress monitor.
   std::vector<const host::Flow*> AllFlows() const;
-  stats::PfcMonitor& pfc_monitor() { return pfc_monitor_; }
+  // Lane 0's pause recorder (every port when shards == 1).
+  stats::PfcMonitor& pfc_monitor() { return *lanes_[0]->pfc; }
 
-  // Sharded-run surface. With shards == 1 there is exactly one lane (0),
-  // backed by simulator() and owning every node.
+  // Lane surface. Lane 0 runs on simulator(); with shards == 1 it is the
+  // only lane and owns every node.
   int shards() const { return config_.shards; }
-  sim::Simulator& lane_simulator(int lane) {
-    return lanes_.empty() ? *simulator_ : *lanes_[lane]->sim;
-  }
+  sim::Simulator& lane_simulator(int lane) { return *lanes_[lane]->sim; }
   // Node ids owned by `lane`, ascending.
   const std::vector<uint32_t>& lane_nodes(int lane) const {
     return lane_node_ids_[lane];
@@ -297,10 +308,10 @@ class Experiment {
   bool deadline_exceeded() const;
 
  private:
-  // One logical process of a sharded run: an event arena plus shard-local
-  // replicas of every piece of per-run mutable state (stats, monitors,
-  // generators, flow-id counter). Heap-allocated because monitors hand out
-  // self-referential observers.
+  // One logical process: an event arena plus every piece of per-run mutable
+  // state for its slice of the fabric (stats, monitors, generators, flow-id
+  // counter). Heap-allocated because monitors hand out self-referential
+  // observers.
   struct Lane {
     sim::Simulator* sim = nullptr;  // lane 0 aliases Experiment::simulator_
     std::unique_ptr<sim::Simulator> owned_sim;  // lanes > 0
@@ -316,14 +327,16 @@ class Experiment {
     struct Mark {
       sim::TimePs at = 0;
       uint64_t seq = 0;
+      bool applied = false;  // the coordinator ran its SetLinkUp
     };
     std::vector<Mark> marks;
     std::unique_ptr<stats::FctRecorder> fct;
     stats::PercentileTracker short_fct_us;
     std::unique_ptr<stats::QueueMonitor> queue_monitor;
+    bool queue_monitor_started = false;
     std::unique_ptr<stats::PfcMonitor> pfc;
-    // Lane-replicated workload sources, same install order as the
-    // single-sim sources_ (Poisson, trace replay, incast).
+    // Lane-replicated workload sources, install order (Poisson, trace
+    // replay, incast).
     std::vector<std::unique_ptr<workload::TrafficSource>> sources;
     uint64_t next_flow_id = 1;
     std::vector<host::Flow*> flow_ptrs;  // lane-owned flows, creation order
@@ -338,18 +351,29 @@ class Experiment {
   };
 
   void BuildTopology();
-  void InstallMonitors();
-  void SetupShards();
+  // Partitions the fabric into config.shards lanes and gives each its
+  // simulator, monitors, completion wiring and replicated sources.
+  void SetupLanes();
   // Builds the configured TrafficSources (install order: Poisson, trace
-  // replay, incast) emitting into lane `lane` of `sim` — the one definition
-  // the single-sim constructor and every replicated shard lane share.
+  // replay, incast) emitting into lane `lane` of `sim`.
   void MakeSources(sim::Simulator* sim, int lane,
                    std::vector<std::unique_ptr<workload::TrafficSource>>* out);
-  // Admits a fluid-class flow (consumes the next flow id).
+  // Builds a packet flow with its CC instance on `lane`'s simulator and
+  // lists it in the lane's flows; the caller hands it to the source host.
+  std::unique_ptr<host::Flow> NewFlow(Lane& lane, const host::FlowSpec& spec);
+  // Admits a fluid-class flow (consumes lane 0's next flow id).
   void AddFluidFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                     sim::TimePs start);
-  ExperimentResult RunSharded();
-  ExperimentResult CollectSharded();
+  // Guard for the lane-0-only surfaces: throws std::logic_error naming
+  // `surface` when shards > 1.
+  void RequireOneLane(const char* surface) const;
+  void StartQueueMonitor(Lane& lane);
+  // The barrier-round loop behind every run mode: runs all lanes to
+  // `until`, applying script events at barriers; with `drain`, continues in
+  // 1 ms chunks until every flow settles or the drain cap is reached. A
+  // lane's exception ends the run and is rethrown (lowest lane first) once
+  // every lane thread has joined.
+  void RunRounds(sim::TimePs until, bool drain);
   // Reschedules every pending inbound record with arrival <= horizon onto
   // the lane's own simulator, under the producer's arrival tie-break key.
   void DrainInbound(Lane& lane, sim::TimePs horizon);
@@ -363,28 +387,17 @@ class Experiment {
   std::vector<uint32_t> hosts_;
   sim::TimePs base_rtt_ = 0;
 
-  uint64_t next_flow_id_ = 1;
-  std::vector<host::Flow*> flow_ptrs_;
-  uint64_t flows_completed_ = 0;
-  uint64_t flows_failed_ = 0;
   // Pre-checkpoint flows adopted by RestoreWarmState; Collect folds them
   // into flows_created/completed and the trace hash. Empty on cold runs.
   std::vector<WarmFlowRecord> warm_flows_;
 
-  std::unique_ptr<stats::FctRecorder> fct_;
-  stats::PercentileTracker short_fct_us_;
-  std::unique_ptr<stats::QueueMonitor> queue_monitor_;
-  bool queue_monitor_started_ = false;
-  stats::PfcMonitor pfc_monitor_;
-  // Workload sources, install order (Poisson, trace replay, incast).
-  std::vector<std::unique_ptr<workload::TrafficSource>> sources_;
   // Parsed once, shared across replicated lane sources.
   std::shared_ptr<const std::vector<workload::TraceRecord>> trace_records_;
   std::unique_ptr<analytic::FluidRegion> fluid_;
   int total_ports_ = 0;
 
   topo::Partition partition_;
-  std::vector<std::unique_ptr<Lane>> lanes_;          // empty when shards == 1
+  std::vector<std::unique_ptr<Lane>> lanes_;          // config.shards, >= 1
   std::vector<std::vector<uint32_t>> lane_node_ids_;  // sized shards
   std::vector<ScriptEvent> script_;                   // install order
 };

@@ -146,8 +146,8 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
       cfg.fast_path = opts.fastpath_override != 0;
     }
     if (opts.shards_override >= 1) cfg.shards = opts.shards_override;
-    // The flight-recorder samplers read live state from one simulator at
-    // fixed sim times; trace export therefore always runs single-lane. The
+    // The flight-recorder samplers read lane 0's live state at fixed sim
+    // times; trace export therefore always runs on one lane. The
     // deterministic outputs are pinned shard-equal, so this costs nothing
     // but wall clock.
     if (tcfg.trace) cfg.shards = 1;

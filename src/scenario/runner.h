@@ -112,7 +112,7 @@ struct ScenarioRunnerOptions {
   // Shard-count override: 0 = as the scenario says, >= 1 forces that many
   // execution lanes (runner::ExperimentConfig::shards). The shard-equivalence
   // suite and `--shards=N` A/B runs use this. Trace export still forces
-  // shards=1 (the flight-recorder samplers are single-sim).
+  // shards=1 (the flight-recorder samplers read lane 0).
   int shards_override = 0;
 
   // --- telemetry (src/obs) ---

@@ -120,7 +120,7 @@ class Simulator {
     return static_cast<EventClass>(executing_seq_ >> kClassShift);
   }
 
-  // Tie-break key the *next* ScheduleAt call would receive. Sharded event
+  // Tie-break key the *next* ScheduleAt call would receive. Link-event
   // installation records this before scheduling a link-script marker so the
   // lane can later run seq-bounded up to (but excluding) that marker.
   uint64_t next_schedule_seq() const { return kOtherSeqBase | next_seq_; }
@@ -171,9 +171,9 @@ class Simulator {
   //
   // `until_seq` refines the horizon for events at exactly `until`: only
   // events with tie-break seq < until_seq execute there (default: all of
-  // them). Sharded runs use this to stop each lane exactly *before* a
-  // same-timestamp link-script marker so the script can apply at a barrier
-  // in the same relative order the single-sim run would have used.
+  // them). The experiment's round loop uses this to stop each lane exactly
+  // *before* a same-timestamp link-script marker, so the script applies at a
+  // barrier in the marker's place in the event order.
   uint64_t Run(TimePs until = std::numeric_limits<TimePs>::max(),
                uint64_t until_seq = std::numeric_limits<uint64_t>::max());
   // Stops the run loop after the current event returns.

@@ -7,16 +7,6 @@
 
 namespace hpcc::stats {
 
-void PfcMonitor::AttachTo(topo::Topology& topology) {
-  for (uint32_t id = 0; id < topology.num_nodes(); ++id) {
-    net::Node& n = topology.node(id);
-    for (int p = 0; p < n.num_ports(); ++p) {
-      n.port(p).set_pause_observer(&observer_);
-      port_bps_[{id, p}] = n.port(p).bandwidth_bps();
-    }
-  }
-}
-
 void PfcMonitor::AttachTo(topo::Topology& topology,
                           const std::vector<uint32_t>& nodes) {
   for (uint32_t id : nodes) {

@@ -30,9 +30,8 @@ class PfcMonitor {
   // Returns the observer to install on every port (Topology helper below).
   const net::PauseObserver& observer() const { return observer_; }
 
-  // Attach to every port of every node in the topology.
-  void AttachTo(topo::Topology& topology);
-  // Shard-local variant: attach to the listed nodes' ports only.
+  // Attach to every port of the listed nodes (one lane's share of the
+  // fabric).
   void AttachTo(topo::Topology& topology, const std::vector<uint32_t>& nodes);
 
   // Call once at the end of a run to close still-open pauses.

@@ -10,8 +10,12 @@
 namespace hpcc::stats {
 
 QueueMonitor::QueueMonitor(sim::Simulator* simulator,
-                           topo::Topology* topology, sim::TimePs interval)
-    : simulator_(simulator), topology_(topology), interval_(interval) {}
+                           topo::Topology* topology, sim::TimePs interval,
+                           std::vector<uint32_t> switches)
+    : simulator_(simulator),
+      topology_(topology),
+      interval_(interval),
+      switches_(std::move(switches)) {}
 
 void QueueMonitor::Start(sim::TimePs until) {
   until_ = until;
@@ -58,9 +62,7 @@ void QueueMonitor::RestoreWarm(const WarmState& w) {
 }
 
 void QueueMonitor::Sample() {
-  const std::vector<uint32_t>& sids =
-      use_subset_ ? switches_ : topology_->switches();
-  for (uint32_t sid : sids) {
+  for (uint32_t sid : switches_) {
     net::SwitchNode& sw = topology_->switch_node(sid);
     for (int p = 0; p < sw.num_ports(); ++p) {
       const int64_t q = sw.port(p).queue_bytes(net::kDataPriority);

@@ -19,20 +19,15 @@ class Port;
 
 namespace hpcc::stats {
 
-// Samples every data-priority egress queue of every switch in the topology
-// at a fixed interval; accumulates the distribution over (port, time).
+// Samples every data-priority egress queue of the given switches (one
+// lane's share of the fabric) at a fixed interval; accumulates the
+// distribution over (port, time).
 class QueueMonitor {
  public:
   QueueMonitor(sim::Simulator* simulator, topo::Topology* topology,
-               sim::TimePs interval);
+               sim::TimePs interval, std::vector<uint32_t> switches);
 
   void Start(sim::TimePs until);
-  // Shard-local sampling: restrict to these switches (default: every switch
-  // in the topology). Set before Start.
-  void set_switches(std::vector<uint32_t> switches) {
-    switches_ = std::move(switches);
-    use_subset_ = true;
-  }
   // Folds a shard-local monitor in: the per-tick sample multiset over all
   // shards equals the single-sim one, and percentiles sort on demand.
   void Merge(const QueueMonitor& other) {
@@ -70,7 +65,6 @@ class QueueMonitor {
   sim::TimePs interval_;
   sim::TimePs until_ = 0;
   std::vector<uint32_t> switches_;
-  bool use_subset_ = false;
   PercentileTracker dist_;
   int64_t max_seen_ = 0;
   bool tick_pending_ = false;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "runner/experiment.h"
+#include "scenario/scenario.h"
 
 namespace hpcc::runner {
 namespace {
@@ -164,6 +165,45 @@ TEST(Runner, AddFlowRejectsSelfTraffic) {
                std::invalid_argument);
   EXPECT_THROW(e.AddReadFlow(e.hosts()[1], e.hosts()[1], 1000, 0),
                std::invalid_argument);
+}
+
+// RunUntil drives the same barrier-round loop as Run at every lane count:
+// stepping the fig13 trunk flap through fixed horizons — two of them exactly
+// the link_down / link_up instants — leaves one and two lanes with the same
+// flows, clock and drops.
+TEST(Runner, RunUntilWithLinkFlapIsShardEqual) {
+  const scenario::Scenario s = scenario::LoadScenarioFile(
+      std::string(HPCC_SOURCE_DIR) +
+      "/examples/scenarios/fig13_link_failure.json");
+  auto run = [&s](int shards) {
+    ExperimentConfig cfg = scenario::MakeExperimentConfig(s);
+    cfg.shards = shards;
+    Experiment e(cfg);
+    const scenario::InstalledEvents events = scenario::InstallEvents(e, s);
+    e.StartWorkload();
+    const size_t trunk = 0;
+    for (sim::TimePs t : {sim::Us(250), sim::Us(300), sim::Us(550),
+                          sim::Us(800), sim::Ms(3)}) {
+      e.RunUntil(t);
+      EXPECT_EQ(e.simulator().now(), t);
+      // Every event at the horizon ran, the scripted flap included.
+      EXPECT_EQ(e.topology().links()[trunk].up,
+                t < sim::Us(300) || t >= sim::Us(800))
+          << "t=" << sim::ToUs(t) << "us";
+    }
+    return e.Collect();
+  };
+  const ExperimentResult one = run(1);
+  const ExperimentResult two = run(2);
+  EXPECT_GT(one.flows_created, 0u);
+  EXPECT_EQ(two.flows_created, one.flows_created);
+  EXPECT_EQ(two.flows_completed, one.flows_completed);
+  EXPECT_EQ(two.trace_hash, one.trace_hash);
+  EXPECT_EQ(two.sim_time, one.sim_time);
+  EXPECT_EQ(two.dropped_packets, one.dropped_packets);
+  for (int d = 0; d < check::kNumDropReasons; ++d) {
+    EXPECT_EQ(two.dropped_by_reason[d], one.dropped_by_reason[d]) << d;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Shard-equivalence suite: a sharded run (conservative PDES over per-pod /
-// per-block lanes, see topo/partition.h and runner::Experiment::RunSharded)
-// must be observably indistinguishable from the single-simulator run — equal
+// per-block lanes, see topo/partition.h and runner::Experiment::RunRounds)
+// must be observably indistinguishable from the one-lane run — equal
 // golden-trace hashes, byte-identical scenario CSVs and byte-identical run
 // manifests — at every shard count. Covers the committed example scenarios
 // and the whole fuzz corpus at shards {1, 2, 4}, all under the full

@@ -128,14 +128,21 @@ TEST(TraceReplay, DrivesExperimentFromTraceFile) {
 TEST(TraceReplay, HostIndexOutOfRangeFailsLoudly) {
   const std::string path =
       WriteTempTrace("replay_oob.csv", "0,0,9,1000\n");  // 9 >= 4 hosts
-  runner::ExperimentConfig cfg;
-  cfg.topology = runner::TopologyKind::kStar;
-  cfg.star.num_hosts = 4;
-  cfg.cc.scheme = "hpcc";
-  cfg.trace_file = path;
-  cfg.duration = sim::Ms(1);
-  runner::Experiment e(cfg);
-  EXPECT_THROW(e.Run(), std::out_of_range);
+  // The sink throws inside a lane's event loop; on two lanes the exception
+  // must still reach the caller (after the worker lane has joined) instead
+  // of terminating the process.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    runner::ExperimentConfig cfg;
+    cfg.topology = runner::TopologyKind::kStar;
+    cfg.star.num_hosts = 4;
+    cfg.cc.scheme = "hpcc";
+    cfg.trace_file = path;
+    cfg.duration = sim::Ms(1);
+    cfg.shards = shards;
+    runner::Experiment e(cfg);
+    EXPECT_THROW(e.Run(), std::out_of_range);
+  }
 }
 
 TEST(TraceReplay, MissingFileFailsAtConstruction) {

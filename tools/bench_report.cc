@@ -222,11 +222,11 @@ uint64_t MacroFig11TelemetryBatch() {
   hpcc::check::MonitorRegistry registry;
   hpcc::runner::Experiment e(hpcc::benchgen::Fig11MacroConfig());
   registry.set_clock(&e.simulator());
-  registry.AttachTo(e.topology());
+  registry.AttachTo(e.topology(), e.lane_nodes(0));
   hpcc::obs::TelemetryConfig tcfg;
   tcfg.manifest = true;
   tcfg.trace = true;
-  hpcc::obs::TelemetrySession session(tcfg, &registry, &e);
+  hpcc::obs::TelemetrySession session(tcfg, {&registry}, &e);
   session.Start();
   auto result = e.Run();
   registry.Finish(e.simulator().now());
