@@ -1,6 +1,6 @@
-// Hot-path workload definitions shared by bench_micro (google-benchmark) and
-// tools/bench_report (dependency-free JSON harness), so the two report
-// comparable numbers: the steady-state self-rescheduling event churn and the
+// Hot-path workload definitions behind tools/bench_report's event-loop,
+// routing-core and macro entries: the steady-state self-rescheduling event
+// churn, RTO-style timer churn, the fat-tree route-build fabrics and the
 // Fig. 11-style macro configuration.
 #pragma once
 

@@ -32,8 +32,6 @@ inline Flags ParseFlags(int argc, char** argv) {
       f.duration_ms = std::atof(arg.c_str() + 14);
     } else if (arg.rfind("--seed=", 0) == 0) {
       f.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--benchmark", 0) == 0) {
-      // Tolerate google-benchmark style flags when the runner sweeps bench/.
     } else {
       std::fprintf(stderr,
                    "usage: %s [--full] [--duration-ms=N] [--seed=N]\n",

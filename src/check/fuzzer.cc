@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <memory>
 
 #include "cc/factory.h"
-#include "check/monitors.h"
 #include "core/hash.h"
 #include "obs/telemetry.h"
 #include "scenario/runner.h"
@@ -230,55 +228,30 @@ FuzzRunReport RunScenarioDocChecked(const Json& doc, uint64_t max_events,
                                     int shards_override) {
   FuzzRunReport rep;
   rep.doc = doc;
-  // Declared before the Experiment: nodes point into the registries (one per
-  // execution lane).
-  std::deque<MonitorRegistry> registries;
+  scenario::ScenarioRun run;
   try {
-    const scenario::Scenario s = scenario::ParseScenario(doc);
-    rep.name = s.name;
-    runner::ExperimentConfig cfg = scenario::MakeExperimentConfig(s);
-    if (fastpath_override >= 0) cfg.fast_path = fastpath_override != 0;
-    if (shards_override >= 1) cfg.shards = shards_override;
-    runner::Experiment e(cfg);
-    if (max_events > 0) e.set_event_budget(max_events);
-    StandardMonitorOptions mo;
-    mo.topology_mutates = scenario::MutatesTopology(s);
-    const int lanes = e.shards();
-    for (int lane = 0; lane < lanes; ++lane) {
-      registries.emplace_back();
-      InstallStandardMonitors(registries.back(), e, mo, lane);
-      if (extra) extra(registries.back(), e);
-    }
-    const scenario::InstalledEvents events = scenario::InstallEvents(e, s);
-    const runner::ExperimentResult result = e.Run();
-    for (int lane = 0; lane < lanes; ++lane) {
-      registries[static_cast<size_t>(lane)].Finish(
-          e.lane_simulator(lane).now());
-    }
-    if (e.budget_exhausted()) {
-      registries.front().ReportViolation(Violation{
-          "event-budget",
-          "run exceeded " + std::to_string(max_events) +
-              " simulator events (event storm / livelock?)",
-          e.simulator().now()});
-    } else {
-      // Retry machinery audit: every started flow must either have finished
-      // or still be making progress (skipped on truncated runs, which strand
-      // in-flight flows legitimately).
-      CheckFlowProgress(registries.front(), e, e.simulator().now());
-    }
-    for (const MonitorRegistry& registry : registries) {
-      rep.violations.insert(rep.violations.end(),
-                            registry.violations().begin(),
-                            registry.violations().end());
-      rep.violation_count += registry.violation_count();
-    }
-    rep.trace_hash = result.trace_hash;
-    rep.flows_created = result.flows_created;
-    rep.flows_completed = result.flows_completed;
+    run.scenario = scenario::ParseScenario(doc);
   } catch (const std::exception& ex) {
     rep.error = ex.what();
+    return rep;
   }
+  rep.name = run.scenario.name;
+  run.label = rep.name;
+  scenario::RunOneOptions ro;
+  ro.check = true;
+  ro.event_budget = max_events;
+  ro.extra_monitors = extra;
+  ro.fastpath_override = fastpath_override;
+  ro.shards_override = shards_override;
+  // Monitors only: a document's telemetry block writes no artifacts here.
+  ro.telemetry = obs::TelemetryConfig{};
+  const scenario::SweepRunResult r = scenario::ScenarioRunner::RunOne(run, ro);
+  rep.error = r.error;
+  rep.violations = r.violations;
+  rep.violation_count = r.violation_count;
+  rep.trace_hash = r.result.trace_hash;
+  rep.flows_created = r.result.flows_created;
+  rep.flows_completed = r.result.flows_completed;
   return rep;
 }
 
@@ -404,7 +377,7 @@ void WriteAndAnnounceReproducer(const Json& doc, const FuzzOptions& options,
       WriteReproducer(doc, options.reproducer_dir, rep->name);
   if (!rep->reproducer_path.empty()) {
     std::fprintf(stderr,
-                 "    reproducer: %s  (replay: scenario_main %s --check)\n",
+                 "    reproducer: %s  (replay: hpccsim %s --check)\n",
                  rep->reproducer_path.c_str(), rep->reproducer_path.c_str());
     RecordFlight(doc, options, rep);
   } else {

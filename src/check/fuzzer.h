@@ -7,7 +7,7 @@
 // runnable reproducer:
 //
 //   build/fuzz_scenarios --seed=42 --runs=50
-//   build/scenario_main repro_fuzz_42_17.json --check   # replay a violation
+//   build/hpccsim repro_fuzz_42_17.json --check   # replay a violation
 //
 // Determinism contract: GenerateScenarioDoc(seed, i) is a pure function of
 // (seed, i) — the same binary always produces byte-identical documents — and
@@ -19,23 +19,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "check/invariant.h"
+#include "check/monitors.h"
 #include "scenario/json.h"
 
-namespace hpcc::runner {
-class Experiment;
-}
-
 namespace hpcc::check {
-
-// Lets callers add monitors beside the standard set (tests register an
-// intentionally-broken monitor through this to exercise the violation path).
-using MonitorInstaller =
-    std::function<void(MonitorRegistry&, runner::Experiment&)>;
 
 struct FuzzOptions {
   uint64_t seed = 1;
@@ -95,9 +86,10 @@ struct FuzzRunReport {
 scenario::Json GenerateScenarioDoc(uint64_t seed, int index,
                                    bool faults = false);
 
-// Parses and runs one scenario document under the standard monitors (plus
-// `extra`, if any) with the event-budget watchdog armed. Never throws: parse
-// and runtime errors land in FuzzRunReport::error. `fastpath_override`: -1
+// Parses one scenario document and runs it through ScenarioRunner::RunOne
+// under the standard monitors (plus `extra`, if any) with the event-budget
+// watchdog armed and telemetry off. Never throws: parse and runtime errors
+// land in FuzzRunReport::error. `fastpath_override`: -1
 // as the scenario says, 0/1 force the reference/train transmit engine.
 // `shards_override`: 0 as the scenario says, >= 1 forces that many execution
 // lanes (each lane gets its own registry; `extra` is invoked once per lane,

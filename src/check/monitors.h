@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -209,6 +210,11 @@ struct StandardMonitorOptions {
 // run legitimately strands in-flight flows.
 void CheckFlowProgress(MonitorRegistry& registry, runner::Experiment& e,
                        sim::TimePs now, int stall_rtos = 4);
+
+// Lets callers add monitors beside the standard set (tests register an
+// intentionally-broken monitor through this to exercise the violation path).
+using MonitorInstaller =
+    std::function<void(MonitorRegistry&, runner::Experiment&)>;
 
 // Builds the full standard monitor set with bounds taken from `e`'s
 // topology/config, clocks `registry` by lane `lane`'s simulator and attaches

@@ -242,8 +242,9 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
       check::StandardMonitorOptions mo;
       mo.topology_mutates = MutatesTopology(run.scenario);
       for (int lane = 0; lane < lanes; ++lane) {
-        check::InstallStandardMonitors(registries[static_cast<size_t>(lane)],
-                                       *e, mo, lane);
+        check::MonitorRegistry& reg = registries[static_cast<size_t>(lane)];
+        check::InstallStandardMonitors(reg, *e, mo, lane);
+        if (opts.extra_monitors) opts.extra_monitors(reg, *e);
       }
     } else if (telemetry_on) {
       // InstallStandardMonitors does this pair itself; a telemetry-only run
@@ -370,7 +371,13 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
             e->lane_simulator(lane).now());
       }
     }
-    if (opts.check && !e->budget_exhausted() && !e->deadline_exceeded()) {
+    if (opts.check && e->budget_exhausted()) {
+      registries.front().ReportViolation(check::Violation{
+          "event-budget",
+          "run exceeded " + std::to_string(opts.event_budget) +
+              " simulator events (event storm / livelock?)",
+          e->simulator().now()});
+    } else if (opts.check && !e->deadline_exceeded()) {
       // No-progress audit: only meaningful when the run actually finished —
       // a budget or deadline stop strands in-flight flows legitimately.
       check::CheckFlowProgress(registries.front(), *e, e->simulator().now());
@@ -758,7 +765,15 @@ int ScenarioRunner::ReportAndWriteCsv(
       std::printf("%-48s resumed (journal: %s)\n", r.label.c_str(),
                   r.manifest_path.c_str());
     } else if (r.ok()) {
-      std::printf("%-48s %s\n", r.label.c_str(), r.result.Summary().c_str());
+      const runner::ExperimentResult& res = r.result;
+      std::printf("%-48s %s\n%s", r.label.c_str(), res.Summary().c_str(),
+                  res.fct->FormatTable().c_str());
+      if (res.short_fct_us.Count() > 0) {
+        std::printf("  short-flow latency p50/p95/p99: %.1f / %.1f / %.1f us\n",
+                    res.short_fct_us.Percentile(50),
+                    res.short_fct_us.Percentile(95),
+                    res.short_fct_us.Percentile(99));
+      }
     } else if (!r.error.empty()) {
       ++failures;
       std::printf("%-48s ERROR: %s\n", r.label.c_str(), r.error.c_str());
@@ -805,16 +820,14 @@ bool ScenarioRunner::WriteCsv(const std::string& path,
   return stats::WriteTableCsv(path, CsvHeader(results), rows);
 }
 
-int RunScenarioFile(const std::string& path,
-                    const ScenarioRunnerOptions& options,
-                    const std::string& out_override) {
+int RunScenario(const Scenario& scenario, const ScenarioRunnerOptions& options,
+                const std::string& out_override) {
   try {
-    const Scenario sc = LoadScenarioFile(path);
-    const std::vector<ScenarioRun> runs = ExpandSweep(sc);
-    std::printf("scenario %s: %zu run(s), %zu event(s)\n", sc.name.c_str(),
-                runs.size(), sc.events.size());
+    const std::vector<ScenarioRun> runs = ExpandSweep(scenario);
+    std::printf("scenario %s: %zu run(s), %zu event(s)\n",
+                scenario.name.c_str(), runs.size(), scenario.events.size());
     const std::string out =
-        out_override.empty() ? sc.name + ".csv" : out_override;
+        out_override.empty() ? scenario.name + ".csv" : out_override;
     ScenarioRunnerOptions opts = options;
     if (opts.out_base.empty()) {
       // Telemetry artifacts land next to the CSV: "<out minus .csv>.*".

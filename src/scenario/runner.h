@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "check/invariant.h"
+#include "check/monitors.h"
 #include "obs/progress.h"
 #include "runner/experiment.h"
 #include "scenario/scenario.h"
@@ -124,7 +124,7 @@ struct ScenarioRunnerOptions {
   // Live sweep progress line on stderr (jobs done/total, events/s, ETA).
   bool progress = false;
   // Base path for derived telemetry files (usually the CSV path minus
-  // ".csv"; RunScenarioFile fills it). Empty = only write files whose path
+  // ".csv"; RunScenario fills it). Empty = only write files whose path
   // is explicit (trace_out).
   std::string out_base;
   // Warm-start sweeps (`--warm=off` clears it): share one fabric snapshot
@@ -153,6 +153,10 @@ struct ScenarioRunnerOptions {
 // resolves from ScenarioRunnerOptions; the fuzzer builds its own).
 struct RunOneOptions {
   bool check = false;
+  // Checked runs only: monitors installed beside the standard set, invoked
+  // once per execution lane (so it must hand out a fresh monitor per call).
+  // Tests register an intentionally-broken monitor through this seam.
+  check::MonitorInstaller extra_monitors;
   int fastpath_override = -1;
   // 0 = as the scenario says; >= 1 forces that lane count (see
   // ScenarioRunnerOptions::shards_override).
@@ -163,8 +167,9 @@ struct RunOneOptions {
   // telemetry config asks for it (nowhere to put it).
   std::string manifest_path;
   std::string trace_path;
-  // Abort the event loop after this many events (0 = unlimited); the fuzz
-  // flight recorder replays violating runs under a budget.
+  // Abort the event loop after this many events (0 = unlimited); the fuzzer
+  // and its flight recorder run under a budget. A checked run that exhausts
+  // it records an "event-budget" violation (event storm or livelock).
   uint64_t event_budget = 0;
   // Warm-start machinery (RunAll wires these; plain RunOne calls leave them
   // null and always run cold). `warm` gates checkpoint capture/restore;
@@ -214,9 +219,10 @@ class ScenarioRunner {
   static bool WriteCsv(const std::string& path,
                        const std::vector<SweepRunResult>& results);
 
-  // Shared CLI tail (hpccsim --scenario and scenario_main): prints one
-  // summary line per point, writes the aggregated CSV, and returns a process
-  // exit code — 0 when every point succeeded and the CSV was written.
+  // The CLI report: one summary line per point (a successful point adds its
+  // per-size-bin FCT slowdown table and short-flow latency percentiles),
+  // then the aggregated CSV. Returns a process exit code — 0 when every
+  // point succeeded and the CSV was written.
   static int ReportAndWriteCsv(const std::vector<SweepRunResult>& results,
                                const std::string& csv_path);
 
@@ -254,12 +260,11 @@ class ScenarioRunner {
   ScenarioRunnerOptions options_;
 };
 
-// The whole CLI flow shared by `scenario_main FILE` and `hpccsim
-// --scenario=FILE`: load, expand, run, report, write the CSV (to
+// The whole `hpccsim` run, for a scenario loaded from a FILE or built from
+// the experiment flags alike: expand, run, report, write the CSV (to
 // `out_override`, or "<scenario name>.csv" when empty). Catches and prints
 // scenario/runtime errors; returns the process exit code.
-int RunScenarioFile(const std::string& path,
-                    const ScenarioRunnerOptions& options,
-                    const std::string& out_override);
+int RunScenario(const Scenario& scenario, const ScenarioRunnerOptions& options,
+                const std::string& out_override);
 
 }  // namespace hpcc::scenario

@@ -290,5 +290,21 @@ TEST(Fuzzer, GenerationIsDeterministicAndValid) {
             GenerateScenarioDoc(43, 0).Dump());
 }
 
+// A checked run that exhausts its event budget records an "event-budget"
+// violation and skips the no-progress audit, which a truncated run would
+// trip on its stranded flows.
+TEST(Fuzzer, ExhaustedEventBudgetIsAViolation) {
+  const FuzzRunReport rep =
+      RunScenarioDocChecked(GenerateScenarioDoc(7, 0), /*max_events=*/1000);
+  ASSERT_TRUE(rep.error.empty()) << rep.error;
+  ASSERT_GE(rep.violation_count, 1u);
+  bool budget = false;
+  for (const Violation& v : rep.violations) {
+    budget = budget || v.monitor == "event-budget";
+    EXPECT_NE(v.monitor, "no-progress") << v.Format();
+  }
+  EXPECT_TRUE(budget);
+}
+
 }  // namespace
 }  // namespace hpcc::check

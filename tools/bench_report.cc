@@ -1,9 +1,9 @@
 // bench_report: self-contained perf harness for the simulator hot paths.
 //
-// Unlike bench_micro (google-benchmark, optional dependency) this tool builds
-// everywhere and emits a machine-readable JSON report, so the repo can keep a
-// committed perf trajectory: run it before a perf change to produce
-// BENCH_baseline.json and after to produce BENCH_current.json, e.g.
+// Dependency-free: it builds everywhere and emits a machine-readable JSON
+// report, so the repo can keep a committed perf trajectory: run it before a
+// perf change to produce BENCH_baseline.json and after to produce
+// BENCH_current.json, e.g.
 //
 //   build/bench_report --label=baseline --out=BENCH_baseline.json
 //   build/bench_report --label=current  --out=BENCH_current.json
@@ -15,6 +15,12 @@
 //                             pattern (exercises Cancel and slot reuse)
 //   forward_path/packet_cycle data-packet + ACK factory round trip, the
 //                             per-hop allocation cost the pool removes
+//   micro/hpcc_on_ack         HPCC's per-ACK window update over a 5-hop INT
+//                             stack (the hot path a NIC implements in
+//                             hardware), with floating-point division
+//   micro/hpcc_on_ack_divtable
+//                             the same update through the §4.3 reciprocal
+//                             table instead of division
 //   macro/fig11_incast        Fig. 11-style star incast+load run on the
 //                             transmission-train fast path; reports switch-
 //                             forwarded packets per wall-second end to end
@@ -109,6 +115,7 @@
 
 #include "bench/bench_hotpath.h"
 #include "check/monitors.h"
+#include "core/hpcc.h"
 #include "net/handoff.h"
 #include "net/packet.h"
 #include "obs/telemetry.h"
@@ -152,8 +159,8 @@ BenchResult RunBench(const std::string& name, const char* unit,
   return r;
 }
 
-// Steady-state event churn (bench_hotpath.h, shared with bench_micro's
-// BM_SimulatorSteadyChurn) at a realistic pending-queue depth.
+// Steady-state event churn (bench_hotpath.h) at a realistic pending-queue
+// depth.
 uint64_t EventLoopScheduleRunBatch() {
   constexpr int kPending = 512;
   constexpr uint64_t kEvents = 100'000;
@@ -162,8 +169,8 @@ uint64_t EventLoopScheduleRunBatch() {
   return executed;
 }
 
-// RTO-style timer churn (bench_hotpath.h, shared with bench_micro's
-// BM_SimulatorTimerChurn): Schedule+Cancel pairs plus one drain per batch.
+// RTO-style timer churn (bench_hotpath.h): Schedule+Cancel pairs plus one
+// drain per batch.
 uint64_t EventLoopTimerChurnBatch() {
   static uint64_t fired = 0;
   return hpcc::benchgen::RunTimerChurn(&fired);
@@ -184,9 +191,50 @@ uint64_t PacketCycleBatch() {
   return kPackets;
 }
 
-// Fig. 11-style macro point (bench_hotpath.h, shared with bench_micro's
-// BM_MacroFig11Incast): the metric is switch-forwarded packets per
-// wall-second, the end-to-end figure of merit for the §5 harness.
+// HPCC's per-ACK update (Algorithm 1) on a 100G NIC: every ACK echoes a
+// fresh 5-hop INT stack whose tx counters advance by one RTT's worth of
+// bytes, so each call runs the full utilization estimate and window update.
+uint64_t HpccOnAckBatch(bool div_table) {
+  constexpr int kAcks = 20'000;
+  hpcc::cc::CcContext ctx;
+  ctx.nic_bps = 100'000'000'000;
+  ctx.base_rtt = hpcc::sim::Us(13);
+  hpcc::core::HpccParams params;
+  params.use_div_table = div_table;
+  hpcc::core::HpccCc cc(ctx, params);
+  hpcc::core::IntStack stack;
+  hpcc::sim::TimePs ts = hpcc::sim::Us(1);
+  uint64_t tx = 0;
+  uint64_t seq = 0;
+  uint64_t window_sum = 0;
+  for (int i = 0; i < kAcks; ++i) {
+    stack.Clear();
+    ts += hpcc::sim::Us(1);
+    tx += 120'000;
+    for (uint32_t hop = 0; hop < 5; ++hop) {
+      hpcc::core::IntHop h;
+      h.bandwidth_bps = 100'000'000'000;
+      h.ts = ts;
+      h.tx_bytes = tx + hop;
+      h.qlen_bytes = static_cast<int64_t>(seq % 30'000);
+      h.switch_id = hop + 1;
+      stack.Push(h);
+    }
+    hpcc::cc::AckInfo info;
+    seq += 60'000;
+    info.ack_seq = seq;
+    info.snd_nxt = seq + 50'000;
+    info.int_stack = &stack;
+    cc.OnAck(info);
+    window_sum += static_cast<uint64_t>(cc.window_bytes());
+  }
+  if (window_sum == 0) std::abort();
+  return kAcks;
+}
+
+// Fig. 11-style macro point (bench_hotpath.h): the metric is
+// switch-forwarded packets per wall-second, the end-to-end figure of merit
+// for the §5 harness.
 uint64_t MacroFig11Batch() {
   hpcc::runner::Experiment e(hpcc::benchgen::Fig11MacroConfig());
   auto result = e.Run();
@@ -670,6 +718,11 @@ int main(int argc, char** argv) {
                              EventLoopTimerChurnBatch));
   results.push_back(RunBench("forward_path/packet_cycle", "packets",
                              min_seconds, PacketCycleBatch));
+  results.push_back(RunBench("micro/hpcc_on_ack", "acks", min_seconds,
+                             []() { return HpccOnAckBatch(false); }));
+  results.push_back(RunBench("micro/hpcc_on_ack_divtable", "acks",
+                             min_seconds,
+                             []() { return HpccOnAckBatch(true); }));
   results.push_back(
       RunBench("macro/fig11_incast", "pkts", min_seconds, MacroFig11Batch));
   results.push_back(RunBench("macro/fig11_nofastpath", "pkts", min_seconds,

@@ -7,7 +7,7 @@
 // violation writes the offending scenario as a runnable reproducer JSON:
 //
 //   fuzz_scenarios --seed=42 --runs=50
-//   scenario_main repro_fuzz_42_17.json --check   # replay a violation
+//   hpccsim repro_fuzz_42_17.json --check   # replay a violation
 //
 // Exit code 0 iff every run was violation-free.
 #include <cstdio>
