@@ -15,12 +15,13 @@ void NextHopTable::InitEmptyGroup() {
   IndexInsert(kNoGroup);
   live_groups_ = 0;
   dead_port_slots_ = 0;
+  last_gid_ = kNoGroup;
   free_gids_.clear();
   ports_.clear();
 }
 
-void NextHopTable::Reset(uint32_t num_dsts) {
-  dst_group_.assign(num_dsts, kNoGroup);
+void NextHopTable::Reset(uint32_t num_keys) {
+  key_group_.assign(num_keys, kNoGroup);
   InitEmptyGroup();
 }
 
@@ -98,9 +99,12 @@ uint32_t NextHopTable::InternGroup(const uint16_t* ports, uint32_t count) {
 #ifndef NDEBUG
   for (uint32_t i = 1; i < count; ++i) assert(ports[i - 1] < ports[i]);
 #endif
+  // A full rebuild visits keys in rack order, so one switch interns the
+  // same list many times in a row: check the last result before hashing.
+  if (GroupEquals(last_gid_, ports, count)) return last_gid_;
   const uint64_t hash = HashPorts(ports, count);
   const uint32_t found = IndexFind(hash, ports, count);
-  if (found != kEmptySlot) return found;
+  if (found != kEmptySlot) return last_gid_ = found;
 
   uint32_t gid;
   if (!free_gids_.empty()) {
@@ -118,20 +122,20 @@ uint32_t NextHopTable::InternGroup(const uint16_t* ports, uint32_t count) {
   ports_.insert(ports_.end(), ports, ports + count);
   IndexInsert(gid);
   ++live_groups_;
-  return gid;
+  return last_gid_ = gid;
 }
 
-void NextHopTable::AssignGroup(uint32_t dst, uint32_t gid) {
-  const uint32_t old = dst_group_[dst];
+void NextHopTable::AssignGroup(uint32_t key, uint32_t gid) {
+  const uint32_t old = key_group_[key];
   if (old == gid) return;
   if (gid != kNoGroup) ++groups_[gid].refs;
-  dst_group_[dst] = gid;
+  key_group_[key] = gid;
   if (old != kNoGroup) ReleaseGroup(old);
 }
 
-void NextHopTable::SetRoute(uint32_t dst, const uint16_t* ports,
+void NextHopTable::SetRoute(uint32_t key, const uint16_t* ports,
                             uint32_t count) {
-  AssignGroup(dst, count == 0 ? kNoGroup : InternGroup(ports, count));
+  AssignGroup(key, count == 0 ? kNoGroup : InternGroup(ports, count));
 }
 
 void NextHopTable::ReleaseGroup(uint32_t gid) {
@@ -141,6 +145,7 @@ void NextHopTable::ReleaseGroup(uint32_t gid) {
   IndexErase(gid);
   dead_port_slots_ += m.size;
   free_gids_.push_back(gid);
+  if (gid == last_gid_) last_gid_ = kNoGroup;
   --live_groups_;
   MaybeCompact();
 }
@@ -164,46 +169,40 @@ void NextHopTable::MaybeCompact() {
   dead_port_slots_ = 0;
 }
 
-void NextHopTable::AddPort(uint32_t dst, uint16_t port) {
-  const Group g = Lookup(dst);
+void NextHopTable::AddPort(uint32_t key, uint16_t port) {
+  const Group g = Lookup(key);
   scratch_.assign(g.ports, g.ports + g.size);
   auto it = std::lower_bound(scratch_.begin(), scratch_.end(), port);
   assert(it == scratch_.end() || *it != port);
   scratch_.insert(it, port);
-  SetRoute(dst, scratch_.data(), static_cast<uint32_t>(scratch_.size()));
+  SetRoute(key, scratch_.data(), static_cast<uint32_t>(scratch_.size()));
 }
 
-void NextHopTable::RemovePort(uint32_t dst, uint16_t port) {
-  const Group g = Lookup(dst);
+void NextHopTable::RemovePort(uint32_t key, uint16_t port) {
+  const Group g = Lookup(key);
   scratch_.assign(g.ports, g.ports + g.size);
   auto it = std::lower_bound(scratch_.begin(), scratch_.end(), port);
   assert(it != scratch_.end() && *it == port);
   scratch_.erase(it);
-  SetRoute(dst, scratch_.data(), static_cast<uint32_t>(scratch_.size()));
+  SetRoute(key, scratch_.data(), static_cast<uint32_t>(scratch_.size()));
 }
 
 size_t NextHopTable::resident_bytes() const {
-  return dst_group_.capacity() * sizeof(uint32_t) +
+  return key_group_.capacity() * sizeof(uint32_t) +
          ports_.capacity() * sizeof(uint16_t) +
          groups_.capacity() * sizeof(Meta) +
          index_.capacity() * sizeof(uint32_t) +
          free_gids_.capacity() * sizeof(uint32_t);
 }
 
-size_t NextHopTable::expanded_port_entries() const {
-  size_t total = 0;
-  for (const uint32_t gid : dst_group_) total += groups_[gid].size;
-  return total;
-}
-
-std::vector<uint16_t> NextHopTable::PortsOf(uint32_t dst) const {
-  const Group g = Lookup(dst);
+std::vector<uint16_t> NextHopTable::PortsOf(uint32_t key) const {
+  const Group g = Lookup(key);
   return std::vector<uint16_t>(g.ports, g.ports + g.size);
 }
 
 bool NextHopTable::CheckConsistency() const {
   std::vector<uint32_t> refs(groups_.size(), 0);
-  for (const uint32_t gid : dst_group_) {
+  for (const uint32_t gid : key_group_) {
     if (gid >= groups_.size()) return false;
     if (gid != kNoGroup) ++refs[gid];
   }

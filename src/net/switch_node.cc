@@ -36,19 +36,25 @@ void SwitchNode::FinishSetup() {
 }
 
 void SwitchNode::SetRoutes(const std::vector<std::vector<uint16_t>>& routes) {
+  const auto n = static_cast<uint32_t>(routes.size());
   NextHopTable& table = mutable_routes(/*preserve=*/false);
-  table.Reset(static_cast<uint32_t>(routes.size()));
-  for (uint32_t dst = 0; dst < routes.size(); ++dst) {
+  table.Reset(n);
+  identity_keys_.resize(n);
+  for (uint32_t dst = 0; dst < n; ++dst) {
+    identity_keys_[dst] = dst;
     table.SetRoute(dst, routes[dst].data(),
                    static_cast<uint32_t>(routes[dst].size()));
   }
+  SetRouteKeys(identity_keys_.data(), /*leaf_port=*/nullptr, n, kNoOwnKey);
 }
 
 int SwitchNode::RoutePort(const Packet& pkt) const {
   // A corrupt/out-of-range dst must be a visible kNoRoute drop, not a silent
   // out-of-bounds read (an assert here compiles out in Release).
-  if (pkt.dst >= route_view_->num_dsts()) [[unlikely]] return -1;
-  const NextHopTable::Group g = route_view_->Lookup(pkt.dst);
+  if (pkt.dst >= num_dsts_) [[unlikely]] return -1;
+  const uint32_t key = route_key_[pkt.dst];
+  if (key == own_key_) return leaf_port_[pkt.dst];  // one of our own hosts
+  const NextHopTable::Group g = route_view_->Lookup(key);
   if (g.size == 0) return -1;  // disconnected (link failures)
   if (g.size == 1) return g.ports[0];
   // Per-flow ECMP: hash is stable for a flow at this switch, so all packets
@@ -56,6 +62,13 @@ int SwitchNode::RoutePort(const Packet& pkt) const {
   const uint64_t h =
       core::SplitMix64(pkt.flow_id ^ (static_cast<uint64_t>(id_) << 40));
   return g.ports[h % g.size];
+}
+
+std::vector<uint16_t> SwitchNode::RoutePortsTo(uint32_t dst) const {
+  if (dst >= num_dsts_) return {};
+  const uint32_t key = route_key_[dst];
+  if (key == own_key_) return {leaf_port_[dst]};
+  return route_view_->PortsOf(key);
 }
 
 void SwitchNode::OnTrainPending(int port_index) {

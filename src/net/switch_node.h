@@ -73,10 +73,14 @@ class SwitchNode : public Node {
   }
   void OnTrainPending(int port_index) override;
 
-  // Routing: interned ECMP next-hop groups, dst node id -> shared port set
-  // (see net/nexthop.h). Topology owns the contents: it resets/rebuilds the
-  // table in RecomputeRoutes and patches single groups during incremental
-  // link-event repair.
+  // Routing: interned ECMP next-hop groups keyed by route key (see
+  // net/nexthop.h). A packet's dst node id maps to its key through a
+  // dst -> key array every switch of a topology shares; hosts behind one
+  // switch share that switch's key, and the switch that owns the key
+  // delivers to them through a per-host port array instead of its table.
+  // Topology owns both arrays and the table contents: it resets/rebuilds
+  // the table in RecomputeRoutes and patches single groups during
+  // incremental link-event repair.
   //
   // Copy-on-write: the read view may alias an immutable fabric-snapshot
   // table shared across sweep jobs (AdoptRouteView). Readers always go
@@ -97,13 +101,30 @@ class SwitchNode : public Node {
   // guarantees it outlives this switch or is replaced first).
   void AdoptRouteView(const NextHopTable* shared) { route_view_ = shared; }
   bool routes_shared() const { return route_view_ != &routes_; }
+
+  // `own_key` of a switch that owns no route key (no leaf host on it).
+  static constexpr uint32_t kNoOwnKey = 0xffffffffu;
+  // Installs the shared dst -> key map (`num_dsts` entries) and the
+  // dst -> last-hop port array; the caller owns both and keeps them valid
+  // while this switch forwards. Destinations whose key is `own_key` leave
+  // through `leaf_port[dst]`; every other key is looked up in the table.
+  void SetRouteKeys(const uint32_t* route_key, const uint16_t* leaf_port,
+                    uint32_t num_dsts, uint32_t own_key) {
+    route_key_ = route_key;
+    leaf_port_ = leaf_port;
+    num_dsts_ = num_dsts;
+    own_key_ = own_key;
+  }
   // Convenience for tests/benches that wire a switch by hand: installs one
-  // candidate list per destination node id (index = dst).
+  // candidate list per destination node id under an identity key map.
   void SetRoutes(const std::vector<std::vector<uint16_t>>& routes);
   // ECMP egress port for pkt.dst, or -1 when there is no route — including
   // an out-of-range dst, which is a checked (hook-visible kNoRoute) drop
   // rather than undefined behavior on a corrupt packet.
   int RoutePort(const Packet& pkt) const;
+  // The resolved candidate list toward `dst` (the ports RoutePort hashes
+  // over; empty when there is no route). Tests and the route oracle.
+  std::vector<uint16_t> RoutePortsTo(uint32_t dst) const;
 
   // Called by Topology after ports are wired.
   void FinishSetup();
@@ -190,6 +211,12 @@ class SwitchNode : public Node {
   NextHopTable routes_;
   // Read view: &routes_ (private) or a shared snapshot table (COW).
   const NextHopTable* route_view_ = &routes_;
+  // dst -> key and dst -> last-hop port (SetRouteKeys); null until set.
+  const uint32_t* route_key_ = nullptr;
+  const uint16_t* leaf_port_ = nullptr;
+  uint32_t num_dsts_ = 0;
+  uint32_t own_key_ = kNoOwnKey;
+  std::vector<uint32_t> identity_keys_;  // SetRoutes' key map
   std::vector<RcpState> rcp_;
   // Whether we have an outstanding PAUSE toward each (ingress port, prio).
   std::vector<std::array<bool, kNumPriorities>> pause_sent_;

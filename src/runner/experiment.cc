@@ -224,8 +224,8 @@ void Experiment::SetupLanes() {
     if (i == 0) {
       lane->sim = simulator_.get();
     } else {
-      lane->owned_sim = std::make_unique<sim::Simulator>();
-      lane->sim = lane->owned_sim.get();
+      lane_sims_.push_back(std::make_unique<sim::Simulator>());
+      lane->sim = lane_sims_.back().get();
     }
     lanes_.push_back(std::move(lane));
   }

@@ -313,8 +313,8 @@ class Experiment {
   // counter). Heap-allocated because monitors hand out self-referential
   // observers.
   struct Lane {
-    sim::Simulator* sim = nullptr;  // lane 0 aliases Experiment::simulator_
-    std::unique_ptr<sim::Simulator> owned_sim;  // lanes > 0
+    // Lane 0 aliases Experiment::simulator_, lane i > 0 lane_sims_[i - 1].
+    sim::Simulator* sim = nullptr;
     // One inbound channel per incoming direction of a cut link.
     struct Inbound {
       std::unique_ptr<net::HandoffChannel> channel;
@@ -382,7 +382,11 @@ class Experiment {
   static void SortResultDistributions(ExperimentResult& r);
 
   ExperimentConfig config_;
+  // Every lane's event arena. Declared before topology_ so they outlive the
+  // nodes: a host torn down with flows in flight cancels their timers
+  // (e.g. ~DcqcnCc) on its lane's simulator.
   std::unique_ptr<sim::Simulator> simulator_;
+  std::vector<std::unique_ptr<sim::Simulator>> lane_sims_;  // lanes 1..n-1
   std::unique_ptr<topo::Topology> topology_;
   std::vector<uint32_t> hosts_;
   sim::TimePs base_rtt_ = 0;

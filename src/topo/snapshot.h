@@ -1,14 +1,16 @@
 // Immutable fabric snapshot: the routing state of a finalized topology,
 // shareable read-only across every job of a sweep.
 //
-// Building a big fabric's routes (one BFS per rack plus group interning) is
-// the dominant per-job setup cost, yet the tables depend only on the graph
-// shape — not on the CC scheme, load, or seed a sweep varies. A sweep
-// therefore builds them once, exports this snapshot, and every other job
-// adopts it: each switch's read view aliases the snapshot's table and only
-// detaches onto a private copy on its first route mutation (link-event
-// scripts fork just the switches they touch — see
-// net::SwitchNode::mutable_routes). Sweep setup drops from
+// A big fabric's routes (one BFS per route key plus group interning) depend
+// only on the graph shape — not on the CC scheme, load, or seed a sweep
+// varies. A sweep therefore builds them once, exports this snapshot, and
+// every other job adopts it: each switch's read view aliases the snapshot's
+// table and only detaches onto a private copy on its first route mutation
+// (link-event scripts fork just the switches they touch — see
+// net::SwitchNode::mutable_routes; a leaf host's NIC flap touches none).
+// The tables are keyed by route key, so the adopting topology derives its
+// own node -> key map in Finalize (O(nodes)) and adopts the snapshot only
+// when every table has its key count. Sweep setup drops from
 // O(jobs x fabric) to O(fabric).
 //
 // Thread-safety: all members are immutable after construction; concurrent
@@ -28,7 +30,7 @@ namespace hpcc::topo {
 class PathModel;
 
 struct FabricSnapshot {
-  // Per-switch routing tables, in Topology::switches() order.
+  // Per-switch key-indexed routing tables, in Topology::switches() order.
   std::vector<net::NextHopTable> routes;
   // The builder's analytic path model (may be null for irregular fabrics);
   // shared because its queries are const.

@@ -102,75 +102,104 @@ std::vector<int> Topology::BfsDistances(uint32_t from,
   return dist;
 }
 
-int64_t Topology::AttachmentSwitch(uint32_t h) const {
-  if (adj_[h].size() != 1) return -1;
-  const Edge& e = adj_[h].front();
-  if (!links_[e.link].up) return -1;
-  if (!nodes_[e.peer]->IsSwitch()) return -1;
-  return static_cast<int64_t>(e.peer);
+void Topology::AssignRouteKeys() {
+  const size_t n = nodes_.size();
+  leaf_port_.assign(n, kNotLeaf);
+  for (const uint32_t h : hosts_) {
+    if (adj_[h].size() != 1) continue;
+    const Edge& e = adj_[h].front();
+    if (!nodes_[e.peer]->IsSwitch()) continue;
+    const LinkSpec& l = links_[e.link];
+    leaf_port_[h] = static_cast<uint16_t>(l.a == h ? l.port_b : l.port_a);
+  }
+  // A switch roots a key when at least one leaf host hangs off it, whatever
+  // the link states; a non-leaf host roots its own.
+  std::vector<uint8_t> roots(n, 0);
+  for (const uint32_t h : hosts_) {
+    if (leaf_port_[h] == kNotLeaf) {
+      roots[h] = 1;
+    } else {
+      roots[adj_[h].front().peer] = 1;
+    }
+  }
+  fabric_index_.assign(n, 0);
+  uint32_t fabric_nodes = 0;
+  for (uint32_t id = 0; id < n; ++id) {
+    if (leaf_port_[id] == kNotLeaf) fabric_index_[id] = fabric_nodes++;
+  }
+  fabric_begin_.assign(fabric_nodes + 1, 0);
+  fabric_edges_.clear();
+  own_key_.assign(n, 0);
+  key_root_.assign(1, 0);
+  for (uint32_t id = 0; id < n; ++id) {
+    if (leaf_port_[id] != kNotLeaf) continue;
+    const uint32_t f = fabric_index_[id];
+    fabric_begin_[f] = static_cast<uint32_t>(fabric_edges_.size());
+    for (const Edge& e : adj_[id]) {
+      if (leaf_port_[e.peer] != kNotLeaf) continue;
+      fabric_edges_.push_back(FabricEdge{fabric_index_[e.peer],
+                                         static_cast<uint16_t>(e.port),
+                                         links_[e.link].up});
+    }
+    if (roots[id] != 0) {
+      own_key_[id] = static_cast<uint32_t>(key_root_.size());
+      key_root_.push_back(f);
+    }
+  }
+  fabric_begin_[fabric_nodes] = static_cast<uint32_t>(fabric_edges_.size());
+  route_key_.assign(n, 0);
+  for (const uint32_t h : hosts_) {
+    if (leaf_port_[h] == kNotLeaf) {
+      route_key_[h] = own_key_[h];
+    } else if (links_[adj_[h].front().link].up) {
+      route_key_[h] = own_key_[adj_[h].front().peer];
+    }  // else: sole NIC link down, unreachable (key 0)
+  }
 }
 
-void Topology::CollectCandidates(uint32_t node, const std::vector<int>& dist,
+void Topology::FabricDistances(uint32_t root, std::vector<int>* dist) {
+  dist->assign(fabric_begin_.size() - 1, -1);
+  std::vector<uint32_t>& q = bfs_queue_;
+  q.assign(1, root);
+  (*dist)[root] = 0;
+  for (size_t head = 0; head < q.size(); ++head) {
+    const uint32_t u = q[head];
+    const int next = (*dist)[u] + 1;
+    for (uint32_t i = fabric_begin_[u]; i < fabric_begin_[u + 1]; ++i) {
+      const FabricEdge& e = fabric_edges_[i];
+      if (!e.up || (*dist)[e.peer] >= 0) continue;
+      (*dist)[e.peer] = next;
+      q.push_back(e.peer);
+    }
+  }
+}
+
+void Topology::CollectCandidates(uint32_t f, const std::vector<int>& dist,
                                  std::vector<uint16_t>* cand) const {
   // A node's ECMP set toward the BFS root: every up port whose peer is one
   // hop closer. Candidate order is adjacency order == ascending port index,
   // the canonical group order.
   cand->clear();
-  if (dist[node] <= 0) return;
-  for (const Edge& e : adj_[node]) {
-    if (!links_[e.link].up) continue;
-    if (dist[e.peer] >= 0 && dist[e.peer] == dist[node] - 1) {
-      cand->push_back(static_cast<uint16_t>(e.port));
-    }
+  const int want = dist[f] - 1;
+  if (want < 0) return;
+  for (uint32_t i = fabric_begin_[f]; i < fabric_begin_[f + 1]; ++i) {
+    const FabricEdge& e = fabric_edges_[i];
+    if (e.up && dist[e.peer] == want) cand->push_back(e.port);
   }
 }
 
-void Topology::RebuildDestination(uint32_t dst) {
-  // Per-destination BFS over links that are up.
-  const std::vector<int> dist = BfsDistances(dst);
+void Topology::RebuildKey(uint32_t key) {
+  // Every path to a leaf host h ends with its switch v's link to h, so for
+  // every switch s != v, d(s, h) = d(s, v) + 1 and s's candidates toward h
+  // are exactly its candidates toward v: one BFS from the key's root serves
+  // every host sharing the key. v itself (distance 0) keeps the empty slot
+  // and delivers through leaf_port_.
+  FabricDistances(key_root_[key], &dist_scratch_);
   std::vector<uint16_t>& cand = cand_scratch_;
   for (net::SwitchNode* sw : switch_ptrs_) {
-    cand.clear();
-    if (sw->id() != dst) CollectCandidates(sw->id(), dist, &cand);
-    sw->mutable_routes().SetRoute(dst, cand.data(),
+    CollectCandidates(fabric_index_[sw->id()], dist_scratch_, &cand);
+    sw->mutable_routes().SetRoute(key, cand.data(),
                                   static_cast<uint32_t>(cand.size()));
-  }
-}
-
-void Topology::RebuildDestinationsBehind(uint32_t via,
-                                         const std::vector<uint32_t>& hosts) {
-  // Every path to a degree-1 host h attached to switch `via` ends with the
-  // via->h link, so d(n, h) = d(n, via) + 1 for every n != h and the ECMP
-  // candidates of any switch s != via toward h equal its candidates toward
-  // `via` — one BFS and one interned group per switch serve every host
-  // behind the same attachment point. `via` itself routes straight to each
-  // host's NIC port(s).
-  const std::vector<int> dist = BfsDistances(via);
-  std::vector<uint16_t>& cand = cand_scratch_;
-  for (net::SwitchNode* sw : switch_ptrs_) {
-    const uint32_t s = sw->id();
-    if (s == via) continue;
-    CollectCandidates(s, dist, &cand);
-    if (cand.empty()) {
-      for (const uint32_t h : hosts) {
-        sw->mutable_routes().AssignGroup(h, net::NextHopTable::kNoGroup);
-      }
-    } else {
-      const uint32_t gid = sw->mutable_routes().InternGroup(
-          cand.data(), static_cast<uint32_t>(cand.size()));
-      for (const uint32_t h : hosts) sw->mutable_routes().AssignGroup(h, gid);
-    }
-  }
-  net::SwitchNode& attach = *static_cast<net::SwitchNode*>(nodes_[via].get());
-  for (const uint32_t h : hosts) {
-    cand.clear();
-    for (const Edge& e : adj_[via]) {
-      if (e.peer == h && links_[e.link].up) {
-        cand.push_back(static_cast<uint16_t>(e.port));
-      }
-    }
-    attach.mutable_routes().SetRoute(h, cand.data(),
-                                     static_cast<uint32_t>(cand.size()));
   }
 }
 
@@ -202,17 +231,30 @@ void Topology::RecomputeRoutes() {
   for (net::SwitchNode* sw : switch_ptrs_) {
     // Reset rebuilds from scratch, so a shared snapshot view detaches
     // without the copy.
-    sw->mutable_routes(/*preserve=*/false)
-        .Reset(static_cast<uint32_t>(nodes_.size()));
+    sw->mutable_routes(/*preserve=*/false).Reset(num_route_keys());
   }
-  RebuildDestinations(hosts_);
+  for (uint32_t key = 1; key < num_route_keys(); ++key) RebuildKey(key);
 }
 
 void Topology::Finalize() {
   assert(!finalized_);
   finalized_ = true;
-  if (adopted_snapshot_ != nullptr &&
-      adopted_snapshot_->routes.size() == switches_.size()) {
+  AssignRouteKeys();
+  for (net::SwitchNode* sw : switch_ptrs_) {
+    const uint32_t own = own_key_[sw->id()];
+    sw->SetRouteKeys(route_key_.data(), leaf_port_.data(),
+                     static_cast<uint32_t>(nodes_.size()),
+                     own != 0 ? own : net::SwitchNode::kNoOwnKey);
+  }
+  const bool snapshot_fits =
+      adopted_snapshot_ != nullptr &&
+      adopted_snapshot_->routes.size() == switches_.size() &&
+      std::all_of(adopted_snapshot_->routes.begin(),
+                  adopted_snapshot_->routes.end(),
+                  [this](const net::NextHopTable& t) {
+                    return t.num_keys() == num_route_keys();
+                  });
+  if (snapshot_fits) {
     // Warm start: alias the snapshot's immutable tables instead of running
     // the route BFS. A later mutation (link event) detaches just the
     // switches it touches (SwitchNode::mutable_routes).
@@ -246,62 +288,93 @@ std::shared_ptr<const FabricSnapshot> Topology::ExportSnapshot(
   return snap;
 }
 
-void Topology::SetLinkUp(size_t link_index, bool up) {
+void Topology::ApplyLinkState(size_t link_index, bool up) {
   LinkSpec& l = links_[link_index];
+  l.up = up;
+  nodes_[l.a]->port(l.port_a).SetLinkUp(up);
+  nodes_[l.b]->port(l.port_b).SetLinkUp(up);
+  if (!finalized_ || leaf_port_[l.a] != kNotLeaf ||
+      leaf_port_[l.b] != kNotLeaf) {
+    return;  // no fabric yet, or a leaf host's NIC link (not part of it)
+  }
+  for (const auto& [node, port] :
+       {std::pair{l.a, l.port_a}, std::pair{l.b, l.port_b}}) {
+    const uint32_t f = fabric_index_[node];
+    for (uint32_t i = fabric_begin_[f]; i < fabric_begin_[f + 1]; ++i) {
+      if (fabric_edges_[i].port == port) fabric_edges_[i].up = up;
+    }
+  }
+}
+
+void Topology::SetLinkUp(size_t link_index, bool up) {
+  const LinkSpec& l = links_[link_index];
   if (l.up == up) return;
   if (!finalized_) {
-    // No routing tables exist yet (Reset runs at Finalize, which will build
-    // routes from the link states current then); classifying against the
-    // unsized tables would read out of bounds.
-    l.up = up;
-    nodes_[l.a]->port(l.port_a).SetLinkUp(up);
-    nodes_[l.b]->port(l.port_b).SetLinkUp(up);
+    // No routing tables exist yet: Finalize assigns the keys and builds
+    // routes from the link states current then.
+    ApplyLinkState(link_index, up);
     return;
   }
 
   RouteTimer timer(this);
-  // Classify every destination against the flapped link using two BFS
-  // passes seeded at its endpoints, over the pre-change fabric:
+  const uint32_t leaf = leaf_port_[l.a] != kNotLeaf ? l.a : l.b;
+  if (leaf_port_[leaf] != kNotLeaf) {
+    // A leaf host's NIC link: nothing routes through the host, and its
+    // switch's key stays valid for the rack's other hosts, so only this
+    // host's key flips. No table changes — a warm switch stays shared.
+    route_key_[leaf] = up ? own_key_[adj_[leaf].front().peer] : 0;
+    ApplyLinkState(link_index, up);
+    if (route_oracle_) VerifyRoutesAgainstOracle();
+    return;
+  }
+
+  // Classify every route key against the flapped link using two BFS passes
+  // seeded at its endpoints, over the pre-change fabric (a key's root is a
+  // switch or a non-leaf host; every host sharing the key is one hop past
+  // the root, so its distances differ by the same amount):
   //
-  //   |d(a,dst) - d(b,dst)| == 0  ->  the link is on no shortest path to
-  //       dst and (up or down) opens/closes none: untouched.
-  //   |diff| == 1  ->  only the farther endpoint's ECMP group toward dst
-  //       changes (it gains/loses the port across the link); distances are
-  //       provably unchanged as long as, on a down, the farther endpoint
-  //       keeps at least one other parent. O(1) group patch.
+  //   |d(a,key) - d(b,key)| == 0  ->  the link is on no shortest path to
+  //       the key and (up or down) opens/closes none: untouched.
+  //   |diff| == 1  ->  only the farther endpoint's ECMP group toward the
+  //       key changes (it gains/loses the port across the link); distances
+  //       are provably unchanged as long as, on a down, the farther
+  //       endpoint keeps at least one other parent. O(1) group patch.
   //   otherwise (|diff| >= 2 on up, lost-last-parent on down, or a
   //       partition heal)  ->  distances shift and changes can cascade:
-  //       rebuild that destination with one BFS, or fall back to a full
-  //       RecomputeRoutes when too many destinations need it.
-  const std::vector<int> da = BfsDistances(l.a);
-  const std::vector<int> db = BfsDistances(l.b);
+  //       rebuild that key with one BFS, or fall back to a full
+  //       RecomputeRoutes when too many keys need it.
+  std::vector<int> da;
+  std::vector<int> db;
+  FabricDistances(fabric_index_[l.a], &da);
+  FabricDistances(fabric_index_[l.b], &db);
 
   struct Patch {
     net::SwitchNode* sw;
-    uint32_t dst;
+    uint32_t key;
     uint16_t port;
     bool add;
   };
   std::vector<Patch> patches;
   std::vector<uint32_t> rebuild;
-  for (const uint32_t dst : hosts_) {
-    const int xa = da[dst];
-    const int xb = db[dst];
-    if (xa < 0 && xb < 0) continue;  // neither endpoint reaches dst
+  for (uint32_t key = 1; key < num_route_keys(); ++key) {
+    const uint32_t root = key_root_[key];
+    const int xa = da[root];
+    const int xb = db[root];
+    if (xa < 0 && xb < 0) continue;  // neither endpoint reaches the key
     if (xa < 0 || xb < 0) {
-      // Only possible on an up: the link heals a partition for dst.
-      rebuild.push_back(dst);
+      // Only possible on an up: the link heals a partition for the key.
+      rebuild.push_back(key);
       continue;
     }
     const int diff = xa - xb;
     if (diff == 0) continue;
     if (diff > 1 || diff < -1) {
       // Only possible on an up (endpoints were not adjacent): the new link
-      // shortens paths toward dst.
-      rebuild.push_back(dst);
+      // shortens paths toward the key.
+      rebuild.push_back(key);
       continue;
     }
-    // |diff| == 1: the endpoint farther from dst routes across the link.
+    // |diff| == 1: the endpoint farther from the key routes across the link.
     const uint32_t farther = diff > 0 ? l.a : l.b;
     const uint16_t fport =
         static_cast<uint16_t>(diff > 0 ? l.port_a : l.port_b);
@@ -311,78 +384,50 @@ void Topology::SetLinkUp(size_t link_index, bool up) {
       // routes through, so no switch table changes; a multi-homed host
       // losing a parent can shift distances for switches routing through
       // it — rebuild exactly.
-      if (!up && adj_[farther].size() > 1) rebuild.push_back(dst);
+      if (!up && adj_[farther].size() > 1) rebuild.push_back(key);
       continue;
     }
     auto* sw = static_cast<net::SwitchNode*>(&fn);
     if (up) {
-      patches.push_back(Patch{sw, dst, fport, /*add=*/true});
+      patches.push_back(Patch{sw, key, fport, /*add=*/true});
       continue;
     }
-    const net::NextHopTable::Group g = sw->routes().Lookup(dst);
+    const net::NextHopTable::Group g = sw->routes().Lookup(key);
     const bool has_port =
         std::binary_search(g.ports, g.ports + g.size, fport);
     if (g.size >= 2 && has_port) {
-      patches.push_back(Patch{sw, dst, fport, /*add=*/false});
+      patches.push_back(Patch{sw, key, fport, /*add=*/false});
     } else {
       // Last parent lost (or an unexpected table state): exact rebuild.
-      rebuild.push_back(dst);
+      rebuild.push_back(key);
     }
   }
 
-  l.up = up;
-  nodes_[l.a]->port(l.port_a).SetLinkUp(up);
-  nodes_[l.b]->port(l.port_b).SetLinkUp(up);
+  ApplyLinkState(link_index, up);
 
   // Beyond this bound incremental repair is no cheaper than one
   // from-scratch pass, so it degrades gracefully to the full rebuild.
-  const size_t bound = std::max<size_t>(hosts_.size() / 2, 16);
+  const size_t bound = std::max<size_t>(num_route_keys() / 2, 16);
   if (rebuild.size() > bound) {
     RecomputeRoutes();
   } else {
     for (const Patch& p : patches) {
       if (p.add) {
-        p.sw->mutable_routes().AddPort(p.dst, p.port);
+        p.sw->mutable_routes().AddPort(p.key, p.port);
       } else {
-        p.sw->mutable_routes().RemovePort(p.dst, p.port);
+        p.sw->mutable_routes().RemovePort(p.key, p.port);
       }
     }
-    RebuildDestinations(rebuild);
+    for (const uint32_t key : rebuild) RebuildKey(key);
   }
   if (route_oracle_) VerifyRoutesAgainstOracle();
 }
 
-void Topology::RebuildDestinations(const std::vector<uint32_t>& dsts) {
-  if (dsts.empty()) return;
-  // Share BFS work exactly like RecomputeRoutes: destinations behind the
-  // same attachment switch rebuild together (a whole pod losing its path
-  // through a flapped core costs one BFS per rack, not one per host).
-  std::vector<std::vector<uint32_t>> behind(nodes_.size());
-  std::vector<uint32_t> group_order;
-  for (const uint32_t dst : dsts) {
-    const int64_t via = AttachmentSwitch(dst);
-    if (via >= 0) {
-      if (behind[static_cast<size_t>(via)].empty()) {
-        group_order.push_back(static_cast<uint32_t>(via));
-      }
-      behind[static_cast<size_t>(via)].push_back(dst);
-    } else if (adj_[dst].size() == 1 && !links_[adj_[dst].front().link].up) {
-      // Sole NIC link down: unreachable from everywhere.
-      for (net::SwitchNode* sw : switch_ptrs_) {
-        sw->mutable_routes().AssignGroup(dst, net::NextHopTable::kNoGroup);
-      }
-    } else {
-      RebuildDestination(dst);
-    }
-  }
-  for (const uint32_t via : group_order) {
-    RebuildDestinationsBehind(via, behind[via]);
-  }
-}
-
 void Topology::VerifyRoutesAgainstOracle() {
-  // Dense from-scratch recomputation (the seed algorithm, shared with
-  // nothing above): one BFS per host, candidates re-derived directly.
+  // Dense from-scratch per-host recomputation (the seed algorithm, shared
+  // with nothing above): one BFS per host over the whole graph, candidates
+  // re-derived directly, compared with what each switch resolves for that
+  // host through its key.
   for (const uint32_t dst : hosts_) {
     const std::vector<int> dist = BfsDistances(dst);
     for (net::SwitchNode* sw : switch_ptrs_) {
@@ -396,7 +441,7 @@ void Topology::VerifyRoutesAgainstOracle() {
           }
         }
       }
-      if (want != sw->routes().PortsOf(dst)) {
+      if (want != sw->RoutePortsTo(dst)) {
         throw std::logic_error(
             "route oracle mismatch: switch " + sw->name() + " dst " +
             nodes_[dst]->name() + " has a different ECMP set than a dense "
@@ -558,7 +603,13 @@ sim::TimePs Topology::IdealFct(uint32_t src, uint32_t dst,
 }
 
 size_t Topology::RoutingResidentBytes() const {
-  size_t total = 0;
+  size_t total = route_key_.capacity() * sizeof(uint32_t) +
+                 leaf_port_.capacity() * sizeof(uint16_t) +
+                 own_key_.capacity() * sizeof(uint32_t) +
+                 key_root_.capacity() * sizeof(uint32_t) +
+                 fabric_index_.capacity() * sizeof(uint32_t) +
+                 fabric_begin_.capacity() * sizeof(uint32_t) +
+                 fabric_edges_.capacity() * sizeof(FabricEdge);
   for (const net::SwitchNode* sw : switch_ptrs_) {
     total += sw->routes().resident_bytes();
   }
@@ -566,9 +617,17 @@ size_t Topology::RoutingResidentBytes() const {
 }
 
 size_t Topology::RoutingExpandedPortEntries() const {
+  // Per (switch, host): hosts sharing a key share its candidate list, and a
+  // switch reaches each of its own up leaf hosts through one port.
+  std::vector<size_t> hosts_per_key(num_route_keys(), 0);
+  for (const uint32_t h : hosts_) ++hosts_per_key[route_key_[h]];
   size_t total = 0;
   for (const net::SwitchNode* sw : switch_ptrs_) {
-    total += sw->routes().expanded_port_entries();
+    const uint32_t own = own_key_[sw->id()];
+    for (uint32_t key = 1; key < num_route_keys(); ++key) {
+      const size_t ports = key == own ? 1 : sw->routes().Lookup(key).size;
+      total += hosts_per_key[key] * ports;
+    }
   }
   return total;
 }

@@ -1,11 +1,18 @@
 // Topology: owns all nodes, wires links, computes shortest-path ECMP routes,
 // and provides base-RTT / ideal-FCT queries for FCT-slowdown accounting.
 //
-// Routing state lives in per-switch interned next-hop-group tables
-// (net/nexthop.h): dst -> shared ECMP port set. Topology is the only writer:
-// Finalize()/RecomputeRoutes() build the tables from scratch, and
-// SetLinkUp() repairs them incrementally (see the implementation notes on
-// SetLinkUp) instead of rebuilding every table on every link event.
+// Routing state is keyed by *route key* rather than by destination host.
+// Finalize assigns the keys from the graph's structure: a leaf host (one
+// link, to a switch) is reached through its switch's key, so the hosts of a
+// rack share one key, and every other host keeps a key of its own. Topology
+// owns the node -> key map that every switch reads, and the per-host port
+// its switch delivers a leaf host through; each switch's interned
+// next-hop-group table (net/nexthop.h) maps key -> shared ECMP port set.
+// Topology is the only writer: Finalize()/RecomputeRoutes() build the tables
+// from scratch with one BFS per key, and SetLinkUp() repairs them
+// incrementally (see the implementation notes on SetLinkUp) instead of
+// rebuilding every table on every link event. Every resolved
+// (switch, host) candidate list equals the dense per-host BFS result.
 #pragma once
 
 #include <array>
@@ -74,14 +81,16 @@ class Topology {
   // tables around it. Flows rehash onto surviving paths; HPCC senders
   // notice via the INT pathID and reset their link records (§4.1).
   //
-  // Repair is incremental: two BFS passes seeded at the link endpoints
-  // classify every destination as untouched, patchable in O(1) (one ECMP
+  // A leaf host's NIC link only flips that host's key between its switch's
+  // key and the unreachable key 0; no table changes. On any other link,
+  // repair is incremental: two BFS passes seeded at the link endpoints
+  // classify every route key as untouched, patchable in O(1) (one ECMP
   // group gains/loses the flapped port), or distance-changed (rebuilt with
-  // one per-destination BFS); a full RecomputeRoutes runs only when the
+  // one per-key BFS); a full RecomputeRoutes runs only when the
   // distance-changed set exceeds a bound. The result is exactly equal to a
   // from-scratch rebuild — pinned by the storm tests and, when
   // set_route_oracle(true) (or HPCC_ROUTE_ORACLE=1), re-verified against a
-  // dense recomputation after every call.
+  // dense per-host recomputation after every call.
   void SetLinkUp(size_t link_index, bool up);
   // Rebuilds every ECMP table from the current link states.
   void RecomputeRoutes();
@@ -100,9 +109,11 @@ class Topology {
   std::shared_ptr<const FabricSnapshot> ExportSnapshot(
       uint64_t signature = 0) const;
   // Pre-Finalize: Finalize() will adopt `snap`'s tables as shared read
-  // views instead of running the route BFS. The snapshot must come from an
+  // views instead of running the route BFS (it still derives its own
+  // node -> key map, in O(nodes)). The snapshot must come from an
   // identically built topology (same nodes, links, initial link states) —
-  // the sweep runner keys its cache on the topology configuration.
+  // the sweep runner keys its cache on the topology configuration; a
+  // snapshot whose tables do not have this topology's key count is ignored.
   void AdoptSnapshot(std::shared_ptr<const FabricSnapshot> snap) {
     adopted_snapshot_ = std::move(snap);
   }
@@ -162,19 +173,22 @@ class Topology {
   sim::TimePs BaseRttViaBfs(uint32_t src, uint32_t dst) const;
   int64_t BottleneckBpsViaBfs(uint32_t src, uint32_t dst) const;
 
-  // Routing-table footprint across all switches (memory benchmarks).
+  // Routing footprint (memory benchmarks): every switch's table plus the
+  // shared key maps, the last-hop port array and the fabric graph route
+  // build walks.
   size_t RoutingResidentBytes() const;
-  // Port entries a dense per-destination table would hold, and the number of
-  // distinct interned groups actually holding them.
+  // Port entries a dense per-(switch, host) table would hold, and the number
+  // of distinct interned groups actually holding them.
   size_t RoutingExpandedPortEntries() const;
   size_t RoutingGroups() const;
 
-  // Debug oracle: when enabled, every SetLinkUp re-derives the dense tables
-  // from scratch and throws std::logic_error on any divergence. Defaults to
-  // the HPCC_ROUTE_ORACLE environment variable.
+  // Debug oracle: when enabled, every SetLinkUp re-derives the dense
+  // per-host tables from scratch and throws std::logic_error on any
+  // divergence. Defaults to the HPCC_ROUTE_ORACLE environment variable.
   void set_route_oracle(bool on) { route_oracle_ = on; }
-  // Compares the live tables against a dense recomputation (and each
-  // table's internal invariants); throws std::logic_error on mismatch.
+  // Compares every switch's resolved candidate list toward every host
+  // (SwitchNode::RoutePortsTo) against a dense per-host recomputation (and
+  // each table's internal invariants); throws std::logic_error on mismatch.
   void VerifyRoutesAgainstOracle();
 
  private:
@@ -195,25 +209,31 @@ class Topology {
   PathCost Cost(uint32_t src, uint32_t dst) const;
   PathCost CostViaBfs(uint32_t src, uint32_t dst) const;
 
-  // ECMP candidates of `node` toward the root of the `dist` BFS (ascending
-  // port order) — the single definition the full and incremental rebuild
-  // paths share. The oracle keeps its own independent copy on purpose.
-  void CollectCandidates(uint32_t node, const std::vector<int>& dist,
+  // Assigns the route keys (Finalize): key 0 is "unreachable", then, in
+  // node-id order, one key per switch with at least one leaf host and one
+  // per non-leaf host. Fills leaf_port_, builds the fabric graph and sets
+  // the node -> key maps from the current link states.
+  void AssignRouteKeys();
+  // Route keys in use, counting the unreachable key 0: the slot count of
+  // every switch's table.
+  uint32_t num_route_keys() const {
+    return static_cast<uint32_t>(key_root_.size());
+  }
+  // Hop distances from fabric index `root` over up fabric links, indexed by
+  // fabric index (leaf hosts are dead ends no shortest path crosses, so the
+  // BFS never enters one). Reuses `dist`'s storage.
+  void FabricDistances(uint32_t root, std::vector<int>* dist);
+  // ECMP candidates of fabric node `f` toward the root of the `dist` BFS
+  // (ascending port order; a leaf host is never one). The oracle keeps its
+  // own independent copy on purpose.
+  void CollectCandidates(uint32_t f, const std::vector<int>& dist,
                          std::vector<uint16_t>* cand) const;
-  // Rebuilds every switch's candidate list toward `dst` with one BFS.
-  void RebuildDestination(uint32_t dst);
-  // Rebuilds a set of destinations, sharing one BFS across destinations
-  // behind the same attachment switch. Both the full pass (all hosts, on
-  // freshly reset tables) and incremental repair (the distance-changed
-  // subset) funnel through this, so the two can never diverge.
-  void RebuildDestinations(const std::vector<uint32_t>& dsts);
-  // Rebuilds routes toward every degree-1 host in `hosts` attached to
-  // switch `via`: one BFS from `via` serves them all, and each non-attach
-  // switch interns a single shared group per (switch, via) pair.
-  void RebuildDestinationsBehind(uint32_t via,
-                                 const std::vector<uint32_t>& hosts);
-  // The switch a degree-1, up-linked host hangs off; -1 otherwise.
-  int64_t AttachmentSwitch(uint32_t h) const;
+  // Sets one link's state on the link, both its ports and (after Finalize)
+  // its fabric edges; routes are the caller's business.
+  void ApplyLinkState(size_t link_index, bool up);
+  // Rebuilds every switch's slot for `key` with one BFS from its root: the
+  // single path the full build and incremental repair share.
+  void RebuildKey(uint32_t key);
 
   sim::Simulator* simulator_;
   std::vector<std::unique_ptr<net::Node>> nodes_;
@@ -232,6 +252,29 @@ class Topology {
   // Keeps an adopted snapshot's tables alive while switches alias them.
   std::shared_ptr<const FabricSnapshot> adopted_snapshot_;
   sim::TimePs max_base_rtt_cache_ = -1;  // < 0 = not cached
+  // Route keys (AssignRouteKeys). Switches alias route_key_ and leaf_port_,
+  // so neither is resized after Finalize.
+  static constexpr uint16_t kNotLeaf = 0xffff;
+  std::vector<uint32_t> route_key_;  // node -> key packets to it route by
+  std::vector<uint16_t> leaf_port_;  // leaf host -> its switch's port; else
+                                     // kNotLeaf
+  std::vector<uint32_t> own_key_;    // node -> key rooted at it (0: none)
+  // The fabric: every node but the leaf hosts, numbered densely (fabric
+  // index) so per-key BFS state stays cache-resident, with CSR adjacency
+  // that omits the edges into leaf hosts and carries each link's state
+  // (SetLinkUp keeps it in step with links_). Every per-key BFS and
+  // candidate scan walks this graph.
+  struct FabricEdge {
+    uint32_t peer;  // fabric index
+    uint16_t port;
+    bool up;
+  };
+  std::vector<uint32_t> fabric_index_;  // node -> fabric index (non-leaf)
+  std::vector<uint32_t> fabric_begin_;  // fabric index -> first edge; +1
+  std::vector<FabricEdge> fabric_edges_;
+  std::vector<uint32_t> key_root_;  // key -> root's fabric index ([0] unused)
+  std::vector<int> dist_scratch_;
+  std::vector<uint32_t> bfs_queue_;
   std::vector<uint16_t> cand_scratch_;
   bool finalized_ = false;
   bool route_oracle_ = false;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "net/nexthop.h"
@@ -110,7 +111,7 @@ void ExpectTablesMatchDenseOracle(Topology& t, const char* context) {
   for (const uint32_t dst : t.hosts()) {
     const auto dense = DenseRoutesFor(t, dst);
     for (const uint32_t s : t.switches()) {
-      ASSERT_EQ(t.switch_node(s).routes().PortsOf(dst), dense[s])
+      ASSERT_EQ(t.switch_node(s).RoutePortsTo(dst), dense[s])
           << context << ": switch " << t.switch_node(s).name() << " dst "
           << t.node(dst).name();
     }
@@ -156,6 +157,9 @@ TEST(Routing, InterningCollapsesFatTreeGroups) {
       t.switches().size() * t.num_nodes() * sizeof(std::vector<uint16_t>) +
       t.RoutingExpandedPortEntries() * sizeof(uint16_t);
   EXPECT_GT(dense_bytes, 5 * t.RoutingResidentBytes());
+  // Keyed by rack (8 hosts per ToR here), the routing state fits in half of
+  // the one 4-byte slot per (switch, host) that any per-host table spends.
+  EXPECT_LT(t.RoutingResidentBytes(), pairs * sizeof(uint32_t) / 2);
 }
 
 // ---- Link-flap storm: incremental repair == from-scratch rebuild -----------
@@ -228,6 +232,77 @@ TEST(Routing, BuiltInOracleAcceptsIncrementalRepair) {
   // And a NIC-link flap (degree-1 host endpoint).
   EXPECT_NO_THROW(t.SetLinkUp(t.links().size() - 1, false));
   EXPECT_NO_THROW(t.SetLinkUp(t.links().size() - 1, true));
+}
+
+// The first link with exactly one host endpoint (a NIC link).
+size_t FirstNicLink(Topology& t) {
+  for (size_t i = 0; i < t.links().size(); ++i) {
+    const LinkSpec& l = t.links()[i];
+    if (t.node(l.a).IsSwitch() != t.node(l.b).IsSwitch()) return i;
+  }
+  return t.links().size();
+}
+
+TEST(Routing, NicFlapKeepsSnapshotTablesShared) {
+  // A leaf host's NIC link only flips that host's route key: a warm
+  // topology's switches keep aliasing the snapshot's tables through the
+  // flap and still resolve every host like the dense oracle.
+  FatTreeOptions o;
+  o.pods = 4;
+  o.tors_per_pod = 3;
+  o.aggs_per_pod = 3;
+  o.cores_per_agg = 2;
+  o.hosts_per_tor = 3;
+  sim::Simulator s1;
+  auto cold = MakeFatTree(&s1, o);
+  sim::Simulator s2;
+  auto warm = MakeFatTree(&s2, o, cold.topo->ExportSnapshot());
+  Topology& t = *warm.topo;
+  ASSERT_NE(t.adopted_snapshot(), nullptr);
+  const size_t nic = FirstNicLink(t);
+  ASSERT_LT(nic, t.links().size());
+  for (const bool up : {false, true}) {
+    t.SetLinkUp(nic, up);
+    for (const uint32_t sw : t.switches()) {
+      EXPECT_TRUE(t.switch_node(sw).routes_shared())
+          << t.switch_node(sw).name() << (up ? " after up" : " after down");
+    }
+    ExpectTablesMatchDenseOracle(t, up ? "NIC link repaired" : "NIC link down");
+  }
+}
+
+TEST(Routing, NicLinkDownBeforeFinalizeIsUnreachable) {
+  // Two racks of two hosts under two spines; h0's only link goes down
+  // before Finalize assigns the keys.
+  sim::Simulator sim;
+  Topology t(&sim);
+  host::HostConfig hc;
+  net::SwitchConfig sc;
+  const int64_t bps = 100'000'000'000;
+  const uint32_t tor0 = t.AddSwitch(sc, "tor0");
+  const uint32_t tor1 = t.AddSwitch(sc, "tor1");
+  for (const char* name : {"spine0", "spine1"}) {
+    const uint32_t spine = t.AddSwitch(sc, name);
+    t.AddLink(tor0, spine, bps, sim::Us(1));
+    t.AddLink(tor1, spine, bps, sim::Us(1));
+  }
+  std::vector<uint32_t> hosts;
+  for (int i = 0; i < 4; ++i) {
+    hosts.push_back(t.AddHost(hc, "h" + std::to_string(i)));
+    t.AddLink(hosts.back(), i < 2 ? tor0 : tor1, bps, sim::Us(1));
+  }
+  const size_t h0_link = t.links().size() - 4;
+  ASSERT_EQ(t.links()[h0_link].a, hosts[0]);
+  t.SetLinkUp(h0_link, false);
+  t.Finalize();
+  for (const uint32_t sw : t.switches()) {
+    EXPECT_TRUE(t.switch_node(sw).RoutePortsTo(hosts[0]).empty())
+        << t.switch_node(sw).name();
+  }
+  ExpectTablesMatchDenseOracle(t, "h0 NIC down at Finalize");
+  t.SetLinkUp(h0_link, true);
+  EXPECT_FALSE(t.switch_node(tor1).RoutePortsTo(hosts[0]).empty());
+  ExpectTablesMatchDenseOracle(t, "h0 NIC repaired");
 }
 
 TEST(Routing, WideFatTreeSingleFlapMatchesOracle) {

@@ -1,6 +1,9 @@
 // Tests for the experiment runner: configuration wiring, monitors, metrics.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "runner/experiment.h"
 #include "scenario/scenario.h"
 
@@ -204,6 +207,32 @@ TEST(Runner, RunUntilWithLinkFlapIsShardEqual) {
   for (int d = 0; d < check::kNumDropReasons; ++d) {
     EXPECT_EQ(two.dropped_by_reason[d], one.dropped_by_reason[d]) << d;
   }
+}
+
+// Destroying a sharded run mid-flight: lane 1's hosts still hold DCQCN
+// flows whose timers sit on lane 1's simulator, so every lane simulator must
+// outlive the nodes (a sanitizer build reports a heap-use-after-free when a
+// lane simulator is freed first).
+TEST(Runner, ShardedTeardownWithFlowsInFlight) {
+  ExperimentConfig cfg;
+  cfg.topology = TopologyKind::kFatTree;
+  cfg.cc.scheme = "dcqcn";
+  cfg.shards = 2;
+  auto e = std::make_unique<Experiment>(cfg);
+  std::vector<uint32_t> lane_hosts[2];
+  for (int lane = 0; lane < 2; ++lane) {
+    for (const uint32_t id : e->lane_nodes(lane)) {
+      if (!e->topology().node(id).IsSwitch()) lane_hosts[lane].push_back(id);
+    }
+    ASSERT_FALSE(lane_hosts[lane].empty()) << "lane " << lane;
+  }
+  e->AddFlow(lane_hosts[1].front(), lane_hosts[0].front(), 10'000'000, 0);
+  e->AddFlow(lane_hosts[0].back(), lane_hosts[1].back(), 10'000'000, 0);
+  e->RunUntil(sim::Us(100));
+  size_t in_flight = 0;
+  for (const host::Flow* f : e->AllFlows()) in_flight += f->done ? 0 : 1;
+  EXPECT_EQ(in_flight, 2u);
+  e.reset();
 }
 
 }  // namespace

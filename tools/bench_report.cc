@@ -58,10 +58,11 @@
 //                             same fabrics — the incr/full ratio is the
 //                             link-event repair speedup headline
 //   micro/route_resident_ratio_k32
-//                             dense-table bytes / interned next-hop-group
-//                             bytes on the k=32 fabric, x1000 (a memory
-//                             ratio, not a rate: higher = better, so the
-//                             bench_check drop gate guards compression)
+//                             dense per-(switch, node) table bytes / keyed
+//                             next-hop-group routing bytes on the k=32
+//                             fabric, x1000 (a memory ratio, not a rate:
+//                             higher = better, so the bench_check drop gate
+//                             guards compression)
 //   macro/fattree32           the fattree32_websearch base point end to end
 //                             (8192 hosts, WebSearch load, two-tier link
 //                             flaps), forwarded pkts per wall-second
@@ -358,11 +359,12 @@ RouteBenchFabric& K32Fabric() {
   return *f;
 }
 
-// Interned-table memory headline on the k=32 fabric: bytes a dense
+// Routing memory headline on the k=32 fabric: bytes a dense
 // per-destination table would hold (vector headers + port payload; heap
 // block overhead ignored, so the figure is conservative) over the bytes the
-// next-hop-group tables actually hold. Reported as a dimensionless ratio
-// x1000 so the bench_check drop gate protects compression.
+// keyed next-hop-group routing state actually holds
+// (Topology::RoutingResidentBytes). Reported as a dimensionless ratio x1000
+// so the bench_check drop gate protects compression.
 BenchResult RouteResidentRatioK32() {
   K32Fabric().EnsureLinkUp();
   hpcc::topo::Topology& t = *K32Fabric().ft.topo;
