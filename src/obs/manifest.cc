@@ -35,22 +35,6 @@ std::string HashHex(uint64_t h) {
 
 }  // namespace
 
-scenario::Json TelemetryConfigToJson(const TelemetryConfig& t) {
-  scenario::Json o = scenario::Json::MakeObject();
-  o.Set("manifest", scenario::Json::MakeBool(t.manifest));
-  o.Set("trace", scenario::Json::MakeBool(t.trace));
-  o.Set("profile", scenario::Json::MakeBool(t.profile));
-  o.Set("queue_tracks", Num(t.queue_tracks));
-  o.Set("queue_track_points", Num(t.queue_track_points));
-  o.Set("queue_sample_us", Num(t.queue_sample_us));
-  o.Set("flow_tracks", Num(t.flow_tracks));
-  o.Set("flow_track_points", Num(t.flow_track_points));
-  o.Set("flow_sample_us", Num(t.flow_sample_us));
-  o.Set("int_tracks", Num(t.int_tracks));
-  o.Set("int_track_points", Num(t.int_track_points));
-  return o;
-}
-
 scenario::Json BuildManifest(const ManifestInputs& in) {
   const runner::ExperimentResult& res = *in.result;
   scenario::Json m = scenario::Json::MakeObject();
@@ -67,7 +51,9 @@ scenario::Json BuildManifest(const ManifestInputs& in) {
     m.Set("git_rev", Str(rev));
   }
   if (in.scenario) m.Set("scenario", scenario::ScenarioToJson(*in.scenario));
-  if (in.telemetry) m.Set("telemetry", TelemetryConfigToJson(*in.telemetry));
+  if (in.telemetry) {
+    m.Set("telemetry", scenario::TelemetryToJson(*in.telemetry));
+  }
 
   // -- warm-start provenance ----------------------------------------------
   // Purely scenario-derived (which fabric/checkpoint cache keys this run

@@ -54,10 +54,6 @@ struct ManifestInputs {
   const std::vector<std::pair<std::string, std::string>>* csv_cells = nullptr;
 };
 
-// Canonical JSON form of a TelemetryConfig (every key, resolved values) —
-// the scenario "telemetry" block and the manifest echo share it.
-scenario::Json TelemetryConfigToJson(const TelemetryConfig& t);
-
 // Builds the manifest document. Serialize with .Dump(2).
 scenario::Json BuildManifest(const ManifestInputs& in);
 

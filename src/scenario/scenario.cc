@@ -2,401 +2,656 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <initializer_list>
 #include <limits>
 
 #include "core/hash.h"
-#include "obs/manifest.h"
 
 namespace hpcc::scenario {
 namespace {
 
 constexpr size_t kMaxSweepRuns = 100'000;
 
-// Largest double that still fits the int64 picosecond clock: casting beyond
-// it is undefined behavior, so absurd (but positive-checked) times like
-// "at_us": 1e300 must be rejected loudly like every other malformed input.
-constexpr double kMaxTimePs = 9.2e18;
+// Keys that code outside their block's visit also names.
+constexpr char kTypeKey[] = "type";
+constexpr char kEventsKey[] = "events";
+constexpr char kSweepKey[] = "sweep";
 
-sim::TimePs CheckedPs(double value, double ps_per_unit, const char* what) {
-  const double ps = value * ps_per_unit;
-  if (!(ps > -kMaxTimePs && ps < kMaxTimePs)) {
-    throw ScenarioError(std::string(what) +
-                        " is outside the simulator's time range");
+// ---- schema vocabulary ------------------------------------------------------
+
+// Unit conversions between a field and its JSON number. Scaled::FromJson is
+// the int64 range guard: casting past int64 is undefined behavior, so absurd
+// (but positive-checked) values like an event at 1e300 us must fail loudly
+// like every other malformed input; the key then "must be <range>".
+struct Plain {
+  const char* range = "";
+  double ToJson(double v) const { return v; }
+  bool FromJson(double v, double& out) const {
+    out = v;
+    return true;
   }
-  return static_cast<sim::TimePs>(ps);
-}
-
-sim::TimePs UsToPs(double us, const char* what = "time value") {
-  return CheckedPs(us, static_cast<double>(sim::kPsPerUs), what);
-}
-
-double PsToUs(sim::TimePs t) { return sim::ToUs(t); }
-
-int64_t GbpsToBps(double gbps) {
-  const double bps = gbps * static_cast<double>(sim::kGbps);
-  // Same loud-failure rule as CheckedPs: casting past int64 is UB.
-  if (!(bps < 9.2e18)) {
-    throw ScenarioError("link rate is outside the representable range");
+};
+template <class T>
+struct Scaled {
+  double per_unit;  // field units per JSON unit
+  const char* range;
+  double ToJson(T v) const { return static_cast<double>(v) / per_unit; }
+  bool FromJson(double v, T& out) const {
+    const double x = v * per_unit;
+    if (!(x > -9.2e18 && x < 9.2e18)) return false;  // just inside 2^63
+    out = static_cast<T>(x);
+    return true;
   }
-  return static_cast<int64_t>(bps);
-}
+};
+constexpr char kTimeRange[] = "within the simulator's time range";
+constexpr Plain kPlain{};
+constexpr Scaled<sim::TimePs> kUs{static_cast<double>(sim::kPsPerUs),
+                                  kTimeRange};
+constexpr Scaled<sim::TimePs> kMs{static_cast<double>(sim::kPsPerMs),
+                                  kTimeRange};
+constexpr Scaled<int64_t> kGbps{static_cast<double>(sim::kGbps),
+                                "within the representable range"};
+constexpr Scaled<uint64_t> kBytes{1, "within the representable range"};
 
-uint64_t CheckedBytes(double v, const char* what) {
-  if (!(v < 9.2e18)) {
-    throw ScenarioError(std::string(what) + " is too large");
+// Admissible range of a number. A value outside it fails as
+// `"<key>" in <block> must be <text>`.
+struct Rule {
+  double lo;
+  double hi;
+  bool lo_open;
+  bool hi_open;
+  const char* text;
+  bool Admits(double v) const {
+    return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
-  return static_cast<uint64_t>(v);
-}
+};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Rule kAnyNumber{-kInf, kInf, false, false, "a number"};
+constexpr Rule kPositive{0, kInf, true, false, "> 0"};
+constexpr Rule kNonNegative{0, kInf, false, false, ">= 0"};
+constexpr Rule kLoad{0, 4, false, false, "in [0, 4]"};
+constexpr Rule kBer{0, 1, true, true, "in (0, 1)"};
+// Integer rules (the JSON value must be integral). The 1,000,000 caps keep
+// counts safe to narrow to int; 0 disables a telemetry track family.
+constexpr Rule kPositiveInt{1, 1e6, false, false, "a positive integer"};
+constexpr Rule kTrackCount{0, 1e6, false, false, "a non-negative integer"};
+constexpr Rule kNonNegativeInt{0, kInf, false, false, "a non-negative integer"};
+constexpr Rule kShards{1, 64, false, false, "an integer in [1, 64]"};
+constexpr Rule kReceiver{-1, 1e6, false, false,
+                         "a host index or -1 (random)"};
 
-double BpsToGbps(int64_t bps) {
-  return static_cast<double>(bps) / static_cast<double>(sim::kGbps);
+// Admissible strings: any, non-empty, or one of a list.
+struct TextRule {
+  bool non_empty = false;
+  const std::vector<std::string>* one_of = nullptr;
+};
+constexpr TextRule kAnyText{};
+constexpr TextRule kNonEmpty{.non_empty = true};
+TextRule OneOf(const std::vector<std::string>& names) {
+  return TextRule{.one_of = &names};
 }
+const std::vector<std::string> kTraces = {"websearch", "fbhadoop"};
 
-// Every object in the schema rejects unknown keys so typos fail loudly
-// instead of silently running defaults.
-void CheckKeys(const Json& obj, const char* where,
-               std::initializer_list<const char*> allowed) {
-  for (const auto& m : obj.members()) {
-    bool ok = false;
-    for (const char* k : allowed) {
-      if (m.first == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw ScenarioError("unknown key \"" + m.first + "\" in " + where);
-    }
+// The JSON names of an enum's values.
+template <class E>
+struct Named {
+  E value;
+  const char* name;
+};
+constexpr Named<runner::TopologyKind> kTopologyKinds[] = {
+    {runner::TopologyKind::kFatTree, "fattree"},
+    {runner::TopologyKind::kTestbed, "testbed"},
+    {runner::TopologyKind::kStar, "star"},
+    {runner::TopologyKind::kDumbbell, "dumbbell"}};
+constexpr Named<ScenarioEvent::Kind> kEventTypes[] = {
+    {ScenarioEvent::Kind::kLinkDown, "link_down"},
+    {ScenarioEvent::Kind::kLinkUp, "link_up"},
+    {ScenarioEvent::Kind::kIncast, "incast"},
+    {ScenarioEvent::Kind::kLoadPhase, "load_phase"},
+    {ScenarioEvent::Kind::kSwitchDown, "switch_down"},
+    {ScenarioEvent::Kind::kSwitchUp, "switch_up"},
+    {ScenarioEvent::Kind::kNicDown, "nic_down"},
+    {ScenarioEvent::Kind::kNicUp, "nic_up"},
+    {ScenarioEvent::Kind::kCorrupt, "corrupt"}};
+constexpr Named<host::RecoveryMode> kRecoveryModes[] = {
+    {host::RecoveryMode::kGoBackN, "gbn"}, {host::RecoveryMode::kIrn, "irn"}};
+constexpr Named<workload::FlowClass> kFlowClasses[] = {
+    {workload::FlowClass::kPacket, "packet"},
+    {workload::FlowClass::kFluid, "fluid"}};
+
+template <class E, size_t N>
+const char* NameOf(const Named<E> (&names)[N], E value) {
+  for (const Named<E>& n : names) {
+    if (n.value == value) return n.name;
   }
+  return "";
 }
 
-const Json& Require(const Json& obj, const char* key, const char* where) {
-  const Json* v = obj.Find(key);
-  if (v == nullptr) {
-    throw ScenarioError(std::string("missing required key \"") + key +
-                        "\" in " + where);
-  }
-  return *v;
-}
-
-double NumOr(const Json& obj, const char* key, double def) {
-  const Json* v = obj.Find(key);
-  return v == nullptr ? def : v->AsDouble();
-}
-
-int64_t IntOr(const Json& obj, const char* key, int64_t def) {
-  const Json* v = obj.Find(key);
-  return v == nullptr ? def : v->AsInt();
-}
-
-bool BoolOr(const Json& obj, const char* key, bool def) {
-  const Json* v = obj.Find(key);
-  return v == nullptr ? def : v->AsBool();
-}
-
-std::string StrOr(const Json& obj, const char* key, const std::string& def) {
-  const Json* v = obj.Find(key);
-  return v == nullptr ? def : v->AsString();
-}
-
-int PositiveInt(const Json& obj, const char* key, int64_t def,
-                const char* where) {
-  const int64_t v = IntOr(obj, key, def);
-  if (v <= 0 || v > 1'000'000) {
-    throw ScenarioError(std::string("\"") + key + "\" in " + where +
-                        " must be a positive integer");
-  }
-  return static_cast<int>(v);
-}
-
-double PositiveNum(const Json& obj, const char* key, double def,
-                   const char* where) {
-  const double v = NumOr(obj, key, def);
-  if (!(v > 0)) {
-    throw ScenarioError(std::string("\"") + key + "\" in " + where +
-                        " must be > 0");
-  }
-  return v;
-}
-
-void ParseTopology(const Json& t, runner::ExperimentConfig* cfg) {
-  const std::string kind = Require(t, "kind", "topology").AsString();
-  if (kind == "fattree") {
-    CheckKeys(t, "topology",
-              {"kind", "paper_scale", "pods", "tors_per_pod", "aggs_per_pod",
-               "cores_per_agg", "hosts_per_tor", "host_gbps", "fabric_gbps",
-               "link_delay_us"});
-    cfg->topology = runner::TopologyKind::kFatTree;
-    topo::FatTreeOptions o = BoolOr(t, "paper_scale", false)
-                                 ? topo::FatTreeOptions::PaperScale()
-                                 : topo::FatTreeOptions{};
-    o.pods = PositiveInt(t, "pods", o.pods, "topology");
-    o.tors_per_pod = PositiveInt(t, "tors_per_pod", o.tors_per_pod, "topology");
-    o.aggs_per_pod = PositiveInt(t, "aggs_per_pod", o.aggs_per_pod, "topology");
-    o.cores_per_agg =
-        PositiveInt(t, "cores_per_agg", o.cores_per_agg, "topology");
-    o.hosts_per_tor =
-        PositiveInt(t, "hosts_per_tor", o.hosts_per_tor, "topology");
-    o.host_bps = GbpsToBps(
-        PositiveNum(t, "host_gbps", BpsToGbps(o.host_bps), "topology"));
-    o.fabric_bps = GbpsToBps(
-        PositiveNum(t, "fabric_gbps", BpsToGbps(o.fabric_bps), "topology"));
-    o.link_delay = UsToPs(
-        PositiveNum(t, "link_delay_us", PsToUs(o.link_delay), "topology"));
-    cfg->fattree = o;
-  } else if (kind == "testbed") {
-    CheckKeys(t, "topology",
-              {"kind", "servers_per_pair", "host_gbps", "fabric_gbps",
-               "link_delay_us"});
-    cfg->topology = runner::TopologyKind::kTestbed;
-    topo::TestbedOptions o;
-    o.servers_per_pair =
-        PositiveInt(t, "servers_per_pair", o.servers_per_pair, "topology");
-    o.host_bps = GbpsToBps(
-        PositiveNum(t, "host_gbps", BpsToGbps(o.host_bps), "topology"));
-    o.fabric_bps = GbpsToBps(
-        PositiveNum(t, "fabric_gbps", BpsToGbps(o.fabric_bps), "topology"));
-    o.link_delay = UsToPs(
-        PositiveNum(t, "link_delay_us", PsToUs(o.link_delay), "topology"));
-    cfg->testbed = o;
-  } else if (kind == "star") {
-    CheckKeys(t, "topology", {"kind", "hosts", "host_gbps", "link_delay_us"});
-    cfg->topology = runner::TopologyKind::kStar;
-    topo::StarOptions o;
-    o.num_hosts = PositiveInt(t, "hosts", o.num_hosts, "topology");
-    o.host_bps = GbpsToBps(
-        PositiveNum(t, "host_gbps", BpsToGbps(o.host_bps), "topology"));
-    o.link_delay = UsToPs(
-        PositiveNum(t, "link_delay_us", PsToUs(o.link_delay), "topology"));
-    cfg->star = o;
-  } else if (kind == "dumbbell") {
-    CheckKeys(t, "topology",
-              {"kind", "hosts_per_side", "host_gbps", "trunk_gbps",
-               "link_delay_us"});
-    cfg->topology = runner::TopologyKind::kDumbbell;
-    topo::DumbbellOptions o;
-    o.hosts_per_side =
-        PositiveInt(t, "hosts_per_side", o.hosts_per_side, "topology");
-    o.host_bps = GbpsToBps(
-        PositiveNum(t, "host_gbps", BpsToGbps(o.host_bps), "topology"));
-    o.trunk_bps = GbpsToBps(
-        PositiveNum(t, "trunk_gbps", BpsToGbps(o.trunk_bps), "topology"));
-    o.link_delay = UsToPs(
-        PositiveNum(t, "link_delay_us", PsToUs(o.link_delay), "topology"));
-    cfg->dumbbell = o;
-  } else {
-    throw ScenarioError("unknown topology kind \"" + kind +
-                        "\" (fattree|testbed|star|dumbbell)");
-  }
-}
-
-void ParseCc(const Json& c, runner::ExperimentConfig* cfg) {
-  CheckKeys(c, "cc",
-            {"scheme", "eta", "wai_bytes", "max_stage", "expected_flows",
-             "alpha_fair"});
-  cfg->cc.scheme = StrOr(c, "scheme", cfg->cc.scheme);
-  if (cfg->cc.scheme.empty()) throw ScenarioError("cc.scheme must be set");
-  cfg->cc.hpcc.eta = PositiveNum(c, "eta", cfg->cc.hpcc.eta, "cc");
-  cfg->cc.hpcc.wai_bytes = NumOr(c, "wai_bytes", cfg->cc.hpcc.wai_bytes);
-  cfg->cc.hpcc.max_stage =
-      PositiveInt(c, "max_stage", cfg->cc.hpcc.max_stage, "cc");
-  cfg->cc.hpcc.expected_flows =
-      PositiveInt(c, "expected_flows", cfg->cc.hpcc.expected_flows, "cc");
-  cfg->cc.alpha_fair = PositiveNum(c, "alpha_fair", cfg->cc.alpha_fair, "cc");
-}
-
-// "flow_class": "packet" (default) | "fluid" — which transport engine the
-// emitted flows ride (workload/traffic_source.h). Fluid requires the
-// top-level "hybrid" block; that cross-field check runs after the whole
-// document parses.
-workload::FlowClass ParseFlowClass(const Json& obj, const char* where) {
-  const std::string v = StrOr(obj, "flow_class", "packet");
-  if (v == "packet") return workload::FlowClass::kPacket;
-  if (v == "fluid") return workload::FlowClass::kFluid;
-  throw ScenarioError(std::string("\"flow_class\" in ") + where +
-                      " must be packet|fluid");
-}
-
-// Reads the incast fields shared between "workload.incast" and incast
-// events; key whitelisting is the caller's job (the allowed sets differ).
-workload::IncastOptions ParseIncast(const Json& inc, const char* where) {
-  workload::IncastOptions io;
-  io.fan_in = PositiveInt(inc, "fan_in", io.fan_in, where);
-  io.flow_bytes = CheckedBytes(
-      PositiveNum(inc, "flow_bytes", static_cast<double>(io.flow_bytes),
-                  where),
-      "flow_bytes");
-  io.first_event =
-      UsToPs(PositiveNum(inc, "first_event_us", PsToUs(io.first_event),
-                         where));
-  const double period_us = NumOr(inc, "period_us", PsToUs(io.period));
-  if (period_us < 0) {
-    throw ScenarioError(std::string("\"period_us\" in ") + where +
-                        " must be >= 0");
-  }
-  io.period = UsToPs(period_us);
-  const int64_t receiver = IntOr(inc, "receiver", io.fixed_receiver);
-  // Upper bound before the int32 narrowing: a huge index must be rejected,
-  // not wrapped (e.g. 4294967295 would wrap to -1, "random receiver").
-  if (receiver < -1 || receiver > 1'000'000) {
-    throw ScenarioError(std::string("\"receiver\" in ") + where +
-                        " must be a host index or -1 (random)");
-  }
-  io.fixed_receiver = static_cast<int32_t>(receiver);
-  io.flow_class = ParseFlowClass(inc, where);
-  return io;
-}
-
-void ParseWorkload(const Json& w, runner::ExperimentConfig* cfg) {
-  CheckKeys(w, "workload",
-            {"load", "trace", "max_flows", "incast", "flow_class",
-             "trace_file"});
-  cfg->load = NumOr(w, "load", cfg->load);
-  if (cfg->load < 0 || cfg->load > 4) {
-    throw ScenarioError("workload.load must be in [0, 4]");
-  }
-  cfg->trace = StrOr(w, "trace", cfg->trace);
-  if (cfg->trace != "websearch" && cfg->trace != "fbhadoop") {
-    throw ScenarioError("workload.trace must be websearch|fbhadoop");
-  }
-  const int64_t max_flows = IntOr(w, "max_flows", 0);
-  if (max_flows < 0) throw ScenarioError("workload.max_flows must be >= 0");
-  cfg->max_flows = static_cast<uint64_t>(max_flows);
-  // Engine class for background flows: the Poisson generator, trace replay
-  // and scripted load phases. Incast carries its own class below.
-  cfg->flow_class = ParseFlowClass(w, "workload");
-  // CSV flow-trace replay (workload/trace_replay.h), relative to the CWD.
-  cfg->trace_file = StrOr(w, "trace_file", "");
-  if (const Json* inc = w.Find("incast")) {
-    CheckKeys(*inc, "workload.incast",
-              {"fan_in", "flow_bytes", "first_event_us", "period_us",
-               "receiver", "flow_class"});
-    cfg->incast = true;
-    cfg->incast_opts = ParseIncast(*inc, "workload.incast");
-  }
-}
-
-ScenarioEvent ParseEvent(const Json& ev, size_t index) {
-  const std::string where = "events[" + std::to_string(index) + "]";
-  const std::string type = Require(ev, "type", where.c_str()).AsString();
-  const double at_us = Require(ev, "at_us", where.c_str()).AsDouble();
-  if (at_us < 0) throw ScenarioError(where + ".at_us must be >= 0");
-
-  ScenarioEvent out;
-  out.at = UsToPs(at_us, "at_us");
-  if (type == "link_down" || type == "link_up") {
-    CheckKeys(ev, where.c_str(), {"type", "at_us", "link"});
-    out.kind = type == "link_down" ? ScenarioEvent::Kind::kLinkDown
-                                   : ScenarioEvent::Kind::kLinkUp;
-    const int64_t link = Require(ev, "link", where.c_str()).AsInt();
-    if (link < 0) throw ScenarioError(where + ".link must be >= 0");
-    out.link = static_cast<size_t>(link);
-  } else if (type == "incast") {
-    CheckKeys(ev, where.c_str(),
-              {"type", "at_us", "fan_in", "flow_bytes", "receiver",
-               "flow_class"});
-    out.kind = ScenarioEvent::Kind::kIncast;
-    out.incast = ParseIncast(ev, where.c_str());
-    // `at_us` is authoritative; fold it into the one-shot generator.
-    out.incast.first_event = out.at;
-    out.incast.period = 0;
-  } else if (type == "load_phase") {
-    CheckKeys(ev, where.c_str(), {"type", "at_us", "load"});
-    out.kind = ScenarioEvent::Kind::kLoadPhase;
-    out.load = Require(ev, "load", where.c_str()).AsDouble();
-    if (out.load < 0 || out.load > 4) {
-      throw ScenarioError(where + ".load must be in [0, 4]");
-    }
-  } else if (type == "switch_down" || type == "switch_up") {
-    CheckKeys(ev, where.c_str(), {"type", "at_us", "switch"});
-    out.kind = type == "switch_down" ? ScenarioEvent::Kind::kSwitchDown
-                                     : ScenarioEvent::Kind::kSwitchUp;
-    const int64_t sw = Require(ev, "switch", where.c_str()).AsInt();
-    if (sw < 0) throw ScenarioError(where + ".switch must be >= 0");
-    out.node = static_cast<size_t>(sw);
-  } else if (type == "nic_down" || type == "nic_up") {
-    CheckKeys(ev, where.c_str(), {"type", "at_us", "host"});
-    out.kind = type == "nic_down" ? ScenarioEvent::Kind::kNicDown
-                                  : ScenarioEvent::Kind::kNicUp;
-    const int64_t h = Require(ev, "host", where.c_str()).AsInt();
-    if (h < 0) throw ScenarioError(where + ".host must be >= 0");
-    out.node = static_cast<size_t>(h);
-  } else if (type == "corrupt") {
-    CheckKeys(ev, where.c_str(), {"type", "at_us", "link", "ber", "until_us"});
-    out.kind = ScenarioEvent::Kind::kCorrupt;
-    const int64_t link = Require(ev, "link", where.c_str()).AsInt();
-    if (link < 0) throw ScenarioError(where + ".link must be >= 0");
-    out.link = static_cast<size_t>(link);
-    out.ber = Require(ev, "ber", where.c_str()).AsDouble();
-    if (!(out.ber > 0 && out.ber < 1)) {
-      throw ScenarioError(where + ".ber must be in (0, 1)");
-    }
-    const double until_us = Require(ev, "until_us", where.c_str()).AsDouble();
-    out.until = UsToPs(until_us, "until_us");
-    if (out.until <= out.at) {
-      throw ScenarioError(where + ".until_us must be > at_us");
-    }
-  } else {
-    throw ScenarioError(
-        "unknown event type \"" + type +
-        "\" (link_down|link_up|incast|load_phase|switch_down|switch_up|"
-        "nic_down|nic_up|corrupt)");
-  }
-  return out;
-}
+// What a key does beyond its rule: `required` makes absence a reader error,
+// `write` false makes the writer elide it, and `present` (object keys) is
+// set by the reader when the block appears. Any other absent key leaves its
+// field at its default.
+struct Opt {
+  bool required = false;
+  bool write = true;
+  bool* present = nullptr;
+};
+constexpr Opt kRequired{.required = true};
+constexpr Opt kParseOnly{.write = false};
+Opt WriteIf(bool write) { return Opt{.write = write}; }
+Opt Presence(bool& flag) { return Opt{.write = flag, .present = &flag}; }
 
 std::vector<SweepAxis> ParseSweep(const Json& sw) {
+  const auto scalar = [](const Json& v) {
+    return !v.is_array() && !v.is_object();
+  };
   std::vector<SweepAxis> axes;
   for (const auto& [key, values] : sw.members()) {
     if (key.empty()) throw ScenarioError("empty sweep key");
-    if (!values.is_array() || values.size() == 0) {
-      throw ScenarioError("sweep axis \"" + key +
-                          "\" must be a non-empty array");
+    if (!values.is_array() || values.size() == 0 ||
+        !std::all_of(values.items().begin(), values.items().end(), scalar)) {
+      throw ScenarioError("\"" + key + "\" in " + kSweepKey +
+                          " must be a non-empty array of scalars");
     }
     axes.push_back(SweepAxis{key, values.items()});
   }
   return axes;
 }
 
-std::string ValueText(const Json& v) {
-  return v.is_string() ? v.AsString() : v.Dump();
+// ---- drivers ----------------------------------------------------------------
+//
+// A visit declares each key of one block as one call on its driver `io`:
+//   io.Num(key, field, unit, rule[, opt])  JSON number, unit-converted
+//   io.Int(key, field, rule[, opt])        JSON integer
+//   io.Bool(key, field[, opt])
+//   io.Str(key, field, text_rule[, opt])
+//   io.Enum(key, field, names[, opt])      JSON string naming an enum value
+//   io.Select(key, field, names)           required Enum that picks the
+//                                          block's variant (topology kind,
+//                                          event type)
+//   io.Object(key, opt, visit)             nested block
+//   io.Array(key, items, visit)            array of blocks
+//   io.Sweep(key, axes)                    the free-form sweep grid
+// Reader parses and validates, Writer emits the canonical document in visit
+// order, and Lister names every key.
+
+// Dotted path of `key` in the block at `path` ("" is the top level).
+std::string KeyPath(const std::string& path, const char* key) {
+  return path.empty() ? key : path + "." + key;
 }
 
-// 0 disables a track family, so "positive" is too strict here.
-int TrackCount(const Json& t, const char* key, int def) {
-  const int64_t v = IntOr(t, key, def);
-  if (v < 0 || v > 1'000'000) {
-    throw ScenarioError(std::string("\"") + key +
-                        "\" in telemetry must be a non-negative integer");
+// Reads one JSON object into fields, then rejects the keys it did not read.
+class Reader {
+ public:
+  // `path` is the block's dotted path, empty for the top level.
+  Reader(const Json& obj, std::string path)
+      : obj_(obj), path_(std::move(path)) {
+    if (!obj_.is_object()) throw ScenarioError(path_ + " must be an object");
   }
-  return static_cast<int>(v);
+
+  template <class T, class U>
+  void Num(const char* key, T& field, const U& unit, const Rule& rule,
+           Opt opt = {}) {
+    Read(key, opt, [&](const Json& v) {
+      const double x = v.AsDouble();
+      if (!rule.Admits(x)) Fail(key, rule.text);
+      if (!unit.FromJson(x, field)) Fail(key, unit.range);
+    });
+  }
+
+  template <class T>
+  void Int(const char* key, T& field, const Rule& rule, Opt opt = {}) {
+    Read(key, opt, [&](const Json& v) {
+      const int64_t x = v.AsInt();
+      if (!rule.Admits(static_cast<double>(x))) Fail(key, rule.text);
+      field = static_cast<T>(x);
+    });
+  }
+
+  void Bool(const char* key, bool& field, Opt opt = {}) {
+    Read(key, opt, [&](const Json& v) { field = v.AsBool(); });
+  }
+
+  void Str(const char* key, std::string& field, const TextRule& rule,
+           Opt opt = {}) {
+    Read(key, opt, [&](const Json& v) {
+      const std::string& x = v.AsString();
+      if (rule.non_empty && x.empty()) Fail(key, "a non-empty string");
+      if (rule.one_of != nullptr) {
+        std::string alternatives;
+        for (const std::string& name : *rule.one_of) {
+          if (x == name) {
+            field = x;
+            return;
+          }
+          alternatives.append(alternatives.empty() ? "" : "|").append(name);
+        }
+        Fail(key, alternatives);
+      }
+      field = x;
+    });
+  }
+
+  template <class E, size_t N>
+  void Enum(const char* key, E& field, const Named<E> (&names)[N],
+            Opt opt = {}) {
+    Read(key, opt, [&](const Json& v) {
+      std::string alternatives;
+      for (const Named<E>& n : names) {
+        if (v.AsString() == n.name) {
+          field = n.value;
+          return;
+        }
+        alternatives.append(alternatives.empty() ? "" : "|").append(n.name);
+      }
+      Fail(key, alternatives);
+    });
+  }
+
+  template <class E, size_t N>
+  void Select(const char* key, E& field, const Named<E> (&names)[N]) {
+    Enum(key, field, names, kRequired);
+  }
+
+  template <class Fn>
+  void Object(const char* key, Opt opt, Fn visit) {
+    if (const Json* v = Take(key, opt)) {
+      Reader block(*v, KeyPath(path_, key));
+      if (opt.present != nullptr) *opt.present = true;
+      visit(block);
+      block.Finish();
+    }
+  }
+
+  template <class T, class Fn>
+  void Array(const char* key, std::vector<T>& items, Fn visit) {
+    if (const Json* v = Take(key, {})) {
+      const std::string path = KeyPath(path_, key);
+      if (!v->is_array()) throw ScenarioError(path + " must be an array");
+      for (size_t i = 0; i < v->size(); ++i) {
+        Reader block(v->at(i), path + "[" + std::to_string(i) + "]");
+        T item;
+        visit(block, item);
+        block.Finish();
+        items.push_back(std::move(item));
+      }
+    }
+  }
+
+  void Sweep(const char* key, std::vector<SweepAxis>& axes) {
+    if (const Json* v = Take(key, {})) {
+      if (!v->is_object()) {
+        throw ScenarioError(KeyPath(path_, key) + " must be an object");
+      }
+      axes = ParseSweep(*v);
+    }
+  }
+
+  // Every object in the schema rejects unknown keys so typos fail loudly
+  // instead of silently running defaults.
+  void Finish() const {
+    for (const auto& m : obj_.members()) {
+      if (std::none_of(read_.begin(), read_.end(),
+                       [&](const char* key) { return m.first == key; })) {
+        throw ScenarioError("unknown key \"" + m.first + "\" in " + Block());
+      }
+    }
+  }
+
+ private:
+  std::string Block() const { return path_.empty() ? "scenario" : path_; }
+  std::string Name(const char* key) const {
+    return std::string(1, '"').append(key).append("\" in ") + Block();
+  }
+  [[noreturn]] void Fail(const char* key, const std::string& rule) const {
+    throw ScenarioError(Name(key) + " must be " + rule);
+  }
+
+  const Json* Take(const char* key, const Opt& opt) {
+    read_.push_back(key);
+    const Json* v = obj_.Find(key);
+    if (v == nullptr && opt.required) {
+      throw ScenarioError(std::string("missing required key \"") + key +
+                          "\" in " + Block());
+    }
+    return v;
+  }
+
+  // Reads `key` when present. Type mismatches stay JsonError, now naming
+  // the key and block.
+  template <class F>
+  void Read(const char* key, const Opt& opt, F read) {
+    if (const Json* v = Take(key, opt)) {
+      try {
+        read(*v);
+      } catch (const JsonError& e) {
+        throw JsonError(Name(key) + ": " + e.what());
+      }
+    }
+  }
+
+  const Json& obj_;
+  std::string path_;
+  std::vector<const char*> read_;
+};
+
+// Emits the canonical document: every key in visit order, minus the elided.
+class Writer {
+ public:
+  Json out = Json::MakeObject();
+
+  template <class T, class U>
+  void Num(const char* key, const T& field, const U& unit, const Rule&,
+           Opt opt = {}) {
+    if (opt.write) out.Set(key, Json::MakeNumber(unit.ToJson(field)));
+  }
+  template <class T>
+  void Int(const char* key, const T& field, const Rule&, Opt opt = {}) {
+    if (opt.write) out.Set(key, Json::MakeNumber(static_cast<double>(field)));
+  }
+  void Bool(const char* key, bool field, Opt opt = {}) {
+    if (opt.write) out.Set(key, Json::MakeBool(field));
+  }
+  void Str(const char* key, const std::string& field, const TextRule&,
+           Opt opt = {}) {
+    if (opt.write) out.Set(key, Json::MakeString(field));
+  }
+  template <class E, size_t N>
+  void Enum(const char* key, E field, const Named<E> (&names)[N],
+            Opt opt = {}) {
+    if (opt.write) out.Set(key, Json::MakeString(NameOf(names, field)));
+  }
+  template <class E, size_t N>
+  void Select(const char* key, E field, const Named<E> (&names)[N]) {
+    Enum(key, field, names);
+  }
+  template <class Fn>
+  void Object(const char* key, Opt opt, Fn visit) {
+    if (!opt.write) return;
+    Writer block;
+    visit(block);
+    out.Set(key, std::move(block.out));
+  }
+  template <class T, class Fn>
+  void Array(const char* key, std::vector<T>& items, Fn visit) {
+    if (items.empty()) return;
+    Json array = Json::MakeArray();
+    for (T& item : items) {
+      Writer block;
+      visit(block, item);
+      array.Append(std::move(block.out));
+    }
+    out.Set(key, std::move(array));
+  }
+  void Sweep(const char* key, const std::vector<SweepAxis>& axes) {
+    if (axes.empty()) return;
+    Json sw = Json::MakeObject();
+    for (const SweepAxis& axis : axes) {
+      Json values = Json::MakeArray();
+      for (const Json& v : axis.values) values.Append(v);
+      sw.Set(axis.key, std::move(values));
+    }
+    out.Set(key, std::move(sw));
+  }
+};
+
+// Names every key as a dotted path. A block with a Select is listed once per
+// variant, as "block[variant]".
+class Lister {
+ public:
+  explicit Lister(std::string path, int variant = -1)
+      : path_(std::move(path)), variant_(variant) {}
+
+  std::vector<std::string> keys;
+
+  template <class... A>
+  void Num(const char* key, A&&...) { Add(key); }
+  template <class... A>
+  void Int(const char* key, A&&...) { Add(key); }
+  template <class... A>
+  void Bool(const char* key, A&&...) { Add(key); }
+  template <class... A>
+  void Str(const char* key, A&&...) { Add(key); }
+  template <class... A>
+  void Enum(const char* key, A&&...) { Add(key); }
+  template <class... A>
+  void Sweep(const char* key, A&&...) { Add(key); }
+
+  template <class E, size_t N>
+  void Select(const char* key, E& field, const Named<E> (&names)[N]) {
+    Add(key);
+    if (variant_ >= 0) {
+      field = names[variant_].value;
+    } else {
+      for (const Named<E>& n : names) variants_.emplace_back(n.name);
+    }
+  }
+  template <class Fn>
+  void Object(const char* key, Opt, Fn visit) {
+    Add(key);
+    Nested(KeyPath(path_, key), visit);
+  }
+  template <class T, class Fn>
+  void Array(const char* key, std::vector<T>&, Fn visit) {
+    Add(key);
+    Nested(KeyPath(path_, key), [&](Lister& block) {
+      T item;
+      visit(block, item);
+    });
+  }
+
+ private:
+  void Add(const char* key) { keys.push_back(KeyPath(path_, key)); }
+
+  template <class Fn>
+  void Nested(const std::string& path, Fn visit) {
+    Lister probe(path);
+    visit(probe);
+    if (probe.variants_.empty()) {
+      keys.insert(keys.end(), probe.keys.begin(), probe.keys.end());
+      return;
+    }
+    for (size_t i = 0; i < probe.variants_.size(); ++i) {
+      Lister one(path + "[" + probe.variants_[i] + "]", static_cast<int>(i));
+      visit(one);
+      keys.insert(keys.end(), one.keys.begin(), one.keys.end());
+    }
+  }
+
+  std::string path_;
+  int variant_;
+  std::vector<std::string> variants_;
+};
+
+// ---- the schema: one visit per block ---------------------------------------
+
+template <class Io>
+void VisitFatTree(Io& io, topo::FatTreeOptions& o) {
+  // Parse-only: loads the §5.1 instance, which the keys below then override.
+  bool paper_scale = false;
+  io.Bool("paper_scale", paper_scale, kParseOnly);
+  if (paper_scale) o = topo::FatTreeOptions::PaperScale();
+  io.Int("pods", o.pods, kPositiveInt);
+  io.Int("tors_per_pod", o.tors_per_pod, kPositiveInt);
+  io.Int("aggs_per_pod", o.aggs_per_pod, kPositiveInt);
+  io.Int("cores_per_agg", o.cores_per_agg, kPositiveInt);
+  io.Int("hosts_per_tor", o.hosts_per_tor, kPositiveInt);
+  io.Num("host_gbps", o.host_bps, kGbps, kPositive);
+  io.Num("fabric_gbps", o.fabric_bps, kGbps, kPositive);
+  io.Num("link_delay_us", o.link_delay, kUs, kPositive);
 }
 
-obs::TelemetryConfig ParseTelemetry(const Json& t) {
-  CheckKeys(t, "telemetry",
-            {"manifest", "trace", "profile", "queue_tracks",
-             "queue_track_points", "queue_sample_us", "flow_tracks",
-             "flow_track_points", "flow_sample_us", "int_tracks",
-             "int_track_points"});
-  obs::TelemetryConfig c;
-  c.manifest = BoolOr(t, "manifest", c.manifest);
-  c.trace = BoolOr(t, "trace", c.trace);
-  c.profile = BoolOr(t, "profile", c.profile);
-  c.queue_tracks = TrackCount(t, "queue_tracks", c.queue_tracks);
-  c.queue_track_points =
-      PositiveInt(t, "queue_track_points", c.queue_track_points, "telemetry");
-  c.queue_sample_us =
-      PositiveNum(t, "queue_sample_us", c.queue_sample_us, "telemetry");
-  c.flow_tracks = TrackCount(t, "flow_tracks", c.flow_tracks);
-  c.flow_track_points =
-      PositiveInt(t, "flow_track_points", c.flow_track_points, "telemetry");
-  c.flow_sample_us =
-      PositiveNum(t, "flow_sample_us", c.flow_sample_us, "telemetry");
-  c.int_tracks = TrackCount(t, "int_tracks", c.int_tracks);
-  c.int_track_points =
-      PositiveInt(t, "int_track_points", c.int_track_points, "telemetry");
-  return c;
+template <class Io>
+void VisitTestbed(Io& io, topo::TestbedOptions& o) {
+  io.Int("servers_per_pair", o.servers_per_pair, kPositiveInt);
+  io.Num("host_gbps", o.host_bps, kGbps, kPositive);
+  io.Num("fabric_gbps", o.fabric_bps, kGbps, kPositive);
+  io.Num("link_delay_us", o.link_delay, kUs, kPositive);
+}
+
+template <class Io>
+void VisitStar(Io& io, topo::StarOptions& o) {
+  io.Int("hosts", o.num_hosts, kPositiveInt);
+  io.Num("host_gbps", o.host_bps, kGbps, kPositive);
+  io.Num("link_delay_us", o.link_delay, kUs, kPositive);
+}
+
+template <class Io>
+void VisitDumbbell(Io& io, topo::DumbbellOptions& o) {
+  io.Int("hosts_per_side", o.hosts_per_side, kPositiveInt);
+  io.Num("host_gbps", o.host_bps, kGbps, kPositive);
+  io.Num("trunk_gbps", o.trunk_bps, kGbps, kPositive);
+  io.Num("link_delay_us", o.link_delay, kUs, kPositive);
+}
+
+template <class Io>
+void VisitTopology(Io& io, runner::ExperimentConfig& c) {
+  io.Select("kind", c.topology, kTopologyKinds);
+  switch (c.topology) {
+    case runner::TopologyKind::kFatTree:
+      return VisitFatTree(io, c.fattree);
+    case runner::TopologyKind::kTestbed:
+      return VisitTestbed(io, c.testbed);
+    case runner::TopologyKind::kStar:
+      return VisitStar(io, c.star);
+    case runner::TopologyKind::kDumbbell:
+      return VisitDumbbell(io, c.dumbbell);
+  }
+}
+
+template <class Io>
+void VisitCc(Io& io, cc::CcConfig& c) {
+  io.Str("scheme", c.scheme, OneOf(cc::AllSchemes()));
+  io.Num("eta", c.hpcc.eta, kPlain, kPositive);
+  io.Num("wai_bytes", c.hpcc.wai_bytes, kPlain, kAnyNumber);
+  io.Int("max_stage", c.hpcc.max_stage, kPositiveInt);
+  io.Int("expected_flows", c.hpcc.expected_flows, kPositiveInt);
+  io.Num("alpha_fair", c.alpha_fair, kPlain, kPositive);
+}
+
+// The incast keys shared by "workload.incast" and incast events. Events
+// leave out the schedule: their time is the event's own.
+template <class Io>
+void VisitIncast(Io& io, workload::IncastOptions& o, bool schedule) {
+  io.Int("fan_in", o.fan_in, kPositiveInt);
+  io.Num("flow_bytes", o.flow_bytes, kBytes, kPositive);
+  if (schedule) {
+    io.Num("first_event_us", o.first_event, kUs, kPositive);
+    io.Num("period_us", o.period, kUs, kNonNegative);
+  }
+  io.Int("receiver", o.fixed_receiver, kReceiver);
+  // The burst's own engine class, independent of the background's.
+  io.Enum("flow_class", o.flow_class, kFlowClasses,
+          WriteIf(o.flow_class != workload::FlowClass::kPacket));
+}
+
+template <class Io>
+void VisitWorkload(Io& io, runner::ExperimentConfig& c) {
+  io.Num("load", c.load, kPlain, kLoad);
+  io.Str("trace", c.trace, OneOf(kTraces));
+  io.Int("max_flows", c.max_flows, kNonNegativeInt);
+  // Engine class of the background flows: the Poisson generator, trace
+  // replay and load phases. Fluid requires the top-level hybrid block.
+  io.Enum("flow_class", c.flow_class, kFlowClasses,
+          WriteIf(c.flow_class != workload::FlowClass::kPacket));
+  // CSV flow-trace replay (workload/trace_replay.h), relative to the CWD.
+  io.Str("trace_file", c.trace_file, kAnyText, WriteIf(!c.trace_file.empty()));
+  io.Object("incast", Presence(c.incast), [&](auto& block) {
+    VisitIncast(block, c.incast_opts, /*schedule=*/true);
+  });
+}
+
+template <class Io>
+void VisitEvent(Io& io, ScenarioEvent& ev) {
+  using Kind = ScenarioEvent::Kind;
+  io.Select(kTypeKey, ev.kind, kEventTypes);
+  io.Num("at_us", ev.at, kUs, kNonNegative, kRequired);
+  switch (ev.kind) {
+    case Kind::kLinkDown:
+    case Kind::kLinkUp:
+      io.Int("link", ev.link, kNonNegativeInt, kRequired);
+      break;
+    case Kind::kIncast:
+      VisitIncast(io, ev.incast, /*schedule=*/false);
+      break;
+    case Kind::kLoadPhase:
+      io.Num("load", ev.load, kPlain, kLoad, kRequired);
+      break;
+    case Kind::kSwitchDown:
+    case Kind::kSwitchUp:
+      io.Int("switch", ev.node, kNonNegativeInt, kRequired);
+      break;
+    case Kind::kNicDown:
+    case Kind::kNicUp:
+      io.Int("host", ev.node, kNonNegativeInt, kRequired);
+      break;
+    case Kind::kCorrupt:
+      io.Int("link", ev.link, kNonNegativeInt, kRequired);
+      io.Num("ber", ev.ber, kPlain, kBer, kRequired);
+      io.Num("until_us", ev.until, kUs, kAnyNumber, kRequired);
+      break;
+  }
+}
+
+template <class Io>
+void VisitTelemetry(Io& io, obs::TelemetryConfig& t) {
+  io.Bool("manifest", t.manifest);
+  io.Bool("trace", t.trace);
+  io.Bool("profile", t.profile);
+  io.Int("queue_tracks", t.queue_tracks, kTrackCount);
+  io.Int("queue_track_points", t.queue_track_points, kPositiveInt);
+  io.Num("queue_sample_us", t.queue_sample_us, kPlain, kPositive);
+  io.Int("flow_tracks", t.flow_tracks, kTrackCount);
+  io.Int("flow_track_points", t.flow_track_points, kPositiveInt);
+  io.Num("flow_sample_us", t.flow_sample_us, kPlain, kPositive);
+  io.Int("int_tracks", t.int_tracks, kTrackCount);
+  io.Int("int_track_points", t.int_track_points, kPositiveInt);
+}
+
+template <class Io>
+void VisitScenario(Io& io, Scenario& s) {
+  runner::ExperimentConfig& c = s.config;
+  io.Str("name", s.name, kNonEmpty);
+  io.Str("description", s.description, kAnyText,
+         WriteIf(!s.description.empty()));
+  io.Object("topology", kRequired,
+            [&](auto& block) { VisitTopology(block, c); });
+  io.Object("cc", {}, [&](auto& block) { VisitCc(block, c.cc); });
+  io.Object("workload", {}, [&](auto& block) { VisitWorkload(block, c); });
+  io.Num("duration_ms", c.duration, kMs, kPositive);
+  io.Num("drain_factor", c.drain_factor, kPlain, kPositive);
+  io.Int("seed", c.seed, kNonNegativeInt);
+  // Execution sharding (conservative PDES). Results are pinned byte-equal
+  // to shards=1, so this is a performance knob, not a semantic one.
+  io.Int("shards", c.shards, kShards, WriteIf(c.shards != 1));
+  io.Bool("pfc", c.pfc_enabled);
+  io.Bool("fastpath", c.fast_path);
+  io.Enum("recovery", c.recovery, kRecoveryModes);
+  io.Int("int_sample_every", c.int_sample_every, kPositiveInt);
+  io.Int("short_flow_bytes", c.short_flow_bytes, kNonNegativeInt);
+  io.Object("telemetry", WriteIf(!(s.telemetry == obs::TelemetryConfig{})),
+            [&](auto& block) { VisitTelemetry(block, s.telemetry); });
+  io.Object("warm_start", WriteIf(s.warm_until > 0), [&](auto& block) {
+    block.Num("until_us", s.warm_until, kUs, kPositive, kRequired);
+  });
+  io.Num("deadline_s", s.deadline_s, kPlain, kPositive,
+         WriteIf(s.deadline_s > 0));
+  // Hybrid fluid/packet co-simulation: the block's presence enables the
+  // fluid engine; tick_us is its round period (default one MaxBaseRtt).
+  io.Object("hybrid", Presence(c.hybrid.enabled), [&](auto& block) {
+    block.Num("tick_us", c.hybrid.tick, kUs, kPositive,
+              WriteIf(c.hybrid.tick > 0));
+  });
+  io.Array(kEventsKey, s.events, VisitEvent<Io>);
+  io.Sweep(kSweepKey, s.sweep);
+}
+
+// Canonical JSON of one block. Visits take mutable references because the
+// reader fills them; the writer only reads through them.
+template <class T>
+Json Write(void (*visit)(Writer&, T&), const T& value) {
+  Writer io;
+  visit(io, const_cast<T&>(value));
+  return std::move(io.out);
 }
 
 // Host count every topology kind will build — lets the parser reject incast
@@ -416,140 +671,64 @@ int NumHosts(const runner::ExperimentConfig& cfg) {
   return 0;
 }
 
+std::string ValueText(const Json& v) {
+  return v.is_string() ? v.AsString() : v.Dump();
+}
+
 }  // namespace
 
 Scenario ParseScenario(const Json& doc) {
   if (!doc.is_object()) {
     throw ScenarioError("scenario document must be a JSON object");
   }
-  CheckKeys(doc, "scenario",
-            {"name", "description", "topology", "cc", "workload",
-             "duration_ms", "drain_factor", "seed", "shards", "pfc",
-             "fastpath", "recovery", "int_sample_every", "short_flow_bytes",
-             "telemetry", "warm_start", "deadline_s", "hybrid", "events",
-             "sweep"});
-
   Scenario s;
   s.source = doc;
-  s.name = StrOr(doc, "name", s.name);
-  if (s.name.empty()) throw ScenarioError("name must not be empty");
-  s.description = StrOr(doc, "description", "");
+  Reader io(doc, "");
+  VisitScenario(io, s);
+  io.Finish();
 
-  ParseTopology(Require(doc, "topology", "scenario"), &s.config);
-  if (const Json* c = doc.Find("cc")) ParseCc(*c, &s.config);
-  if (const Json* w = doc.Find("workload")) ParseWorkload(*w, &s.config);
-  if (s.config.incast) {
-    const int hosts = NumHosts(s.config);
-    if (s.config.incast_opts.fan_in >= hosts) {
+  // Cross-field checks.
+  const runner::ExperimentConfig& c = s.config;
+  if (c.incast) {
+    const int hosts = NumHosts(c);
+    if (c.incast_opts.fan_in >= hosts) {
       throw ScenarioError("workload.incast.fan_in " +
-                          std::to_string(s.config.incast_opts.fan_in) +
+                          std::to_string(c.incast_opts.fan_in) +
                           " needs more hosts than the topology's " +
                           std::to_string(hosts));
     }
-    if (s.config.incast_opts.fixed_receiver >= hosts) {
+    if (c.incast_opts.fixed_receiver >= hosts) {
       throw ScenarioError("workload.incast.receiver index out of range");
     }
   }
-
-  s.config.duration = CheckedPs(
-      PositiveNum(doc, "duration_ms", sim::ToMs(s.config.duration),
-                  "scenario"),
-      static_cast<double>(sim::kPsPerMs), "duration_ms");
-  s.config.drain_factor =
-      PositiveNum(doc, "drain_factor", s.config.drain_factor, "scenario");
-  const int64_t seed = IntOr(doc, "seed", static_cast<int64_t>(s.config.seed));
-  if (seed < 0) throw ScenarioError("seed must be >= 0");
-  s.config.seed = static_cast<uint64_t>(seed);
-  // Execution sharding (conservative PDES). Results are pinned byte-equal to
-  // shards=1, so this is a performance knob, not a semantic one.
-  s.config.shards = PositiveInt(doc, "shards", s.config.shards, "scenario");
-  if (s.config.shards > 64) {
-    throw ScenarioError("shards must be <= 64");
-  }
-  s.config.pfc_enabled = BoolOr(doc, "pfc", s.config.pfc_enabled);
-  s.config.fast_path = BoolOr(doc, "fastpath", s.config.fast_path);
-  const std::string recovery = StrOr(doc, "recovery", "gbn");
-  if (recovery == "gbn") {
-    s.config.recovery = host::RecoveryMode::kGoBackN;
-  } else if (recovery == "irn") {
-    s.config.recovery = host::RecoveryMode::kIrn;
-  } else {
-    throw ScenarioError("recovery must be gbn|irn");
-  }
-  s.config.int_sample_every = PositiveInt(doc, "int_sample_every",
-                                          s.config.int_sample_every,
-                                          "scenario");
-  const int64_t short_bytes = IntOr(doc, "short_flow_bytes",
-                                    static_cast<int64_t>(
-                                        s.config.short_flow_bytes));
-  if (short_bytes < 0) throw ScenarioError("short_flow_bytes must be >= 0");
-  s.config.short_flow_bytes = static_cast<uint64_t>(short_bytes);
-
-  if (const Json* t = doc.Find("telemetry")) {
-    if (!t->is_object()) throw ScenarioError("telemetry must be an object");
-    s.telemetry = ParseTelemetry(*t);
-  }
-
-  if (const Json* ws = doc.Find("warm_start")) {
-    if (!ws->is_object()) throw ScenarioError("warm_start must be an object");
-    CheckKeys(*ws, "warm_start", {"until_us"});
-    const double until_us =
-        Require(*ws, "until_us", "warm_start").AsDouble();
-    if (!(until_us > 0)) {
-      throw ScenarioError("warm_start.until_us must be > 0");
-    }
-    s.warm_until = UsToPs(until_us, "warm_start.until_us");
-  }
-
-  if (const Json* dl = doc.Find("deadline_s")) {
-    s.deadline_s = dl->AsDouble();
-    if (!(s.deadline_s > 0)) {
-      throw ScenarioError("deadline_s must be > 0");
-    }
-  }
-
-  // Hybrid fluid/packet co-simulation: presence of the block enables the
-  // fluid engine. tick_us = fluid round period (default: one MaxBaseRtt).
-  if (const Json* hy = doc.Find("hybrid")) {
-    if (!hy->is_object()) throw ScenarioError("hybrid must be an object");
-    CheckKeys(*hy, "hybrid", {"tick_us"});
-    s.config.hybrid.enabled = true;
-    if (hy->Find("tick_us") != nullptr) {
-      s.config.hybrid.tick = UsToPs(
-          PositiveNum(*hy, "tick_us", 0, "hybrid"), "hybrid.tick_us");
-    }
-    if (s.config.shards != 1) {
-      throw ScenarioError("hybrid requires shards = 1");
-    }
-    if (!cc::SchemeUsesInt(s.config.cc.scheme)) {
+  if (c.hybrid.enabled) {
+    if (c.shards != 1) throw ScenarioError("hybrid requires shards = 1");
+    if (!cc::SchemeUsesInt(c.cc.scheme)) {
       throw ScenarioError(
           "hybrid fluid coupling needs an INT-carrying cc.scheme (the fluid "
           "engine injects congestion state through INT stamps)");
     }
-  } else if (s.config.flow_class == workload::FlowClass::kFluid ||
-             (s.config.incast && s.config.incast_opts.flow_class ==
-                                     workload::FlowClass::kFluid)) {
+  }
+  bool fluid = c.flow_class == workload::FlowClass::kFluid ||
+               (c.incast &&
+                c.incast_opts.flow_class == workload::FlowClass::kFluid);
+  for (size_t i = 0; i < s.events.size(); ++i) {
+    ScenarioEvent& ev = s.events[i];
+    if (ev.kind == ScenarioEvent::Kind::kIncast) {
+      // The event time is authoritative; fold it into the one-shot
+      // generator.
+      ev.incast.first_event = ev.at;
+      ev.incast.period = 0;
+      fluid = fluid || ev.incast.flow_class == workload::FlowClass::kFluid;
+    }
+    if (ev.kind == ScenarioEvent::Kind::kCorrupt && ev.until <= ev.at) {
+      throw ScenarioError("events[" + std::to_string(i) +
+                          "].until_us must be > at_us");
+    }
+  }
+  if (fluid && !c.hybrid.enabled) {
     throw ScenarioError(
         "flow_class \"fluid\" requires the top-level \"hybrid\" block");
-  }
-
-  if (const Json* evs = doc.Find("events")) {
-    if (!evs->is_array()) throw ScenarioError("events must be an array");
-    for (size_t i = 0; i < evs->size(); ++i) {
-      s.events.push_back(ParseEvent(evs->at(i), i));
-    }
-  }
-  for (const ScenarioEvent& ev : s.events) {
-    if (ev.kind == ScenarioEvent::Kind::kIncast &&
-        ev.incast.flow_class == workload::FlowClass::kFluid &&
-        !s.config.hybrid.enabled) {
-      throw ScenarioError(
-          "flow_class \"fluid\" requires the top-level \"hybrid\" block");
-    }
-  }
-  if (const Json* sw = doc.Find("sweep")) {
-    if (!sw->is_object()) throw ScenarioError("sweep must be an object");
-    s.sweep = ParseSweep(*sw);
   }
   return s;
 }
@@ -583,211 +762,19 @@ Scenario LoadScenarioFile(const std::string& path) {
   }
 }
 
-namespace {
-
-Json IncastToJson(const workload::IncastOptions& io, bool with_schedule) {
-  Json inc = Json::MakeObject();
-  inc.Set("fan_in", Json::MakeNumber(io.fan_in));
-  inc.Set("flow_bytes", Json::MakeNumber(static_cast<double>(io.flow_bytes)));
-  if (with_schedule) {
-    inc.Set("first_event_us", Json::MakeNumber(PsToUs(io.first_event)));
-    inc.Set("period_us", Json::MakeNumber(PsToUs(io.period)));
-  }
-  inc.Set("receiver", Json::MakeNumber(io.fixed_receiver));
-  // Default-elided so pre-hybrid documents round-trip unchanged.
-  if (io.flow_class == workload::FlowClass::kFluid) {
-    inc.Set("flow_class", Json::MakeString("fluid"));
-  }
-  return inc;
-}
-
-Json TopologyToJson(const runner::ExperimentConfig& cfg) {
-  Json t = Json::MakeObject();
-  switch (cfg.topology) {
-    case runner::TopologyKind::kFatTree: {
-      const topo::FatTreeOptions& o = cfg.fattree;
-      t.Set("kind", Json::MakeString("fattree"));
-      t.Set("pods", Json::MakeNumber(o.pods));
-      t.Set("tors_per_pod", Json::MakeNumber(o.tors_per_pod));
-      t.Set("aggs_per_pod", Json::MakeNumber(o.aggs_per_pod));
-      t.Set("cores_per_agg", Json::MakeNumber(o.cores_per_agg));
-      t.Set("hosts_per_tor", Json::MakeNumber(o.hosts_per_tor));
-      t.Set("host_gbps", Json::MakeNumber(BpsToGbps(o.host_bps)));
-      t.Set("fabric_gbps", Json::MakeNumber(BpsToGbps(o.fabric_bps)));
-      t.Set("link_delay_us", Json::MakeNumber(PsToUs(o.link_delay)));
-      break;
-    }
-    case runner::TopologyKind::kTestbed: {
-      const topo::TestbedOptions& o = cfg.testbed;
-      t.Set("kind", Json::MakeString("testbed"));
-      t.Set("servers_per_pair", Json::MakeNumber(o.servers_per_pair));
-      t.Set("host_gbps", Json::MakeNumber(BpsToGbps(o.host_bps)));
-      t.Set("fabric_gbps", Json::MakeNumber(BpsToGbps(o.fabric_bps)));
-      t.Set("link_delay_us", Json::MakeNumber(PsToUs(o.link_delay)));
-      break;
-    }
-    case runner::TopologyKind::kStar: {
-      const topo::StarOptions& o = cfg.star;
-      t.Set("kind", Json::MakeString("star"));
-      t.Set("hosts", Json::MakeNumber(o.num_hosts));
-      t.Set("host_gbps", Json::MakeNumber(BpsToGbps(o.host_bps)));
-      t.Set("link_delay_us", Json::MakeNumber(PsToUs(o.link_delay)));
-      break;
-    }
-    case runner::TopologyKind::kDumbbell: {
-      const topo::DumbbellOptions& o = cfg.dumbbell;
-      t.Set("kind", Json::MakeString("dumbbell"));
-      t.Set("hosts_per_side", Json::MakeNumber(o.hosts_per_side));
-      t.Set("host_gbps", Json::MakeNumber(BpsToGbps(o.host_bps)));
-      t.Set("trunk_gbps", Json::MakeNumber(BpsToGbps(o.trunk_bps)));
-      t.Set("link_delay_us", Json::MakeNumber(PsToUs(o.link_delay)));
-      break;
-    }
-  }
-  return t;
-}
-
-Json EventToJson(const ScenarioEvent& ev) {
-  Json e = Json::MakeObject();
-  switch (ev.kind) {
-    case ScenarioEvent::Kind::kLinkDown:
-    case ScenarioEvent::Kind::kLinkUp:
-      e.Set("type", Json::MakeString(ev.kind == ScenarioEvent::Kind::kLinkDown
-                                         ? "link_down"
-                                         : "link_up"));
-      e.Set("at_us", Json::MakeNumber(PsToUs(ev.at)));
-      e.Set("link", Json::MakeNumber(static_cast<double>(ev.link)));
-      break;
-    case ScenarioEvent::Kind::kIncast: {
-      e.Set("type", Json::MakeString("incast"));
-      e.Set("at_us", Json::MakeNumber(PsToUs(ev.at)));
-      e.Set("fan_in", Json::MakeNumber(ev.incast.fan_in));
-      e.Set("flow_bytes",
-            Json::MakeNumber(static_cast<double>(ev.incast.flow_bytes)));
-      e.Set("receiver", Json::MakeNumber(ev.incast.fixed_receiver));
-      if (ev.incast.flow_class == workload::FlowClass::kFluid) {
-        e.Set("flow_class", Json::MakeString("fluid"));
-      }
-      break;
-    }
-    case ScenarioEvent::Kind::kLoadPhase:
-      e.Set("type", Json::MakeString("load_phase"));
-      e.Set("at_us", Json::MakeNumber(PsToUs(ev.at)));
-      e.Set("load", Json::MakeNumber(ev.load));
-      break;
-    case ScenarioEvent::Kind::kSwitchDown:
-    case ScenarioEvent::Kind::kSwitchUp:
-      e.Set("type",
-            Json::MakeString(ev.kind == ScenarioEvent::Kind::kSwitchDown
-                                 ? "switch_down"
-                                 : "switch_up"));
-      e.Set("at_us", Json::MakeNumber(PsToUs(ev.at)));
-      e.Set("switch", Json::MakeNumber(static_cast<double>(ev.node)));
-      break;
-    case ScenarioEvent::Kind::kNicDown:
-    case ScenarioEvent::Kind::kNicUp:
-      e.Set("type", Json::MakeString(ev.kind == ScenarioEvent::Kind::kNicDown
-                                         ? "nic_down"
-                                         : "nic_up"));
-      e.Set("at_us", Json::MakeNumber(PsToUs(ev.at)));
-      e.Set("host", Json::MakeNumber(static_cast<double>(ev.node)));
-      break;
-    case ScenarioEvent::Kind::kCorrupt:
-      e.Set("type", Json::MakeString("corrupt"));
-      e.Set("at_us", Json::MakeNumber(PsToUs(ev.at)));
-      e.Set("link", Json::MakeNumber(static_cast<double>(ev.link)));
-      e.Set("ber", Json::MakeNumber(ev.ber));
-      e.Set("until_us", Json::MakeNumber(PsToUs(ev.until)));
-      break;
-  }
-  return e;
-}
-
-}  // namespace
-
 Json ScenarioToJson(const Scenario& s) {
-  const runner::ExperimentConfig& cfg = s.config;
-  Json doc = Json::MakeObject();
-  doc.Set("name", Json::MakeString(s.name));
-  if (!s.description.empty()) {
-    doc.Set("description", Json::MakeString(s.description));
-  }
-  doc.Set("topology", TopologyToJson(cfg));
+  return Write(VisitScenario<Writer>, s);
+}
 
-  Json c = Json::MakeObject();
-  c.Set("scheme", Json::MakeString(cfg.cc.scheme));
-  c.Set("eta", Json::MakeNumber(cfg.cc.hpcc.eta));
-  c.Set("wai_bytes", Json::MakeNumber(cfg.cc.hpcc.wai_bytes));
-  c.Set("max_stage", Json::MakeNumber(cfg.cc.hpcc.max_stage));
-  c.Set("expected_flows", Json::MakeNumber(cfg.cc.hpcc.expected_flows));
-  c.Set("alpha_fair", Json::MakeNumber(cfg.cc.alpha_fair));
-  doc.Set("cc", std::move(c));
+Json TelemetryToJson(const obs::TelemetryConfig& t) {
+  return Write(VisitTelemetry<Writer>, t);
+}
 
-  Json w = Json::MakeObject();
-  w.Set("load", Json::MakeNumber(cfg.load));
-  w.Set("trace", Json::MakeString(cfg.trace));
-  w.Set("max_flows", Json::MakeNumber(static_cast<double>(cfg.max_flows)));
-  if (cfg.flow_class == workload::FlowClass::kFluid) {
-    w.Set("flow_class", Json::MakeString("fluid"));
-  }
-  if (!cfg.trace_file.empty()) {
-    w.Set("trace_file", Json::MakeString(cfg.trace_file));
-  }
-  if (cfg.incast) {
-    w.Set("incast", IncastToJson(cfg.incast_opts, /*with_schedule=*/true));
-  }
-  doc.Set("workload", std::move(w));
-
-  doc.Set("duration_ms", Json::MakeNumber(sim::ToMs(cfg.duration)));
-  doc.Set("drain_factor", Json::MakeNumber(cfg.drain_factor));
-  doc.Set("seed", Json::MakeNumber(static_cast<double>(cfg.seed)));
-  // Default-elided so pre-sharding documents round-trip unchanged.
-  if (cfg.shards != 1) doc.Set("shards", Json::MakeNumber(cfg.shards));
-  doc.Set("pfc", Json::MakeBool(cfg.pfc_enabled));
-  doc.Set("fastpath", Json::MakeBool(cfg.fast_path));
-  doc.Set("recovery",
-          Json::MakeString(cfg.recovery == host::RecoveryMode::kIrn ? "irn"
-                                                                    : "gbn"));
-  doc.Set("int_sample_every", Json::MakeNumber(cfg.int_sample_every));
-  doc.Set("short_flow_bytes",
-          Json::MakeNumber(static_cast<double>(cfg.short_flow_bytes)));
-
-  // Like "events": emitted only when it says something (non-default), so
-  // telemetry-free documents round-trip unchanged.
-  if (!(s.telemetry == obs::TelemetryConfig{})) {
-    doc.Set("telemetry", obs::TelemetryConfigToJson(s.telemetry));
-  }
-  if (s.warm_until > 0) {
-    Json ws = Json::MakeObject();
-    ws.Set("until_us", Json::MakeNumber(PsToUs(s.warm_until)));
-    doc.Set("warm_start", std::move(ws));
-  }
-  if (s.deadline_s > 0) {
-    doc.Set("deadline_s", Json::MakeNumber(s.deadline_s));
-  }
-  if (cfg.hybrid.enabled) {
-    Json hy = Json::MakeObject();
-    if (cfg.hybrid.tick > 0) {
-      hy.Set("tick_us", Json::MakeNumber(PsToUs(cfg.hybrid.tick)));
-    }
-    doc.Set("hybrid", std::move(hy));
-  }
-
-  if (!s.events.empty()) {
-    Json evs = Json::MakeArray();
-    for (const ScenarioEvent& ev : s.events) evs.Append(EventToJson(ev));
-    doc.Set("events", std::move(evs));
-  }
-  if (!s.sweep.empty()) {
-    Json sw = Json::MakeObject();
-    for (const SweepAxis& axis : s.sweep) {
-      Json vals = Json::MakeArray();
-      for (const Json& v : axis.values) vals.Append(v);
-      sw.Set(axis.key, std::move(vals));
-    }
-    doc.Set("sweep", std::move(sw));
-  }
-  return doc;
+std::vector<std::string> SchemaKeyPaths() {
+  Scenario s;
+  Lister io("");
+  VisitScenario(io, s);
+  return io.keys;
 }
 
 std::vector<ScenarioRun> ExpandSweep(const Scenario& s) {
@@ -826,14 +813,11 @@ std::vector<ScenarioRun> ExpandSweep(const Scenario& s) {
       rem /= s.sweep[a].values.size();
     }
 
-    Json doc = s.source;
-    doc.Remove("sweep");
     ScenarioRun run;
     std::string suffix;
     for (size_t a = 0; a < s.sweep.size(); ++a) {
       const SweepAxis& axis = s.sweep[a];
       const Json& value = axis.values[idx[a]];
-      doc.SetPath(axis.key, value);
       // Short key for the label: last path segment.
       const size_t dot = axis.key.rfind('.');
       const std::string leaf =
@@ -842,8 +826,20 @@ std::vector<ScenarioRun> ExpandSweep(const Scenario& s) {
       suffix += leaf + "=" + ValueText(value);
       run.params.emplace_back(axis.key, ValueText(value));
     }
-    run.scenario = ParseScenario(doc);
     run.label = s.name + "[" + suffix + "]";
+    // Errors name the point they come from, keeping their type.
+    try {
+      Json doc = s.source;
+      doc.Remove(kSweepKey);
+      for (size_t a = 0; a < s.sweep.size(); ++a) {
+        doc.SetPath(s.sweep[a].key, s.sweep[a].values[idx[a]]);
+      }
+      run.scenario = ParseScenario(doc);
+    } catch (const ScenarioError& e) {
+      throw ScenarioError(run.label + ": " + e.what());
+    } catch (const JsonError& e) {
+      throw JsonError(run.label + ": " + e.what());
+    }
     runs.push_back(std::move(run));
   }
   return runs;
@@ -894,7 +890,7 @@ bool HasFaultEvents(const Scenario& s) {
 }
 
 uint64_t FabricSignature(const Scenario& s) {
-  return core::Fnv1a64(TopologyToJson(s.config).Dump());
+  return core::Fnv1a64(Write(VisitTopology<Writer>, s.config).Dump());
 }
 
 uint64_t WarmFingerprint(const Scenario& s) {
@@ -915,19 +911,14 @@ uint64_t WarmFingerprint(const Scenario& s) {
            ev.kind == ScenarioEvent::Kind::kLinkUp ||
            ev.kind == ScenarioEvent::Kind::kIncast) &&
           ev.at >= s.warm_until) {
-        Json e = Json::MakeObject();
-        e.Set("type",
-              Json::MakeString(ev.kind == ScenarioEvent::Kind::kIncast
-                                   ? "incast"
-                                   : ev.kind == ScenarioEvent::Kind::kLinkDown
-                                         ? "link_down"
-                                         : "link_up"));
-        evs.Append(std::move(e));
+        Json marker = Json::MakeObject();
+        marker.Set(kTypeKey, Json::MakeString(NameOf(kEventTypes, ev.kind)));
+        evs.Append(std::move(marker));
       } else {
-        evs.Append(EventToJson(ev));
+        evs.Append(Write(VisitEvent<Writer>, ev));
       }
     }
-    doc.Set("events", std::move(evs));
+    doc.Set(kEventsKey, std::move(evs));
   }
   return core::Fnv1a64(doc.Dump());
 }

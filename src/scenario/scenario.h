@@ -106,8 +106,9 @@ struct Scenario {
 };
 
 // Parses and validates a scenario document. Throws ScenarioError (or
-// JsonError for type mismatches) on anything malformed — unknown keys are
-// rejected so typos fail loudly instead of silently running defaults.
+// JsonError for type mismatches) on anything malformed, naming the key and
+// its block — unknown keys are rejected so typos fail loudly instead of
+// silently running defaults.
 Scenario ParseScenario(const Json& doc);
 Scenario ParseScenarioText(const std::string& text);
 // Reads, parses and validates a scenario file. Throws on I/O failure too.
@@ -117,6 +118,16 @@ Scenario LoadScenarioFile(const std::string& path);
 // resolved value. ParseScenario(ScenarioToJson(s)) is a fixed point, which
 // the round-trip tests pin down.
 Json ScenarioToJson(const Scenario& s);
+
+// Canonical "telemetry" block with every key, default or not: the run
+// manifest echoes the effective telemetry config through it.
+Json TelemetryToJson(const obs::TelemetryConfig& t);
+
+// Every key the schema accepts, as a dotted path: "name", "cc.eta",
+// "workload.incast.fan_in". A block whose keys depend on a selector is
+// listed once per variant: "topology[star].hosts", "events[corrupt].ber".
+// The docs and fuzzer coverage tests read it.
+std::vector<std::string> SchemaKeyPaths();
 
 // One concrete sweep point: the fully-resolved scenario (sweep stripped)
 // plus the axis assignments that produced it.
@@ -128,7 +139,8 @@ struct ScenarioRun {
 
 // Cross-product expansion of the sweep grid; a scenario without a sweep
 // expands to a single run. Axis order is declaration order, the last axis
-// varies fastest.
+// varies fastest. A point that fails to parse throws with its label as the
+// message prefix ("grid[eta=-1]: ...").
 std::vector<ScenarioRun> ExpandSweep(const Scenario& s);
 
 // True when the event script changes topology state (link_down/link_up and

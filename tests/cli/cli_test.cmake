@@ -11,6 +11,8 @@
 #   flags_match_defaults      document write byte-identical CSVs and dump the
 #                             same canonical scenario (pins flag -> key)
 #   scenario_check            SCENARIO passes --check --quiet with exit 0
+#   dump_fixed_point          SCENARIO --dump > a.json, a.json --dump >
+#                             b.json, and a.json == b.json byte for byte
 cmake_minimum_required(VERSION 3.16)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -91,6 +93,25 @@ elseif(CASE STREQUAL "flags_match_defaults")
   expect_same_as_fixture("${fixtures}/flag_mode_defaults.json")
 elseif(CASE STREQUAL "scenario_check")
   expect_ok("${SCENARIO}" --check --quiet --out=check.csv)
+elseif(CASE STREQUAL "dump_fixed_point")
+  set(input "${SCENARIO}")
+  foreach(dump a.json b.json)
+    execute_process(COMMAND "${HPCCSIM}" "${input}" --dump
+                    WORKING_DIRECTORY "${WORK_DIR}"
+                    OUTPUT_FILE "${WORK_DIR}/${dump}"
+                    RESULT_VARIABLE rc
+                    ERROR_VARIABLE err)
+    if(NOT rc STREQUAL "0")
+      message(FATAL_ERROR "hpccsim ${input} --dump: exit ${rc}\n${err}")
+    endif()
+    set(input "${WORK_DIR}/${dump}")
+  endforeach()
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                          "${WORK_DIR}/a.json" "${WORK_DIR}/b.json"
+                  RESULT_VARIABLE differ)
+  if(differ)
+    message(FATAL_ERROR "${SCENARIO}: the dump of its --dump differs")
+  endif()
 else()
   message(FATAL_ERROR "unknown CASE \"${CASE}\"")
 endif()

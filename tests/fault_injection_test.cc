@@ -414,7 +414,8 @@ TEST(Retry, ErrorsRetryOnceButDeadlinesDoNot) {
       "topology": {"kind": "star", "hosts": 4},
       "workload": {"load": 0.3, "max_flows": 5},
       "duration_ms": 1,
-      "sweep": {"cc.scheme": ["hpcc", "no-such-scheme"]}
+      "events": [{"type": "link_up", "at_us": 100, "link": 0}],
+      "sweep": {"events.0.link": [0, 99]}
     })");
     const auto results = ScenarioRunner(ScenarioRunnerOptions{}).RunAll(s);
     ASSERT_EQ(results.size(), 2u);

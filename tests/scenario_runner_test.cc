@@ -228,18 +228,20 @@ TEST(ScenarioRunnerTest, CsvShapeIsRectangular) {
 }
 
 TEST(ScenarioRunnerTest, FailedPointRecordsErrorWithoutAbortingSweep) {
+  // Link 99 passes the parser; only the built 4-link star rejects it.
   const Scenario s = ParseScenarioText(R"({
-    "name": "badscheme",
+    "name": "badlink",
     "topology": {"kind": "star", "hosts": 4},
     "workload": {"load": 0.3, "max_flows": 5},
     "duration_ms": 1,
-    "sweep": {"cc.scheme": ["hpcc", "no-such-scheme"]}
+    "events": [{"type": "link_up", "at_us": 100, "link": 0}],
+    "sweep": {"events.0.link": [0, 99]}
   })");
   const auto results = ScenarioRunner(ScenarioRunnerOptions{}).RunAll(s);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].ok()) << results[0].error;
   ASSERT_FALSE(results[1].ok());
-  EXPECT_NE(results[1].error.find("no-such-scheme"), std::string::npos);
+  EXPECT_NE(results[1].error.find("out of range"), std::string::npos);
   // The failed row still fits the header.
   EXPECT_EQ(ScenarioRunner::CsvRow(results[1]).size(),
             ScenarioRunner::CsvHeader(results).size());

@@ -1,13 +1,44 @@
 // Scenario subsystem parsing tests: the zero-dependency JSON value type,
 // schema validation (malformed inputs must be rejected loudly), sweep-grid
-// expansion, and a full-scenario JSON round trip.
+// expansion, a full-scenario JSON round trip and the canonical-dump goldens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+
+#include "cc/factory.h"
+#include "check/fuzzer.h"
 #include "scenario/json.h"
 #include "scenario/scenario.h"
 
 namespace hpcc::scenario {
 namespace {
+
+std::string ReadSourceFile(const std::string& relative) {
+  std::ifstream in(std::string(HPCC_SOURCE_DIR) + "/" + relative,
+                   std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+// The message of the E that parsing and expanding `text` throws ("" when
+// nothing is thrown); any other exception fails the test.
+template <class E>
+std::string ErrorOf(const std::string& text) {
+  try {
+    ExpandSweep(ParseScenarioText(text));
+  } catch (const E& e) {
+    return e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unexpected exception type: " << e.what();
+  }
+  return "";
+}
 
 // ---- JSON value + parser ----------------------------------------------------
 
@@ -288,6 +319,76 @@ TEST(Scenario, RejectsMalformedDocuments) {
       ScenarioError);
 }
 
+TEST(Scenario, ErrorsNameTheKeyAndBlock) {
+  struct Case {
+    const char* doc;
+    const char* message;
+  };
+  // Wrong-typed values stay JsonError.
+  for (const Case& c : std::initializer_list<Case>{
+           {R"({"topology": {"kind": "star", "hosts": "5"}})",
+            R"("hosts" in topology: expected a number)"},
+           {R"({"topology": {"kind": "star"}, "workload": {"load": "0.3"}})",
+            R"("load" in workload: expected a number)"},
+           {R"({"topology": {"kind": "star"},
+                "events": [{"type": "link_up", "at_us": 1, "link": 1.5}]})",
+            R"("link" in events[0]: expected an integer)"},
+           {R"({"topology": {"kind": "star"}, "telemetry": {"manifest": 1}})",
+            R"("manifest" in telemetry: expected a boolean)"}}) {
+    EXPECT_PRED_FORMAT2(testing::IsSubstring, c.message,
+                        ErrorOf<JsonError>(c.doc));
+  }
+  for (const Case& c : std::initializer_list<Case>{
+           // Blocks of the wrong shape say so.
+           {R"({"topology": [1]})", "topology must be an object"},
+           {R"({"topology": {"kind": "star"}, "events": [5]})",
+            "events[0] must be an object"},
+           {R"({"topology": {"kind": "star"}, "cc": "hpcc"})",
+            "cc must be an object"},
+           {R"({"topology": {"kind": "star"}, "workload": {"incast": 5}})",
+            "workload.incast must be an object"},
+           // Rule violations name the key and block.
+           {R"({"topology": {"kind": "star"},
+                "events": [{"type": "link_up", "at_us": -1, "link": 0}]})",
+            R"("at_us" in events[0] must be >= 0)"},
+           {R"({"topology": {"kind": "star", "host_gbps": 1e12}})",
+            R"("host_gbps" in topology must be within the representable)"},
+           // Sweep axis values are scalars.
+           {R"({"topology": {"kind": "star"}, "sweep": {"seed": [[1, 2]]}})",
+            R"("seed" in sweep must be a non-empty array of scalars)"},
+           // A point that fails to parse is named by its label.
+           {R"({"name": "g", "topology": {"kind": "star"},
+                "sweep": {"cc.eta": [0.9, -1]}})",
+            R"(g[eta=-1]: "eta" in cc must be > 0)"}}) {
+    EXPECT_PRED_FORMAT2(testing::IsSubstring, c.message,
+                        ErrorOf<ScenarioError>(c.doc));
+  }
+}
+
+TEST(Scenario, UnknownSchemeIsAParseError) {
+  for (const std::string& scheme : cc::AllSchemes()) {
+    EXPECT_EQ(ErrorOf<ScenarioError>(R"({"topology": {"kind": "star"},
+                                         "cc": {"scheme": ")" +
+                                      scheme + R"("}})"),
+              "")
+        << scheme;
+  }
+  EXPECT_PRED_FORMAT2(testing::IsSubstring, R"("scheme" in cc must be hpcc|)",
+                      ErrorOf<ScenarioError>(R"({"topology": {"kind": "star"},
+                                               "cc": {"scheme": "nosuch"}})"));
+  // The hybrid INT check no longer takes a made-up hpcc-prefixed name.
+  EXPECT_PRED_FORMAT2(testing::IsSubstring, R"("scheme" in cc must be)",
+                      ErrorOf<ScenarioError>(R"({"topology": {"kind": "star"},
+                                                 "cc": {"scheme": "hpccx"},
+                                                 "hybrid": {}})"));
+  // Through a sweep axis the bad point fails at expansion, before any run.
+  EXPECT_PRED_FORMAT2(testing::IsSubstring,
+                      R"(g[scheme=nosuch]: "scheme" in cc must be)",
+                      ErrorOf<ScenarioError>(R"({
+                        "name": "g", "topology": {"kind": "star"},
+                        "sweep": {"cc.scheme": ["hpcc", "nosuch"]}})"));
+}
+
 TEST(Scenario, SweepExpansionIsTheCrossProduct) {
   const Scenario s = ParseScenarioText(R"({
     "name": "grid",
@@ -385,6 +486,166 @@ TEST(Scenario, JsonRoundTripIsAFixedPoint) {
   EXPECT_EQ(s2.sweep[0].values.size(), 4u);
   // The round-tripped document still expands.
   EXPECT_EQ(ExpandSweep(s2).size(), 4u);
+}
+
+// Canonical-dump goldens: documents that together set every key of every
+// block, every topology kind and every event type to a non-default value,
+// plus an all-defaults one. Each X.dump is `hpccsim tests/dump_golden/X.json
+// --dump`; regenerate it that way only when the canonical form is meant to
+// change.
+TEST(Scenario, CanonicalDumpMatchesGolden) {
+  for (const char* name : {"defaults", "paper_scale", "fattree", "testbed",
+                           "star", "dumbbell"}) {
+    const std::string base = std::string("tests/dump_golden/") + name;
+    const std::string input = ReadSourceFile(base + ".json");
+    ASSERT_FALSE(input.empty()) << base;
+    const std::string dump =
+        ScenarioToJson(ParseScenarioText(input)).Dump(2) + "\n";
+    EXPECT_EQ(dump, ReadSourceFile(base + ".dump")) << base;
+    // The dump reads back to itself.
+    EXPECT_EQ(ScenarioToJson(ParseScenarioText(dump)).Dump(2) + "\n", dump)
+        << base;
+  }
+}
+
+// Splits a SchemaKeyPaths() entry into its block and key.
+std::pair<std::string, std::string> BlockAndKey(const std::string& path) {
+  const size_t dot = path.rfind('.');
+  if (dot == std::string::npos) return {"", path};
+  return {path.substr(0, dot), path.substr(dot + 1)};
+}
+
+TEST(Scenario, EveryKeyIsDocumented) {
+  const std::string doc = ReadSourceFile("docs/SCENARIO_FORMAT.md");
+  ASSERT_FALSE(doc.empty());
+  // A block's section runs from its "## " heading to the next heading.
+  const std::map<std::string, std::string> kSections = {
+      {"", "Top level"},         {"topology", "Topology"},
+      {"cc", "CC"},              {"workload", "Workload"},
+      {"events", "Event script"}, {"telemetry", "Telemetry"},
+      {"warm_start", "Warm start"}, {"hybrid", "Hybrid co-simulation"}};
+  const auto section = [&](const std::string& block) {
+    const std::string top = block.substr(0, block.find_first_of(".["));
+    const auto it = kSections.find(top);
+    if (it == kSections.end()) return std::string();
+    const size_t at = doc.find("\n## " + it->second + "\n");
+    if (at == std::string::npos) return std::string();
+    return doc.substr(at, doc.find("\n## ", at + 1) - at);
+  };
+  for (const std::string& path : SchemaKeyPaths()) {
+    const auto [block, key] = BlockAndKey(path);
+    const std::string text = section(block);
+    EXPECT_NE(text.find("`" + key + "`"), std::string::npos)
+        << path << " is not documented in its SCENARIO_FORMAT.md section";
+    // So is the variant a block belongs to: the topology kind, event type.
+    const size_t open = block.find('[');
+    if (open != std::string::npos) {
+      const std::string variant =
+          block.substr(open + 1, block.find(']') - open - 1);
+      EXPECT_NE(text.find("`" + variant + "`"), std::string::npos) << path;
+    }
+  }
+}
+
+// Adds the SchemaKeyPaths() form of every key in `obj`, a block at `path`.
+void CollectKeyPaths(const Json& obj, const std::string& path,
+                     std::set<std::string>* out) {
+  for (const auto& [key, value] : obj.members()) {
+    const std::string at = path.empty() ? key : path + "." + key;
+    out->insert(at);
+    if (value.is_object()) {
+      const Json* kind = value.Find("kind");
+      CollectKeyPaths(value, kind ? at + "[" + kind->AsString() + "]" : at,
+                      out);
+    } else if (value.is_array()) {
+      for (const Json& event : value.items()) {
+        CollectKeyPaths(event, at + "[" + event.Get("type").AsString() + "]",
+                        out);
+      }
+    }
+  }
+}
+
+TEST(Scenario, EveryKeyIsFuzzedOrExempt) {
+  std::set<std::string> fuzzed;
+  for (const bool faults : {false, true}) {
+    for (int i = 0; i < 200; ++i) {
+      CollectKeyPaths(check::GenerateScenarioDoc(42, i, faults), "", &fuzzed);
+    }
+  }
+  // Keys GenerateScenarioDoc never draws, each with its reason. This is the
+  // to-do list of the ROADMAP's "Fuzz every feature" item: a key leaves it
+  // when the generator learns to draw it.
+  const std::map<std::string, std::string> kExempt = {
+      {"description", "free text; no effect on a run"},
+      {"topology[fattree].paper_scale",
+       "a preset of sizes that are drawn directly"},
+      {"topology[fattree].host_gbps",
+       "fat-trees are drawn at the default rates"},
+      {"topology[fattree].fabric_gbps",
+       "fat-trees are drawn at the default rates"},
+      {"topology[fattree].link_delay_us",
+       "links are drawn at the default delay"},
+      {"topology[testbed].kind", "no testbed fabrics are drawn"},
+      {"topology[testbed].servers_per_pair", "no testbed fabrics are drawn"},
+      {"topology[testbed].host_gbps", "no testbed fabrics are drawn"},
+      {"topology[testbed].fabric_gbps", "no testbed fabrics are drawn"},
+      {"topology[testbed].link_delay_us", "no testbed fabrics are drawn"},
+      {"topology[star].kind", "no star fabrics are drawn"},
+      {"topology[star].hosts", "no star fabrics are drawn"},
+      {"topology[star].host_gbps", "no star fabrics are drawn"},
+      {"topology[star].link_delay_us", "no star fabrics are drawn"},
+      {"topology[dumbbell].link_delay_us",
+       "links are drawn at the default delay"},
+      {"cc.eta", "schemes are drawn at their default parameters"},
+      {"cc.wai_bytes", "schemes are drawn at their default parameters"},
+      {"cc.max_stage", "schemes are drawn at their default parameters"},
+      {"cc.expected_flows", "schemes are drawn at their default parameters"},
+      {"cc.alpha_fair", "schemes are drawn at their default parameters"},
+      {"workload.flow_class", "fluid flows need a hybrid block, never drawn"},
+      {"workload.trace_file", "no flow-trace files are generated"},
+      {"workload.incast.receiver", "periodic incasts keep the random receiver"},
+      {"workload.incast.flow_class",
+       "fluid flows need a hybrid block, never drawn"},
+      {"drain_factor", "runs keep the default drain horizon"},
+      {"shards", "covered by the fuzzer's shards=2 replay override"},
+      {"fastpath", "covered by the fuzzer's fastpath=off replay override"},
+      {"short_flow_bytes", "a reporting threshold; no effect on a run"},
+      {"telemetry", "fuzz runs force telemetry off"},
+      {"telemetry.manifest", "fuzz runs force telemetry off"},
+      {"telemetry.trace", "fuzz runs force telemetry off"},
+      {"telemetry.profile", "fuzz runs force telemetry off"},
+      {"telemetry.queue_tracks", "fuzz runs force telemetry off"},
+      {"telemetry.queue_track_points", "fuzz runs force telemetry off"},
+      {"telemetry.queue_sample_us", "fuzz runs force telemetry off"},
+      {"telemetry.flow_tracks", "fuzz runs force telemetry off"},
+      {"telemetry.flow_track_points", "fuzz runs force telemetry off"},
+      {"telemetry.flow_sample_us", "fuzz runs force telemetry off"},
+      {"telemetry.int_tracks", "fuzz runs force telemetry off"},
+      {"telemetry.int_track_points", "fuzz runs force telemetry off"},
+      {"warm_start", "covered by the fuzzer's warm replay, which injects it"},
+      {"warm_start.until_us",
+       "covered by the fuzzer's warm replay, which injects it"},
+      {"deadline_s", "a wall-clock limit would make runs nondeterministic"},
+      {"hybrid", "no hybrid blocks are drawn yet"},
+      {"hybrid.tick_us", "no hybrid blocks are drawn yet"},
+      {"events[incast].flow_class",
+       "fluid flows need a hybrid block, never drawn"},
+      {"sweep", "the fuzzer runs single points"},
+  };
+  const std::vector<std::string> schema = SchemaKeyPaths();
+  for (const std::string& path : schema) {
+    const bool exempt = kExempt.count(path) > 0;
+    if (fuzzed.count(path) > 0) {
+      EXPECT_FALSE(exempt) << path << " is fuzzed now: drop its exemption";
+    } else {
+      EXPECT_TRUE(exempt) << path << " is neither fuzzed nor exempt";
+    }
+  }
+  for (const auto& [path, reason] : kExempt) {
+    EXPECT_NE(std::find(schema.begin(), schema.end(), path), schema.end())
+        << path << " is not a schema key";
+  }
 }
 
 TEST(Scenario, LoadScenarioFileReportsMissingFile) {
