@@ -1,6 +1,6 @@
 // Shared helpers for the per-figure bench binaries: a tiny flag parser and
 // common report formatting. Every bench runs a scaled-down instance by
-// default (documented in EXPERIMENTS.md) and accepts:
+// default and accepts:
 //   --full            paper-scale topology / duration
 //   --duration-ms=N   workload horizon
 //   --seed=N

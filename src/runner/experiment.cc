@@ -140,33 +140,67 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   SetupLanes();
 }
 
-void Experiment::MakeSources(
-    sim::Simulator* sim, int lane,
-    std::vector<std::unique_ptr<workload::TrafficSource>>* out) {
-  // Install order is a determinism contract: Poisson, trace replay, incast.
-  // Warm checkpoints, lane replicas and StartWorkload all rely on it.
-  if (config_.load > 0) {
-    workload::FlowSink sink = [this, lane](uint32_t src, uint32_t dst,
-                                           uint64_t size, sim::TimePs start) {
-      AddWorkloadFlow(config_.flow_class, lane, src, dst, size, start);
-    };
+workload::FlowSink Experiment::Sink(workload::FlowClass flow_class,
+                                    int lane) {
+  return [this, flow_class, lane](uint32_t src, uint32_t dst, uint64_t size,
+                                  sim::TimePs start) {
+    AddWorkloadFlow(flow_class, lane, src, dst, size, start);
+  };
+}
+
+void Experiment::MakeSources(int lane) {
+  Lane& L = *lanes_[lane];
+  sim::Simulator* sim = L.sim;
+  const auto add_poisson = [&](double load, sim::TimePs start,
+                               sim::TimePs end, uint64_t seed,
+                               workload::FlowSink sink) {
     workload::PoissonOptions po;
-    po.load = config_.load;
+    po.load = load;
     // Per-host capacity counts all NIC ports (testbed hosts are dual-homed).
     const host::HostNode& h0 = topology_->host(hosts_.front());
-    po.host_bps = 0;
     for (int p = 0; p < h0.num_ports(); ++p) {
       po.host_bps += h0.port(p).bandwidth_bps();
     }
-    po.start = 0;
-    po.end = config_.duration;
+    po.start = start;
+    po.end = end;
     po.max_flows = config_.max_flows;
-    po.seed = config_.seed;
-    out->push_back(std::make_unique<workload::PoissonGenerator>(
+    po.seed = seed;
+    L.sources.push_back(std::make_unique<workload::PoissonGenerator>(
         sim, hosts_,
         config_.trace == "fbhadoop" ? workload::SizeCdf::FbHadoop()
                                     : workload::SizeCdf::WebSearch(),
-        po, sink));
+        po, std::move(sink)));
+  };
+  if (config_.load_phases.empty()) {
+    if (config_.load > 0) {
+      add_poisson(config_.load, 0, config_.duration, config_.seed,
+                  Sink(config_.flow_class, lane));
+    }
+  } else {
+    // Phase 0 is the configured load from t=0; each phase ends where the
+    // next one starts. Seed streams 2000+ are the phases.
+    std::vector<ExperimentConfig::LoadPhase> phases = {{0, config_.load}};
+    phases.insert(phases.end(), config_.load_phases.begin(),
+                  config_.load_phases.end());
+    // max_flows caps the phases together, as it caps the single background
+    // generator: every generator stops at the cap by itself, and the lane's
+    // shared counter drops the flows past it. Every lane replays the same
+    // draws, so the counters advance in lockstep.
+    workload::FlowSink capped = [this, lane](uint32_t src, uint32_t dst,
+                                            uint64_t size, sim::TimePs start) {
+      uint64_t& released = lanes_[lane]->phase_flows;
+      if (config_.max_flows > 0 && released >= config_.max_flows) return;
+      ++released;
+      AddWorkloadFlow(config_.flow_class, lane, src, dst, size, start);
+    };
+    for (size_t i = 0; i < phases.size(); ++i) {
+      const sim::TimePs end =
+          i + 1 < phases.size() ? phases[i + 1].start : config_.duration;
+      if (phases[i].load <= 0 || phases[i].start >= end) continue;
+      add_poisson(phases[i].load, phases[i].start,
+                  std::min(end, config_.duration),
+                  core::DeriveSeed(config_.seed, 2000 + i), capped);
+    }
   }
   if (trace_records_ != nullptr) {
     // Trace src/dst are indices into hosts() (stable across topologies);
@@ -179,21 +213,24 @@ void Experiment::MakeSources(
       AddWorkloadFlow(config_.flow_class, lane, hosts_[src], hosts_[dst], size,
                       start);
     };
-    out->push_back(std::make_unique<workload::TraceReplaySource>(
+    L.sources.push_back(std::make_unique<workload::TraceReplaySource>(
         sim, trace_records_, sink));
   }
   if (config_.incast) {
-    const workload::FlowClass fc = config_.incast_opts.flow_class;
-    workload::FlowSink sink = [this, lane, fc](uint32_t src, uint32_t dst,
-                                               uint64_t size,
-                                               sim::TimePs start) {
-      AddWorkloadFlow(fc, lane, src, dst, size, start);
-    };
     workload::IncastOptions io = config_.incast_opts;
     io.end = io.end == 0 ? config_.duration : io.end;
     io.seed = core::DeriveSeed(config_.seed, 7);
-    out->push_back(
-        std::make_unique<workload::IncastGenerator>(sim, hosts_, io, sink));
+    L.sources.push_back(std::make_unique<workload::IncastGenerator>(
+        sim, hosts_, io, Sink(io.flow_class, lane)));
+  }
+}
+
+void Experiment::AddIncastBurst(const workload::IncastOptions& options) {
+  for (int i = 0; i < config_.shards; ++i) {
+    Lane& lane = *lanes_[i];
+    lane.sources.push_back(std::make_unique<workload::IncastGenerator>(
+        lane.sim, hosts_, options, Sink(options.flow_class, i)));
+    lane.sources.back()->Start();
   }
 }
 
@@ -285,9 +322,8 @@ void Experiment::SetupLanes() {
   // seeds over ALL hosts; AddFlowOnLane keeps only the flows the lane owns,
   // while phantom draws still consume the lane's flow-id counter, so ids
   // match shards=1 creation order exactly.
-  for (int i = 0; i < n; ++i) {
-    MakeSources(lanes_[i]->sim, i, &lanes_[i]->sources);
-  }
+  for (int i = 0; i < n; ++i) MakeSources(i);
+  configured_sources_ = lanes_[0]->sources.size();
 }
 
 void Experiment::RequireOneLane(const char* surface) const {
@@ -596,7 +632,7 @@ ExperimentResult Experiment::Run() {
 
 void Experiment::StartWorkload() {
   for (auto& lp : lanes_) {
-    for (auto& src : lp->sources) src->Start();
+    for (size_t i = 0; i < configured_sources_; ++i) lp->sources[i]->Start();
     StartQueueMonitor(*lp);
   }
 }
@@ -606,8 +642,15 @@ ExperimentResult Experiment::FinishRun() {
   return Collect();
 }
 
-bool Experiment::QuiescentForWarmCheckpoint(size_t external_pending) {
+std::unique_ptr<Experiment::WarmState> Experiment::RunToWarmCheckpoint(
+    sim::TimePs t) {
   RequireOneLane("warm checkpoints");
+  simulator_->Run(t, /*until_seq=*/0);
+  if (!QuiescentForWarmCheckpoint(t)) return nullptr;
+  return CaptureWarmState();
+}
+
+bool Experiment::QuiescentForWarmCheckpoint(sim::TimePs t) const {
   // Hybrid runs are always cold: the fluid engine's continuous link/window
   // state has no warm capture surface.
   if (fluid_ != nullptr) return false;
@@ -628,20 +671,21 @@ bool Experiment::QuiescentForWarmCheckpoint(size_t external_pending) {
     if (topology_->host(h).pending_wake_count() != 0) return false;
   }
   if (lane.pfc->has_open_pauses()) return false;
-  // Every pending event must be accounted for: the caller's external events
-  // (link script, scenario-installed generators), this experiment's own
-  // generators, and the queue-monitor tick. Anything else — an RTO, a CC
-  // timer — means live protocol state we cannot capture.
-  size_t expected = external_pending;
+  // Every pending event must be accounted for: the link-script markers not
+  // yet reached, the sources' own next steps, and the queue-monitor tick.
+  // Anything else — an RTO, a CC timer — means live protocol state we
+  // cannot capture.
+  size_t expected = lane.queue_monitor->tick_pending() ? 1 : 0;
+  for (const Lane::Mark& m : lane.marks) {
+    if (m.at >= t) ++expected;
+  }
   for (const auto& src : lane.sources) {
     if (src->warm_pending()) ++expected;
   }
-  if (lane.queue_monitor->tick_pending()) ++expected;
   return simulator_->pending_events() == expected;
 }
 
-std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
-  RequireOneLane("warm checkpoints");
+std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() const {
   const Lane& lane = *lanes_[0];
   auto w = std::make_unique<WarmState>();
   const sim::TimePs now = simulator_->now();
@@ -678,11 +722,11 @@ std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() {
       w->sources[i] = lane.sources[i]->CaptureWarm();
     }
   }
+  w->phase_flows = lane.phase_flows;
   return w;
 }
 
-bool Experiment::ValidateWarmState(const WarmState& w) {
-  RequireOneLane("warm checkpoints");
+bool Experiment::ValidateWarmState(const WarmState& w) const {
   const Lane& lane = *lanes_[0];
   if (!lane.queue_monitor_started) return false;
   if (w.fct == nullptr) return false;
@@ -700,6 +744,7 @@ bool Experiment::ValidateWarmState(const WarmState& w) {
 }
 
 bool Experiment::RestoreWarmState(const WarmState& w) {
+  RequireOneLane("warm checkpoints");
   // Validate the structural match completely before touching anything, so a
   // mismatch leaves this experiment cold-runnable.
   if (!ValidateWarmState(w)) return false;
@@ -709,6 +754,7 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   for (size_t i = 0; i < w.sources.size(); ++i) {
     if (w.sources[i].has_value()) lane.sources[i]->RestoreWarm(*w.sources[i]);
   }
+  lane.phase_flows = w.phase_flows;
   lane.queue_monitor->RestoreWarm(w.queue);
   lane.pfc->RestoreWarm(w.pfc);
   for (size_t i = 0; i < w.switches.size(); ++i) {

@@ -64,12 +64,21 @@ struct ExperimentConfig {
   double load = 0.0;
   std::string trace = "websearch";  // "websearch" | "fbhadoop"
   uint64_t max_flows = 0;
+  // Scripted background-load phases (a scenario's load_phase events), in
+  // time order. When present they replace the single background generator:
+  // `load` is phase 0 from t=0, each phase runs until the next one starts
+  // (or `duration`), and max_flows caps the phases' flows together.
+  struct LoadPhase {
+    sim::TimePs start = 0;
+    double load = 0;
+  };
+  std::vector<LoadPhase> load_phases;
   // Incast add-on (Fig. 11a's "30% + incast").
   bool incast = false;
   workload::IncastOptions incast_opts;
-  // Transport engine for background flows — the Poisson generator, trace
-  // replay, and scenario load phases (incast bursts carry their own class in
-  // incast_opts.flow_class). kFluid requires hybrid.enabled.
+  // Transport engine for background flows — the Poisson generator or the
+  // load phases, and trace replay (incast generators carry their own class
+  // in IncastOptions::flow_class). kFluid requires hybrid.enabled.
   workload::FlowClass flow_class = workload::FlowClass::kPacket;
   // Flow-trace replay source (workload/trace_replay.h); empty = none.
   std::string trace_file;
@@ -185,6 +194,12 @@ class Experiment {
   host::Flow* AddReadFlow(uint32_t requester, uint32_t responder,
                           uint64_t bytes, sim::TimePs start);
 
+  // Adds a scripted one-shot incast burst (a scenario's incast event) to
+  // every lane's sources and starts it at once, so its schedule seq is drawn
+  // in script order with the link markers. `options` carries the burst's
+  // time, seed and flow class.
+  void AddIncastBurst(const workload::IncastOptions& options);
+
   // Schedules a link_down/link_up script event: installs a no-op barrier
   // marker in every lane (consuming exactly one tie-break seq) and records
   // the event for the round loop's coordinator, which applies
@@ -195,27 +210,28 @@ class Experiment {
   // Runs generators + simulation, drains, and collects metrics.
   ExperimentResult Run();
   // The two halves of Run, split so the warm-start runner can pause between
-  // them: StartWorkload starts every lane's generators and queue monitor
-  // (drawing the same schedule seqs a plain Run would); FinishRun executes
-  // to the workload horizon, drains, and collects. Run == StartWorkload +
-  // FinishRun.
+  // them: StartWorkload starts every lane's configured sources (the Poisson
+  // generator or the load phases, trace replay, the workload incast) and
+  // its queue monitor, drawing the same schedule seqs a plain Run would;
+  // FinishRun executes to the workload horizon, drains, and collects.
+  // Run == StartWorkload + FinishRun.
   void StartWorkload();
   ExperimentResult FinishRun();
   // Lower-level: run every lane to `until` without draining, applying
   // scripted link events at their barriers (micro benches drive this
-  // directly after AddFlow). Starts the queue monitors, not the generators.
+  // directly after AddFlow). Starts the queue monitors, not the configured
+  // sources (incast bursts start when added).
   void RunUntil(sim::TimePs until);
   ExperimentResult Collect();
 
   // --- Warm checkpoint/restore (warm-start sweeps) -----------------------
   // A warm checkpoint captures the full mutable simulation state at a
   // *quiescent* instant T: every flow complete, every queue empty, no pause
-  // open, and no pending event beyond the self-schedules of the generators,
-  // the queue-monitor tick, and `external_pending` caller-owned events
-  // (link-script events and scenario-installed generators, all at >= T).
-  // Restoring into a freshly built, identically configured experiment then
-  // reproduces the checkpointing run's state exactly — same RNG engines,
-  // counters, pending (time, seq) pairs — so the continued run is
+  // open, and no pending event beyond the self-schedules of the lane's
+  // traffic sources, the queue-monitor tick and the link-script markers at
+  // >= T. Restoring into a freshly built, identically configured experiment
+  // then reproduces the checkpointing run's state exactly — same RNG
+  // engines, counters, pending (time, seq) pairs — so the continued run is
   // byte-identical to one that simulated [0, T) itself. Anything pending
   // that this accounting can't explain (a CC timer, an RTO) makes the
   // instant non-quiescent and the caller falls back to a cold run. Warm
@@ -245,28 +261,28 @@ class Experiment {
     std::vector<net::SwitchNode::WarmState> switches;  // switches() order
     std::vector<net::Port::WarmCounters> ports;  // node asc, then port asc
     std::vector<host::HostNode::WarmCounters> hosts;   // hosts() order
-    // One slot per workload TrafficSource, install order (Poisson, trace
-    // replay, incast — whichever the config enables). Engaged iff the
-    // source was captured (its first activity predates T); a source whose
-    // schedule starts at or beyond T is left alone on restore — its own
-    // install-time schedule already matches. The vector size doubles as the
-    // structural echo restore validation checks.
-    std::vector<std::optional<workload::GenWarmState>> sources;
+    // One slot per lane source, in lane order (configured sources, then
+    // incast bursts in script order). Engaged iff the source's first
+    // activity predates T; a source that starts at or beyond T is left
+    // alone on restore, because its own install-time schedule already
+    // matches (grid points sharing a checkpoint may differ in those
+    // sources' parameters). The vector size doubles as the structural echo
+    // restore validation checks.
+    std::vector<std::optional<workload::TrafficSource::WarmState>> sources;
+    uint64_t phase_flows = 0;  // Lane::phase_flows
   };
 
-  // True when the current instant satisfies the quiescence contract above.
-  bool QuiescentForWarmCheckpoint(size_t external_pending);
-  std::unique_ptr<WarmState> CaptureWarmState();
-  // True when `w` structurally matches this experiment (same generator
-  // presence, node/port/host counts, non-regressed clock). Mutates nothing —
-  // callers that restore external state of their own (scenario-installed
-  // generators) check this before touching anything.
-  bool ValidateWarmState(const WarmState& w);
-  // Validates, then restores every captured piece and jumps the simulator
-  // clock/counters to T. Returns false (mutating nothing) on a structural
-  // mismatch — the caller runs cold. Call after StartWorkload, before any
-  // Run: the pre-T self-schedules this experiment drew are cancelled and
-  // replaced by the checkpoint's captured (time, seq) events.
+  // Call after StartWorkload: runs lane 0 up to T (events at exactly T stay
+  // pending) and captures the warm state there. Returns null when T is not
+  // quiescent; the run can carry on either way.
+  std::unique_ptr<WarmState> RunToWarmCheckpoint(sim::TimePs t);
+  // Validates that `w` structurally matches this experiment (same source
+  // count, node/port/host counts, non-regressed clock), then restores every
+  // captured piece and jumps the simulator clock/counters to T. Returns
+  // false (mutating nothing) on a mismatch — the caller runs cold. Call
+  // after StartWorkload, before any Run: the pre-T self-schedules this
+  // experiment drew are cancelled and replaced by the checkpoint's captured
+  // (time, seq) events.
   bool RestoreWarmState(const WarmState& w);
 
   sim::Simulator& simulator() { return *simulator_; }
@@ -335,9 +351,12 @@ class Experiment {
     std::unique_ptr<stats::QueueMonitor> queue_monitor;
     bool queue_monitor_started = false;
     std::unique_ptr<stats::PfcMonitor> pfc;
-    // Lane-replicated workload sources, install order (Poisson, trace
-    // replay, incast).
+    // Lane-replicated traffic sources: the configured ones (Poisson or load
+    // phases, trace replay, incast), then incast bursts as they are added.
     std::vector<std::unique_ptr<workload::TrafficSource>> sources;
+    // Flows the load phases released, against their shared max_flows cap.
+    // Phases run one after another in sim time, so one counter serves them.
+    uint64_t phase_flows = 0;
     uint64_t next_flow_id = 1;
     std::vector<host::Flow*> flow_ptrs;  // lane-owned flows, creation order
     uint64_t flows_completed = 0;
@@ -354,10 +373,12 @@ class Experiment {
   // Partitions the fabric into config.shards lanes and gives each its
   // simulator, monitors, completion wiring and replicated sources.
   void SetupLanes();
-  // Builds the configured TrafficSources (install order: Poisson, trace
-  // replay, incast) emitting into lane `lane` of `sim`.
-  void MakeSources(sim::Simulator* sim, int lane,
-                   std::vector<std::unique_ptr<workload::TrafficSource>>* out);
+  // Builds the configured TrafficSources of lane `lane`. Their order is a
+  // determinism contract (StartWorkload draws their seqs in it): the
+  // Poisson generator or the load phases, trace replay, incast.
+  void MakeSources(int lane);
+  // The sink of a lane source: AddWorkloadFlow on `lane` with `flow_class`.
+  workload::FlowSink Sink(workload::FlowClass flow_class, int lane);
   // Builds a packet flow with its CC instance on `lane`'s simulator and
   // lists it in the lane's flows; the caller hands it to the source host.
   std::unique_ptr<host::Flow> NewFlow(Lane& lane, const host::FlowSpec& spec);
@@ -368,6 +389,10 @@ class Experiment {
   // `surface` when shards > 1.
   void RequireOneLane(const char* surface) const;
   void StartQueueMonitor(Lane& lane);
+  // Warm-checkpoint helpers behind RunToWarmCheckpoint / RestoreWarmState.
+  bool QuiescentForWarmCheckpoint(sim::TimePs t) const;
+  std::unique_ptr<WarmState> CaptureWarmState() const;
+  bool ValidateWarmState(const WarmState& w) const;
   // The barrier-round loop behind every run mode: runs all lanes to
   // `until`, applying script events at barriers; with `drain`, continues in
   // 1 ms chunks until every flow settles or the drain cap is reached. A
@@ -402,6 +427,7 @@ class Experiment {
 
   topo::Partition partition_;
   std::vector<std::unique_ptr<Lane>> lanes_;          // config.shards, >= 1
+  size_t configured_sources_ = 0;  // per lane: the sources MakeSources built
   std::vector<std::vector<uint32_t>> lane_node_ids_;  // sized shards
   std::vector<ScriptEvent> script_;                   // install order
 };

@@ -264,98 +264,35 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
       session = std::make_unique<obs::TelemetrySession>(tcfg, regs, e.get());
       session->Start();
     }
-    InstalledEvents events = InstallEvents(*e, run.scenario);
+    InstallEvents(*e, run.scenario);
     {
       obs::PhaseTimer run_timer(&phases.run_s);
+      // Run() is StartWorkload + FinishRun; a warm run pauses between the
+      // two, after drawing the schedule seqs every role draws alike.
+      e->StartWorkload();
       if (warm_pending) {
         // Checkpoint builder: simulate [0, T), capture at the quiescent
         // instant, publish (unblocking every member while this run keeps
         // going), then finish normally.
-        e->StartWorkload();
-        e->simulator().Run(warm_until, 0);
-        // Caller-owned pendings the quiescence accounting must explain: the
-        // link script (all at >= T — checked above) and the installed
-        // generators' own next schedules.
-        size_t external = 0;
-        for (const ScenarioEvent& ev : run.scenario.events) {
-          if (ev.kind == ScenarioEvent::Kind::kLinkDown ||
-              ev.kind == ScenarioEvent::Kind::kLinkUp) {
-            ++external;
-          }
-        }
-        for (const auto& g : events.phases) {
-          if (g->warm_pending()) ++external;
-        }
-        for (const auto& g : events.bursts) {
-          if (g->warm_pending()) ++external;
-        }
-        if (e->QuiescentForWarmCheckpoint(external)) {
-          auto cp = std::make_shared<WarmCheckpoint>();
-          std::unique_ptr<runner::Experiment::WarmState> st =
-              e->CaptureWarmState();
+        std::shared_ptr<WarmCheckpoint> cp;
+        if (auto st = e->RunToWarmCheckpoint(warm_until)) {
+          cp = std::make_shared<WarmCheckpoint>();
           cp->state = std::move(*st);
-          for (const auto& g : events.phases) {
-            cp->phases.push_back(
-                g->first_activity() < warm_until
-                    ? std::optional<workload::GenWarmState>(g->CaptureWarm())
-                    : std::nullopt);
-          }
-          for (const auto& g : events.bursts) {
-            cp->bursts.push_back(
-                g->first_activity() < warm_until
-                    ? std::optional<workload::GenWarmState>(g->CaptureWarm())
-                    : std::nullopt);
-          }
-          for (const auto& c : events.background_flows) {
-            cp->background_flows.push_back(*c);
-          }
           if (session != nullptr) cp->counters = session->counters();
-          warm_promise.set_value(std::move(cp));
           out.warm_built = true;
-        } else {
-          warm_promise.set_value(nullptr);
         }
+        warm_promise.set_value(std::move(cp));
         warm_pending = false;
-        out.result = e->FinishRun();
       } else if (warm_future.valid()) {
-        // Member: adopt the builder's checkpoint if it materialized. Any
-        // null/mismatch path degenerates to the exact cold execution.
+        // Member: adopt the builder's checkpoint if it materialized. A null
+        // or mismatching checkpoint mutates nothing: the run stays cold.
         std::shared_ptr<const WarmCheckpoint> cp = warm_future.get();
-        if (cp != nullptr && cp->phases.size() == events.phases.size() &&
-            cp->bursts.size() == events.bursts.size() &&
-            cp->background_flows.size() == events.background_flows.size()) {
-          // Same start order as a cold run, so this experiment draws the
-          // same schedule seqs the builder drew before its checkpoint.
-          e->StartWorkload();
-          if (e->ValidateWarmState(cp->state)) {
-            // Installed generators before RestoreWarmState: their pre-T
-            // self-schedules must be cancelled and replaced while the clock
-            // is still pre-T (RestoreWarmState jumps it last).
-            for (size_t i = 0; i < events.phases.size(); ++i) {
-              if (cp->phases[i].has_value()) {
-                events.phases[i]->RestoreWarm(*cp->phases[i]);
-              }
-            }
-            for (size_t i = 0; i < events.bursts.size(); ++i) {
-              if (cp->bursts[i].has_value()) {
-                events.bursts[i]->RestoreWarm(*cp->bursts[i]);
-              }
-            }
-            for (size_t i = 0; i < events.background_flows.size(); ++i) {
-              *events.background_flows[i] = cp->background_flows[i];
-            }
-            if (session != nullptr) session->RestoreCounters(cp->counters);
-            out.warm_restored = e->RestoreWarmState(cp->state);
-          }
-          // Restored: continues from T. Not restored: nothing was mutated,
-          // and StartWorkload + FinishRun is exactly Run().
-          out.result = e->FinishRun();
-        } else {
-          out.result = e->Run();
+        if (cp != nullptr && e->RestoreWarmState(cp->state)) {
+          out.warm_restored = true;
+          if (session != nullptr) session->RestoreCounters(cp->counters);
         }
-      } else {
-        out.result = e->Run();
       }
+      out.result = e->FinishRun();
     }
     if (e->deadline_exceeded()) {
       // The partial metrics stay in out.result for callers that want them,

@@ -30,16 +30,11 @@
 namespace hpcc::scenario {
 
 // One warm checkpoint (see runner::Experiment's warm surface): the
-// experiment-level state plus the state of every scenario-installed
-// generator (install order, engaged iff its activity predates the
-// checkpoint), the per-lane background-flow cap counters, and the telemetry
+// experiment's state, every traffic source included, plus the telemetry
 // counter baseline. Immutable once published; shared across the grid points
 // whose WarmFingerprint matches.
 struct WarmCheckpoint {
   runner::Experiment::WarmState state;
-  std::vector<std::optional<workload::GenWarmState>> phases;
-  std::vector<std::optional<workload::GenWarmState>> bursts;
-  std::vector<uint64_t> background_flows;
   obs::TelemetryCounters counters;
 };
 

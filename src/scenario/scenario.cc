@@ -927,33 +927,21 @@ runner::ExperimentConfig MakeExperimentConfig(const Scenario& s) {
   runner::ExperimentConfig cfg = s.config;
   for (const ScenarioEvent& ev : s.events) {
     if (ev.kind == ScenarioEvent::Kind::kLoadPhase) {
-      // Phase generators (including phase 0) are owned by InstallEvents.
-      cfg.load = 0;
-      break;
+      cfg.load_phases.push_back({ev.at, ev.load});
     }
   }
+  std::stable_sort(cfg.load_phases.begin(), cfg.load_phases.end(),
+                   [](const runner::ExperimentConfig::LoadPhase& a,
+                      const runner::ExperimentConfig::LoadPhase& b) {
+                     return a.start < b.start;
+                   });
   return cfg;
 }
 
-InstalledEvents InstallEvents(runner::Experiment& e, const Scenario& s) {
-  InstalledEvents out;
+void InstallEvents(runner::Experiment& e, const Scenario& s) {
   topo::Topology& topology = e.topology();
-  // Every generator is replicated in every lane (same seeds, all hosts, the
-  // lane's own event arena); AddFlowOnLane keeps only the flows a lane owns
-  // while consuming its flow-id counter for the rest, so ids and draws match
-  // the shards=1 run exactly. The inner per-lane loops preserve the one-lane
-  // install order within each lane.
-  const int shards = e.shards();
   const size_t num_links = topology.links().size();
   const size_t num_hosts = e.hosts().size();
-
-  // Load phases, in time order. Phase 0 is the configured workload.load
-  // starting at t=0; each load_phase event ends the previous phase.
-  struct Phase {
-    sim::TimePs start;
-    double load;
-  };
-  std::vector<Phase> phases;
   size_t incast_index = 0;
   size_t corrupt_index = 0;
   for (const ScenarioEvent& ev : s.events) {
@@ -987,23 +975,11 @@ InstalledEvents InstallEvents(runner::Experiment& e, const Scenario& s) {
         // incast events; 2000+ are load phases; 3000+ are corruption
         // windows; 7 is the workload incast.
         io.seed = core::DeriveSeed(s.config.seed, 1000 + incast_index++);
-        for (int lane = 0; lane < shards; ++lane) {
-          const workload::FlowClass fc = io.flow_class;
-          workload::FlowSink sink = [&e, lane, fc](uint32_t src, uint32_t dst,
-                                                   uint64_t size,
-                                                   sim::TimePs start) {
-            e.AddWorkloadFlow(fc, lane, src, dst, size, start);
-          };
-          auto gen = std::make_unique<workload::IncastGenerator>(
-              &e.lane_simulator(lane), e.hosts(), io, std::move(sink));
-          gen->Start();
-          out.bursts.push_back(std::move(gen));
-        }
+        e.AddIncastBurst(io);
         break;
       }
       case ScenarioEvent::Kind::kLoadPhase:
-        phases.push_back(Phase{ev.at, ev.load});
-        break;
+        break;  // MakeExperimentConfig hands the phases to the Experiment
       case ScenarioEvent::Kind::kSwitchDown:
       case ScenarioEvent::Kind::kSwitchUp:
       case ScenarioEvent::Kind::kNicDown:
@@ -1072,67 +1048,6 @@ InstalledEvents InstallEvents(runner::Experiment& e, const Scenario& s) {
       }
     }
   }
-
-  if (!phases.empty()) {
-    std::stable_sort(phases.begin(), phases.end(),
-                     [](const Phase& a, const Phase& b) {
-                       return a.start < b.start;
-                     });
-    phases.insert(phases.begin(), Phase{0, s.config.load});
-
-    // Aggregate NIC rate of one host (testbed hosts are dual-homed), matching
-    // the Experiment's own load accounting.
-    const host::HostNode& h0 = topology.host(e.hosts().front());
-    int64_t host_bps = 0;
-    for (int p = 0; p < h0.num_ports(); ++p) {
-      host_bps += h0.port(p).bandwidth_bps();
-    }
-    const workload::SizeCdf cdf = s.config.trace == "fbhadoop"
-                                      ? workload::SizeCdf::FbHadoop()
-                                      : workload::SizeCdf::WebSearch();
-    // max_flows caps the whole background workload, not each phase — same
-    // meaning as in a phase-less scenario. One counter per lane, shared
-    // across that lane's phase sinks (phases run sequentially in sim time);
-    // every lane replays the same draws, so the counters advance in lockstep
-    // and the cap cuts at the same flow in every lane.
-    for (int lane = 0; lane < shards; ++lane) {
-      out.background_flows.push_back(std::make_shared<uint64_t>(0));
-    }
-    const std::vector<std::shared_ptr<uint64_t>>& background_flows =
-        out.background_flows;
-    const uint64_t max_flows = s.config.max_flows;
-    for (size_t i = 0; i < phases.size(); ++i) {
-      const sim::TimePs end =
-          i + 1 < phases.size() ? phases[i + 1].start : s.config.duration;
-      if (phases[i].load <= 0 || phases[i].start >= end) continue;
-      workload::PoissonOptions po;
-      po.load = phases[i].load;
-      po.host_bps = host_bps;
-      po.start = phases[i].start;
-      po.end = std::min(end, s.config.duration);
-      po.max_flows = max_flows;  // per-generator bound; sink enforces global
-      po.seed = core::DeriveSeed(s.config.seed, 2000 + i);
-      for (int lane = 0; lane < shards; ++lane) {
-        // Phase flows ride the workload's configured engine class, exactly
-        // like the phase-less background generator would.
-        const workload::FlowClass fc = s.config.flow_class;
-        workload::FlowSink sink = [&e, lane, fc,
-                                   counter = background_flows[lane],
-                                   max_flows](uint32_t src, uint32_t dst,
-                                              uint64_t size,
-                                              sim::TimePs start) {
-          if (max_flows > 0 && *counter >= max_flows) return;
-          ++*counter;
-          e.AddWorkloadFlow(fc, lane, src, dst, size, start);
-        };
-        auto gen = std::make_unique<workload::PoissonGenerator>(
-            &e.lane_simulator(lane), e.hosts(), cdf, po, std::move(sink));
-        gen->Start();
-        out.phases.push_back(std::move(gen));
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace hpcc::scenario

@@ -22,7 +22,6 @@
 // cross product of all axes in declaration order.
 #pragma once
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -156,9 +155,9 @@ bool MutatesTopology(const Scenario& s);
 // expanded events nor the corruption RNG streams.
 bool HasFaultEvents(const Scenario& s);
 
-// ExperimentConfig for one run. When the event script contains load phases
-// the built-in background generator is disabled (InstallEvents owns all
-// phase generators, including phase 0 from the configured load).
+// ExperimentConfig for one run: the parsed config plus the script's load
+// phases, time-sorted (equal times keep script order), which the Experiment
+// builds in place of its single background generator.
 runner::ExperimentConfig MakeExperimentConfig(const Scenario& s);
 
 // FNV-1a digest of the canonical topology block: the key sweep runs share a
@@ -174,23 +173,13 @@ uint64_t FabricSignature(const Scenario& s);
 // install-time draw pattern) — so one warm checkpoint serves both.
 uint64_t WarmFingerprint(const Scenario& s);
 
-// Generators created by the event script; must outlive the run.
-// `phases` and `bursts` are install-ordered, so two experiments built from
-// the same scenario align element-wise — the warm-start runner relies on
-// this to carry generator state from a checkpointing run into a restored
-// one. `background_flows` holds the per-lane shared flow counters the phase
-// sinks use to enforce the global max_flows cap (empty without load phases);
-// warm restore must carry their values too.
-struct InstalledEvents {
-  std::vector<std::unique_ptr<workload::PoissonGenerator>> phases;
-  std::vector<std::unique_ptr<workload::IncastGenerator>> bursts;
-  std::vector<std::shared_ptr<uint64_t>> background_flows;
-};
-
-// Schedules the scenario's timed events onto a freshly-built experiment:
-// link_down/link_up drive Topology::SetLinkUp (routes recompute), incast
-// events start one-shot bursts, load phases start windowed Poisson
-// generators. Validates link indices against the live topology.
-InstalledEvents InstallEvents(runner::Experiment& e, const Scenario& s);
+// Schedules the scenario's timed events onto a freshly-built experiment,
+// in script order: link_down/link_up install the Experiment's link-script
+// markers (routes recompute at their barriers), switch/NIC events expand to
+// the link events of their node, corrupt events arm corruption windows, and
+// each incast event becomes one Experiment::AddIncastBurst. Load phases are
+// not events here: MakeExperimentConfig carries them. Validates link,
+// switch and host indices against the live topology (ScenarioError).
+void InstallEvents(runner::Experiment& e, const Scenario& s);
 
 }  // namespace hpcc::scenario

@@ -15,50 +15,12 @@ QueueMonitor::QueueMonitor(sim::Simulator* simulator,
     : simulator_(simulator),
       topology_(topology),
       interval_(interval),
-      switches_(std::move(switches)) {}
+      switches_(std::move(switches)),
+      tick_(simulator, [this](int) { Sample(); }) {}
 
 void QueueMonitor::Start(sim::TimePs until) {
   until_ = until;
-  ScheduleTick(simulator_->now() + interval_);
-}
-
-void QueueMonitor::ScheduleTick(sim::TimePs at) {
-  tick_pending_ = true;
-  tick_at_ = at;
-  tick_seq_ = simulator_->next_schedule_seq();
-  tick_event_ = simulator_->ScheduleAt(at, [this]() {
-    tick_pending_ = false;
-    Sample();
-  });
-}
-
-QueueMonitor::WarmState QueueMonitor::CaptureWarm() const {
-  WarmState w;
-  w.dist = dist_;
-  w.max_seen = max_seen_;
-  w.until = until_;
-  w.tick_pending = tick_pending_;
-  w.tick_at = tick_at_;
-  w.tick_seq = tick_seq_;
-  return w;
-}
-
-void QueueMonitor::RestoreWarm(const WarmState& w) {
-  if (tick_pending_) {
-    simulator_->Cancel(tick_event_);
-    tick_pending_ = false;
-  }
-  dist_ = w.dist;
-  max_seen_ = w.max_seen;
-  until_ = w.until;
-  if (!w.tick_pending) return;
-  tick_pending_ = true;
-  tick_at_ = w.tick_at;
-  tick_seq_ = w.tick_seq;
-  tick_event_ = simulator_->ScheduleAtSeq(w.tick_at, w.tick_seq, [this]() {
-    tick_pending_ = false;
-    Sample();
-  });
+  tick_.Schedule(kTick, simulator_->now() + interval_);
 }
 
 void QueueMonitor::Sample() {
@@ -71,7 +33,7 @@ void QueueMonitor::Sample() {
     }
   }
   if (simulator_->now() + interval_ <= until_) {
-    ScheduleTick(simulator_->now() + interval_);
+    tick_.Schedule(kTick, simulator_->now() + interval_);
   }
 }
 

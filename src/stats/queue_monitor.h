@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/restorable_event.h"
 #include "sim/simulator.h"
 #include "stats/percentile.h"
 #include "stats/timeseries.h"
@@ -45,20 +46,26 @@ class QueueMonitor {
     PercentileTracker dist;
     int64_t max_seen = 0;
     sim::TimePs until = 0;
-    bool tick_pending = false;
-    sim::TimePs tick_at = 0;
-    uint64_t tick_seq = 0;
+    sim::RestorableEvent::State tick;
   };
-  bool tick_pending() const { return tick_pending_; }
-  WarmState CaptureWarm() const;
+  bool tick_pending() const { return tick_.pending(); }
+  WarmState CaptureWarm() const {
+    return {dist_, max_seen_, until_, tick_.Capture()};
+  }
   // Cancels this monitor's own pending tick and replays the captured one.
   // The monitor must already be Start()ed (so the cold and warm runs drew
   // the same install-time seq).
-  void RestoreWarm(const WarmState& w);
+  void RestoreWarm(const WarmState& w) {
+    tick_.Restore(w.tick);
+    dist_ = w.dist;
+    max_seen_ = w.max_seen;
+    until_ = w.until;
+  }
 
  private:
+  static constexpr int kTick = 1;  // the monitor's one RestorableEvent step
+
   void Sample();
-  void ScheduleTick(sim::TimePs at);
 
   sim::Simulator* simulator_;
   topo::Topology* topology_;
@@ -67,10 +74,7 @@ class QueueMonitor {
   std::vector<uint32_t> switches_;
   PercentileTracker dist_;
   int64_t max_seen_ = 0;
-  bool tick_pending_ = false;
-  sim::TimePs tick_at_ = 0;
-  uint64_t tick_seq_ = 0;
-  sim::EventId tick_event_ = sim::kInvalidEvent;
+  sim::RestorableEvent tick_;
 };
 
 // Time series of one specific port's data queue (Fig. 6 / 13b).

@@ -8,12 +8,11 @@ PoissonGenerator::PoissonGenerator(sim::Simulator* simulator,
                                    std::vector<uint32_t> hosts, SizeCdf cdf,
                                    const PoissonOptions& options,
                                    FlowSink sink)
-    : simulator_(simulator),
+    : TrafficSource(simulator, options.seed),
       hosts_(std::move(hosts)),
       cdf_(std::move(cdf)),
       options_(options),
-      sink_(std::move(sink)),
-      rng_(options.seed) {
+      sink_(std::move(sink)) {
   assert(hosts_.size() >= 2);
   assert(options_.host_bps > 0);
   // Flow arrival rate lambda = load * aggregate_host_bps / (8 * mean_size).
@@ -28,128 +27,40 @@ PoissonGenerator::PoissonGenerator(sim::Simulator* simulator,
   assert(mean_gap_ > 0);
 }
 
-void PoissonGenerator::Start() { ScheduleKickoff(options_.start); }
-
-void PoissonGenerator::ScheduleKickoff(sim::TimePs at) {
-  pending_kind_ = GenWarmState::kKickoff;
-  pending_at_ = at;
-  pending_seq_ = simulator_->next_schedule_seq();
-  pending_event_ = simulator_->ScheduleAt(at, [this]() {
-    pending_kind_ = GenWarmState::kNone;
-    ScheduleNext();
-  });
-}
-
 void PoissonGenerator::ScheduleNext() {
   const sim::TimePs gap = static_cast<sim::TimePs>(
       rng_.Exponential(static_cast<double>(mean_gap_)));
   const sim::TimePs at = simulator_->now() + std::max<sim::TimePs>(1, gap);
   if (options_.end > 0 && at > options_.end) return;
   if (options_.max_flows > 0 && emitted_ >= options_.max_flows) return;
-  pending_kind_ = GenWarmState::kEmit;
-  pending_at_ = at;
-  pending_seq_ = simulator_->next_schedule_seq();
-  pending_event_ = simulator_->ScheduleAt(at, [this]() {
-    pending_kind_ = GenWarmState::kNone;
-    Emit();
-  });
+  Schedule(kEmit, at);
 }
 
-GenWarmState PoissonGenerator::CaptureWarm() const {
-  GenWarmState w;
-  w.pending_kind = pending_kind_;
-  w.pending_at = pending_at_;
-  w.pending_seq = pending_seq_;
-  w.rng = rng_;
-  w.count = emitted_;
-  return w;
-}
-
-void PoissonGenerator::RestoreWarm(const GenWarmState& w) {
-  if (pending_kind_ != GenWarmState::kNone) {
-    simulator_->Cancel(pending_event_);
-    pending_kind_ = GenWarmState::kNone;
+// The kickoff only draws the first gap; an emission releases one flow
+// between a random host pair, then draws the next gap.
+void PoissonGenerator::Fire(int step) {
+  if (step == kEmit) {
+    const size_t si = rng_.Index(hosts_.size());
+    size_t di = rng_.Index(hosts_.size() - 1);
+    if (di >= si) ++di;
+    const uint64_t size = cdf_.Sample(rng_);
+    ++emitted_;
+    sink_(hosts_[si], hosts_[di], size, simulator_->now());
   }
-  rng_ = w.rng;
-  emitted_ = w.count;
-  if (w.pending_kind == GenWarmState::kNone) return;
-  pending_kind_ = w.pending_kind;
-  pending_at_ = w.pending_at;
-  pending_seq_ = w.pending_seq;
-  const bool kickoff = w.pending_kind == GenWarmState::kKickoff;
-  pending_event_ =
-      simulator_->ScheduleAtSeq(w.pending_at, w.pending_seq, [this, kickoff]() {
-        pending_kind_ = GenWarmState::kNone;
-        if (kickoff) {
-          ScheduleNext();
-        } else {
-          Emit();
-        }
-      });
-}
-
-void PoissonGenerator::Emit() {
-  const size_t si = rng_.Index(hosts_.size());
-  size_t di = rng_.Index(hosts_.size() - 1);
-  if (di >= si) ++di;
-  const uint64_t size = cdf_.Sample(rng_);
-  ++emitted_;
-  sink_(hosts_[si], hosts_[di], size, simulator_->now());
   ScheduleNext();
 }
 
 IncastGenerator::IncastGenerator(sim::Simulator* simulator,
                                  std::vector<uint32_t> hosts,
                                  const IncastOptions& options, FlowSink sink)
-    : simulator_(simulator),
+    : TrafficSource(simulator, options.seed),
       hosts_(std::move(hosts)),
       options_(options),
-      sink_(std::move(sink)),
-      rng_(options.seed) {
+      sink_(std::move(sink)) {
   assert(static_cast<size_t>(options_.fan_in) < hosts_.size());
 }
 
-void IncastGenerator::Start() { ScheduleEmit(options_.first_event); }
-
-void IncastGenerator::ScheduleEmit(sim::TimePs at) {
-  pending_kind_ = GenWarmState::kEmit;
-  pending_at_ = at;
-  pending_seq_ = simulator_->next_schedule_seq();
-  pending_event_ = simulator_->ScheduleAt(at, [this]() {
-    pending_kind_ = GenWarmState::kNone;
-    Emit();
-  });
-}
-
-GenWarmState IncastGenerator::CaptureWarm() const {
-  GenWarmState w;
-  w.pending_kind = pending_kind_;
-  w.pending_at = pending_at_;
-  w.pending_seq = pending_seq_;
-  w.rng = rng_;
-  w.count = events_;
-  return w;
-}
-
-void IncastGenerator::RestoreWarm(const GenWarmState& w) {
-  if (pending_kind_ != GenWarmState::kNone) {
-    simulator_->Cancel(pending_event_);
-    pending_kind_ = GenWarmState::kNone;
-  }
-  rng_ = w.rng;
-  events_ = w.count;
-  if (w.pending_kind == GenWarmState::kNone) return;
-  pending_kind_ = w.pending_kind;
-  pending_at_ = w.pending_at;
-  pending_seq_ = w.pending_seq;
-  pending_event_ =
-      simulator_->ScheduleAtSeq(w.pending_at, w.pending_seq, [this]() {
-        pending_kind_ = GenWarmState::kNone;
-        Emit();
-      });
-}
-
-void IncastGenerator::Emit() {
+void IncastGenerator::Fire(int /*step*/) {
   const sim::TimePs now = simulator_->now();
   // Receiver plus fan_in distinct senders.
   std::vector<size_t> picks = rng_.SampleDistinct(
@@ -166,11 +77,11 @@ void IncastGenerator::Emit() {
     sink_(sender, receiver, options_.flow_bytes, now);
     ++emitted;
   }
-  ++events_;
+  ++emitted_;
   if (options_.period > 0) {
     const sim::TimePs next = now + options_.period;
     if (options_.end == 0 || next <= options_.end) {
-      ScheduleEmit(next);
+      Schedule(kEmit, next);
     }
   }
 }

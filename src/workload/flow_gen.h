@@ -33,37 +33,18 @@ class PoissonGenerator : public TrafficSource {
   PoissonGenerator(sim::Simulator* simulator, std::vector<uint32_t> hosts,
                    SizeCdf cdf, const PoissonOptions& options, FlowSink sink);
 
-  void Start() override;
-  uint64_t emitted() const override { return emitted_; }
-  uint64_t flows_emitted() const { return emitted_; }
-  // Mean flow inter-arrival time implied by the load target.
-  sim::TimePs mean_interarrival() const { return mean_gap_; }
-
-  // Warm checkpoint/restore — see TrafficSource.
+  void Start() override { Schedule(kKickoff, options_.start); }
   sim::TimePs first_activity() const override { return options_.start; }
-  bool warm_pending() const override {
-    return pending_kind_ != GenWarmState::kNone;
-  }
-  GenWarmState CaptureWarm() const override;
-  void RestoreWarm(const GenWarmState& w) override;
 
  private:
-  void ScheduleKickoff(sim::TimePs at);
+  void Fire(int step) override;
   void ScheduleNext();
-  void Emit();
 
-  sim::Simulator* simulator_;
   std::vector<uint32_t> hosts_;
   SizeCdf cdf_;
   PoissonOptions options_;
   FlowSink sink_;
-  sim::Rng rng_;
   sim::TimePs mean_gap_ = 0;
-  uint64_t emitted_ = 0;
-  int pending_kind_ = GenWarmState::kNone;
-  sim::TimePs pending_at_ = 0;
-  uint64_t pending_seq_ = 0;
-  sim::EventId pending_event_ = sim::kInvalidEvent;
 };
 
 struct IncastOptions {
@@ -83,32 +64,15 @@ class IncastGenerator : public TrafficSource {
  public:
   IncastGenerator(sim::Simulator* simulator, std::vector<uint32_t> hosts,
                   const IncastOptions& options, FlowSink sink);
-  void Start() override;
-  uint64_t emitted() const override { return events_; }
-  uint64_t events_emitted() const { return events_; }
-
-  // Warm checkpoint/restore — see TrafficSource.
+  void Start() override { Schedule(kEmit, options_.first_event); }
   sim::TimePs first_activity() const override { return options_.first_event; }
-  bool warm_pending() const override {
-    return pending_kind_ != GenWarmState::kNone;
-  }
-  GenWarmState CaptureWarm() const override;
-  void RestoreWarm(const GenWarmState& w) override;
 
  private:
-  void ScheduleEmit(sim::TimePs at);
-  void Emit();
+  void Fire(int step) override;
 
-  sim::Simulator* simulator_;
   std::vector<uint32_t> hosts_;
   IncastOptions options_;
   FlowSink sink_;
-  sim::Rng rng_;
-  uint64_t events_ = 0;
-  int pending_kind_ = GenWarmState::kNone;
-  sim::TimePs pending_at_ = 0;
-  uint64_t pending_seq_ = 0;
-  sim::EventId pending_event_ = sim::kInvalidEvent;
 };
 
 }  // namespace hpcc::workload

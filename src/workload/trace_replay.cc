@@ -120,7 +120,7 @@ std::string FormatFlowTrace(const std::vector<TraceRecord>& records) {
 TraceReplaySource::TraceReplaySource(
     sim::Simulator* simulator,
     std::shared_ptr<const std::vector<TraceRecord>> records, FlowSink sink)
-    : simulator_(simulator),
+    : TrafficSource(simulator, /*seed=*/1),
       records_(std::move(records)),
       sink_(std::move(sink)) {}
 
@@ -129,52 +129,16 @@ sim::TimePs TraceReplaySource::first_activity() const {
                            : records_->front().at;
 }
 
-void TraceReplaySource::Start() { ScheduleRecord(); }
-
 void TraceReplaySource::ScheduleRecord() {
   if (emitted_ >= records_->size()) return;
-  const sim::TimePs at =
-      std::max((*records_)[emitted_].at, simulator_->now());
-  pending_kind_ = GenWarmState::kEmit;
-  pending_at_ = at;
-  pending_seq_ = simulator_->next_schedule_seq();
-  pending_event_ = simulator_->ScheduleAt(at, [this]() {
-    pending_kind_ = GenWarmState::kNone;
-    Emit();
-  });
+  Schedule(kEmit, std::max((*records_)[emitted_].at, simulator_->now()));
 }
 
-void TraceReplaySource::Emit() {
+void TraceReplaySource::Fire(int /*step*/) {
   const TraceRecord& r = (*records_)[emitted_];
   ++emitted_;
   sink_(r.src, r.dst, r.bytes, simulator_->now());
   ScheduleRecord();
-}
-
-GenWarmState TraceReplaySource::CaptureWarm() const {
-  GenWarmState w;
-  w.pending_kind = pending_kind_;
-  w.pending_at = pending_at_;
-  w.pending_seq = pending_seq_;
-  w.count = emitted_;
-  return w;
-}
-
-void TraceReplaySource::RestoreWarm(const GenWarmState& w) {
-  if (pending_kind_ != GenWarmState::kNone) {
-    simulator_->Cancel(pending_event_);
-    pending_kind_ = GenWarmState::kNone;
-  }
-  emitted_ = w.count;
-  if (w.pending_kind == GenWarmState::kNone) return;
-  pending_kind_ = w.pending_kind;
-  pending_at_ = w.pending_at;
-  pending_seq_ = w.pending_seq;
-  pending_event_ =
-      simulator_->ScheduleAtSeq(w.pending_at, w.pending_seq, [this]() {
-        pending_kind_ = GenWarmState::kNone;
-        Emit();
-      });
 }
 
 }  // namespace hpcc::workload

@@ -53,6 +53,9 @@ std::vector<TraceRecord> LoadFlowTrace(const std::string& path);
 // (header line included). ParseFlowTrace(FormatFlowTrace(r)) == r.
 std::string FormatFlowTrace(const std::vector<TraceRecord>& records);
 
+// Releases the records in order, each at its arrival time. The source draws
+// no random numbers: its emission counter is the index of the next record,
+// so the counter plus the pending record's key is its whole warm state.
 class TraceReplaySource : public TrafficSource {
  public:
   // `records` is shared (not copied) so sharded lanes can replicate the
@@ -61,31 +64,15 @@ class TraceReplaySource : public TrafficSource {
                     std::shared_ptr<const std::vector<TraceRecord>> records,
                     FlowSink sink);
 
-  void Start() override;
-  uint64_t emitted() const override { return emitted_; }
-
-  // Warm checkpoint/restore — see TrafficSource. The trace has no RNG; the
-  // counter alone (plus the pending record's original key) reconstructs the
-  // replay position.
+  void Start() override { ScheduleRecord(); }
   sim::TimePs first_activity() const override;
-  bool warm_pending() const override {
-    return pending_kind_ != GenWarmState::kNone;
-  }
-  GenWarmState CaptureWarm() const override;
-  void RestoreWarm(const GenWarmState& w) override;
 
  private:
+  void Fire(int step) override;
   void ScheduleRecord();
-  void Emit();
 
-  sim::Simulator* simulator_;
   std::shared_ptr<const std::vector<TraceRecord>> records_;
   FlowSink sink_;
-  uint64_t emitted_ = 0;  // index of the next record to release
-  int pending_kind_ = GenWarmState::kNone;
-  sim::TimePs pending_at_ = 0;
-  uint64_t pending_seq_ = 0;
-  sim::EventId pending_event_ = sim::kInvalidEvent;
 };
 
 }  // namespace hpcc::workload

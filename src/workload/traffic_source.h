@@ -1,11 +1,11 @@
 // TrafficSource: the one interface behind "a thing that injects load".
 //
 // Poisson background generators, synchronized incast bursts, scripted
-// load_phase events and trace replay all implement this surface; the runner
-// and scenario layers only ever see TrafficSource + FlowSink, which is what
-// decouples flow *release* (when/where/how big) from flow *transport* (which
-// engine carries the bytes). Each released flow carries a FlowClass telling
-// the experiment which engine to install it on:
+// load_phase events and trace replay all implement this surface, and every
+// one of them lives in a runner::Experiment lane. The sources only ever see a
+// FlowSink, which is what decouples flow *release* (when/where/how big) from
+// flow *transport* (which engine carries the bytes). Each released flow
+// carries a FlowClass telling the experiment which engine to install it on:
 //
 //   kPacket — a full packet-level Flow on the host scheduler (NIC, CC state,
 //             per-packet events); the default, and the only class monitors
@@ -14,15 +14,15 @@
 //             no packets exist, only per-RTT window/queue state coupled into
 //             the shared ports' INT stamps (see analytic/fluid_region.h).
 //
-// The warm checkpoint/restore surface mirrors what PoissonGenerator pioneered
-// (see GenWarmState below): every source self-schedules through the normal
-// event queue and records its one pending (time, tie-break seq) pair, so a
-// restored run replays the exact event order the checkpointing run would
-// have used.
+// The base class owns everything a warm checkpoint carries: the source's one
+// pending self-schedule (a sim::RestorableEvent), its RNG engine and its
+// emission counter. Subclasses only decide when to fire and what a firing
+// releases.
 #pragma once
 
 #include <cstdint>
 
+#include "sim/restorable_event.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -31,43 +31,66 @@ namespace hpcc::workload {
 // Which transport engine carries a released flow's bytes.
 enum class FlowClass : uint8_t { kPacket = 0, kFluid = 1 };
 
-// Checkpointed source state (warm-start sweeps): the RNG engine, the
-// emission counter, and the one pending self-schedule with its original
-// (time, tie-break seq) so a restored run replays the exact event order the
-// checkpointing run would have used. `pending_kind` distinguishes the
-// start-of-generation kickoff callback from a flow/burst emission. Sources
-// without randomness (trace replay) simply ignore the rng member.
-struct GenWarmState {
-  enum Kind { kNone = 0, kKickoff = 1, kEmit = 2 };
-  int pending_kind = kNone;
-  sim::TimePs pending_at = 0;
-  uint64_t pending_seq = 0;
-  sim::Rng rng;
-  uint64_t count = 0;  // emitted flows (Poisson/trace) / events (incast)
-};
-
 class TrafficSource {
  public:
+  // Checkpointed source state (warm-start sweeps): the pending self-schedule
+  // with its original (time, tie-break seq), the RNG engine and the emission
+  // counter. Sources without randomness (trace replay) carry their unused
+  // engine along.
+  struct WarmState {
+    sim::RestorableEvent::State next;
+    sim::Rng rng;
+    uint64_t count = 0;
+  };
+
+  TrafficSource(const TrafficSource&) = delete;
+  TrafficSource& operator=(const TrafficSource&) = delete;
   virtual ~TrafficSource() = default;
 
   // Begins self-scheduling emissions through the simulator's event queue.
   virtual void Start() = 0;
   // Emission counter: flows for flow-grained sources, burst events for the
-  // incast generator (matching what GenWarmState::count checkpoints).
-  virtual uint64_t emitted() const = 0;
+  // incast generator.
+  uint64_t emitted() const { return emitted_; }
 
   // --- Warm checkpoint/restore (runner/experiment.h) ---------------------
-  // Earliest simulation time this source touches after Start: sources
-  // entirely beyond the checkpoint time are left untouched by a restore
-  // (their own install-time schedule already matches the checkpointing run).
+  // Earliest simulation time this source touches after Start. A checkpoint
+  // leaves a source that starts at or beyond its instant alone: that
+  // source's own install-time schedule already matches.
   virtual sim::TimePs first_activity() const = 0;
   // Whether a self-scheduled event is currently pending (checkpoint-time
   // event accounting).
-  virtual bool warm_pending() const = 0;
-  virtual GenWarmState CaptureWarm() const = 0;
+  bool warm_pending() const { return next_.pending(); }
+  WarmState CaptureWarm() const { return {next_.Capture(), rng_, emitted_}; }
   // Cancels this source's own pending event and replays the captured one
-  // under its original (time, seq) key; restores the RNG and counters.
-  virtual void RestoreWarm(const GenWarmState& w) = 0;
+  // under its original (time, seq) key; restores the RNG and the counter.
+  void RestoreWarm(const WarmState& w) {
+    next_.Restore(w.next);
+    rng_ = w.rng;
+    emitted_ = w.count;
+  }
+
+ protected:
+  // The steps a source schedules: the start-of-generation kickoff (Poisson
+  // only) and an emission.
+  enum Step : int { kKickoff = 1, kEmit = 2 };
+
+  TrafficSource(sim::Simulator* simulator, uint64_t seed)
+      : simulator_(simulator),
+        rng_(seed),
+        next_(simulator, [this](int step) { Fire(step); }) {}
+
+  // Schedules the source's next step (at most one is ever pending).
+  void Schedule(Step step, sim::TimePs at) { next_.Schedule(step, at); }
+  // Runs a scheduled step.
+  virtual void Fire(int step) = 0;
+
+  sim::Simulator* simulator_;
+  sim::Rng rng_;
+  uint64_t emitted_ = 0;
+
+ private:
+  sim::RestorableEvent next_;
 };
 
 }  // namespace hpcc::workload

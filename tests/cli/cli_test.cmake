@@ -7,10 +7,15 @@
 #   star_incast_rejected      flag mode goes through the scenario parser, so
 #   dumbbell_too_small        shapes it rejects exit 1 with its message
 #   file_with_flag_rejected   FILE plus an experiment flag exits 2, naming it
+#   bad_number_rejected       a malformed integer, unsigned or floating-point
+#                             flag value exits 2, naming the flag and text
 #   flags_match_star          a flag-mode run and the committed fixture
 #   flags_match_defaults      document write byte-identical CSVs and dump the
 #                             same canonical scenario (pins flag -> key)
-#   scenario_check            SCENARIO passes --check --quiet with exit 0
+#   scenario_check            SCENARIO passes --check --quiet with exit 0,
+#                             and its CSV matches the SCENARIO's run golden
+#   run_golden                SCENARIO --quiet writes the CSV committed as
+#                             tests/run_golden/<name>.csv, byte for byte
 #   dump_fixed_point          SCENARIO --dump > a.json, a.json --dump >
 #                             b.json, and a.json == b.json byte for byte
 cmake_minimum_required(VERSION 3.16)
@@ -74,6 +79,19 @@ function(expect_same_as_fixture fixture)
   endif()
 endfunction()
 
+# Compares `csv` (in WORK_DIR) with SCENARIO's committed run golden.
+function(expect_run_golden csv)
+  get_filename_component(name "${SCENARIO}" NAME_WE)
+  set(golden "${SOURCE_DIR}/tests/run_golden/${name}.csv")
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                          "${WORK_DIR}/${csv}" "${golden}"
+                  RESULT_VARIABLE differ)
+  if(differ)
+    file(READ "${WORK_DIR}/${csv}" got)
+    message(FATAL_ERROR "${SCENARIO}: CSV differs from ${golden}:\n${got}")
+  endif()
+endfunction()
+
 set(fixtures "${SOURCE_DIR}/tests/cli")
 if(CASE STREQUAL "star_incast_rejected")
   expect_exit(1 "workload.incast.fan_in 8 needs more hosts than the topology's 5"
@@ -84,6 +102,14 @@ elseif(CASE STREQUAL "dumbbell_too_small")
 elseif(CASE STREQUAL "file_with_flag_rejected")
   expect_exit(2 "error: --scheme" "${fixtures}/flag_mode_star.json"
               --scheme=dcqcn)
+elseif(CASE STREQUAL "bad_number_rejected")
+  expect_exit(2 "error: --jobs=abc: expected an integer" --jobs=abc)
+  expect_exit(2 "error: --hosts=4x: expected an integer" --hosts=4x)
+  expect_exit(2 "error: --seed=-1: expected an unsigned integer" --seed=-1)
+  expect_exit(2 "error: --seed=xyz: expected an unsigned integer" --seed=xyz)
+  expect_exit(2 "error: --eta=1.5x: expected a finite number" --eta=1.5x)
+  expect_exit(2 "error: --load=: expected a finite number" --load=)
+  expect_exit(2 "error: --load=inf: expected a finite number" --load=inf)
 elseif(CASE STREQUAL "flags_match_star")
   expect_same_as_fixture("${fixtures}/flag_mode_star.json"
     --scheme=hpcc --topo=star --hosts=9 --trace=fbhadoop --load=0.4
@@ -93,6 +119,10 @@ elseif(CASE STREQUAL "flags_match_defaults")
   expect_same_as_fixture("${fixtures}/flag_mode_defaults.json")
 elseif(CASE STREQUAL "scenario_check")
   expect_ok("${SCENARIO}" --check --quiet --out=check.csv)
+  expect_run_golden(check.csv)
+elseif(CASE STREQUAL "run_golden")
+  expect_ok("${SCENARIO}" --quiet --out=run.csv)
+  expect_run_golden(run.csv)
 elseif(CASE STREQUAL "dump_fixed_point")
   set(input "${SCENARIO}")
   foreach(dump a.json b.json)

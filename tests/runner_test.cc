@@ -182,7 +182,7 @@ TEST(Runner, RunUntilWithLinkFlapIsShardEqual) {
     ExperimentConfig cfg = scenario::MakeExperimentConfig(s);
     cfg.shards = shards;
     Experiment e(cfg);
-    const scenario::InstalledEvents events = scenario::InstallEvents(e, s);
+    scenario::InstallEvents(e, s);
     e.StartWorkload();
     const size_t trunk = 0;
     for (sim::TimePs t : {sim::Us(250), sim::Us(300), sim::Us(550),

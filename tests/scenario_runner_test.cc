@@ -41,7 +41,7 @@ constexpr char kLinkScript[] = R"({
 TEST(ScenarioEvents, LinkScriptRecomputesRoutesAndFlowsFinish) {
   const Scenario s = ParseScenarioText(kLinkScript);
   runner::Experiment e(MakeExperimentConfig(s));
-  InstalledEvents installed = InstallEvents(e, s);
+  InstallEvents(e, s);
 
   topo::Topology& t = e.topology();
   const uint32_t left_sw = t.switches()[0];

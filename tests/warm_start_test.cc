@@ -51,6 +51,7 @@ struct SweepOutputs {
   uint64_t hash = 0;
   std::string csv_bytes;
   std::vector<std::string> manifest_bytes;
+  std::vector<uint64_t> flows_created;  // per point, grid order
   size_t built = 0;
   size_t restored = 0;
 };
@@ -83,6 +84,7 @@ SweepOutputs RunVariant(const std::vector<scenario::ScenarioRun>& runs,
     out.manifest_bytes.push_back(ReadFile(r.manifest_path));
     EXPECT_FALSE(out.manifest_bytes.back().empty()) << r.manifest_path;
     std::remove(r.manifest_path.c_str());
+    out.flows_created.push_back(r.result.flows_created);
     out.built += r.warm_built ? 1 : 0;
     out.restored += r.warm_restored ? 1 : 0;
   }
@@ -216,31 +218,82 @@ std::vector<scenario::ScenarioRun> WarmEngagedRuns() {
   return runs;
 }
 
-TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
-  const std::vector<scenario::ScenarioRun> runs = WarmEngagedRuns();
-  ASSERT_EQ(runs.size(), 4u);
+// A warm restore must carry the load phases' shared max_flows counter. The
+// cap binds in phase 0 (12 flows before the zero-load phase at 100 us) and
+// the post-checkpoint phase at 450 us may emit nothing more, so every point
+// creates exactly 12 + fan_in flows. A restore that dropped the counter would
+// let the 450 us phase emit again.
+std::vector<scenario::ScenarioRun> PhaseCapRuns() {
+  const char* doc = R"({
+    "name": "warm_phase_cap",
+    "topology": {"kind": "dumbbell", "hosts_per_side": 4,
+                  "host_gbps": 100, "trunk_gbps": 400},
+    "cc": {"scheme": "hpcc"},
+    "workload": {"load": 0.9, "trace": "fbhadoop", "max_flows": 12},
+    "duration_ms": 0.6,
+    "seed": 4,
+    "events": [
+      {"type": "load_phase", "at_us": 100, "load": 0.0},
+      {"type": "load_phase", "at_us": 450, "load": 0.9},
+      {"type": "incast", "at_us": 420, "fan_in": 3, "flow_bytes": 50000}
+    ],
+    "warm_start": {"until_us": 400},
+    "sweep": {"events.2.fan_in": [2, 3, 4]}
+  })";
+  return scenario::ExpandSweep(scenario::ParseScenarioText(doc));
+}
+
+// Every point shares one WarmFingerprint; the sweep runs cold, then warm at
+// jobs 1 and 4, where exactly one point builds the checkpoint and every
+// other point restores it, with outputs byte-identical to the cold run's.
+// Returns the warm jobs=1 outputs.
+SweepOutputs ExpectCheckpointEngages(
+    const std::vector<scenario::ScenarioRun>& runs, const std::string& tag) {
   const uint64_t fp = scenario::WarmFingerprint(runs[0].scenario);
   for (const scenario::ScenarioRun& run : runs) {
     EXPECT_EQ(scenario::WarmFingerprint(run.scenario), fp) << run.label;
   }
 
-  const SweepOutputs cold =
-      RunVariant(runs, /*warm=*/false, 1, 0, "warm_engaged_cold");
+  const SweepOutputs cold = RunVariant(runs, /*warm=*/false, 1, 0,
+                                       tag + "_cold");
   EXPECT_EQ(cold.built, 0u);
   EXPECT_EQ(cold.restored, 0u);
 
-  const SweepOutputs warm =
-      RunVariant(runs, /*warm=*/true, 1, 0, "warm_engaged_w1");
+  const SweepOutputs warm = RunVariant(runs, /*warm=*/true, 1, 0,
+                                       tag + "_w1");
   // Exactly one point builds the checkpoint; every other point restores it.
   EXPECT_EQ(warm.built, 1u);
   EXPECT_EQ(warm.restored, runs.size() - 1);
   ExpectSameOutputs(cold, warm);
 
-  const SweepOutputs warm4 =
-      RunVariant(runs, /*warm=*/true, 4, 0, "warm_engaged_w4");
+  const SweepOutputs warm4 = RunVariant(runs, /*warm=*/true, 4, 0,
+                                        tag + "_w4");
   EXPECT_EQ(warm4.built, 1u);
   EXPECT_EQ(warm4.restored, runs.size() - 1);
   ExpectSameOutputs(cold, warm4);
+  return warm;
+}
+
+TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
+  {
+    SCOPED_TRACE("post-checkpoint burst");
+    const std::vector<scenario::ScenarioRun> runs = WarmEngagedRuns();
+    ASSERT_EQ(runs.size(), 4u);
+    ExpectCheckpointEngages(runs, "warm_engaged");
+  }
+  {
+    SCOPED_TRACE("phase flow cap");
+    const std::vector<scenario::ScenarioRun> runs = PhaseCapRuns();
+    ASSERT_EQ(runs.size(), 3u);
+    const SweepOutputs warm = ExpectCheckpointEngages(runs, "warm_phase_cap");
+    ASSERT_EQ(warm.flows_created.size(), runs.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(warm.flows_created[i],
+                12u + static_cast<uint64_t>(
+                          runs[i].scenario.events[2].incast.fan_in))
+          << runs[i].label;
+    }
+  }
 }
 
 // The committed warm-sweep showcase must expand through the array-indexing

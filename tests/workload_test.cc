@@ -183,7 +183,7 @@ TEST(Incast, EmitsFanInDistinctSenders) {
   s.Run();
   EXPECT_EQ(senders.size(), 60u);  // distinct senders
   EXPECT_EQ(receivers.size(), 1u);
-  EXPECT_EQ(gen.events_emitted(), 1u);
+  EXPECT_EQ(gen.emitted(), 1u);
 }
 
 TEST(Incast, PeriodicEventsUntilEnd) {
@@ -203,7 +203,7 @@ TEST(Incast, PeriodicEventsUntilEnd) {
   gen.Start();
   s.Run();
   // Events at 0.1, 1.1, 2.1, 3.1, 4.1 ms.
-  EXPECT_EQ(gen.events_emitted(), 5u);
+  EXPECT_EQ(gen.emitted(), 5u);
   EXPECT_EQ(flows, 25u);
 }
 
@@ -222,7 +222,7 @@ TEST(Incast, FixedReceiver) {
                       });
   gen.Start();
   s.Run();
-  EXPECT_GT(gen.events_emitted(), 5u);
+  EXPECT_GT(gen.emitted(), 5u);
 }
 
 }  // namespace

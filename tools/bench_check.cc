@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     if (hpcc::cli::ConsumeFlag(argv[i], "--max-drop-pct", &v)) {
-      max_drop_pct = std::atof(v);
+      max_drop_pct = hpcc::cli::ParseNumber<double>("--max-drop-pct", v);
     } else if (hpcc::cli::ConsumeFlag(argv[i], "--calibrate", &v)) {
       calibrate = v;
     } else if (argv[i][0] == '-') {

@@ -702,7 +702,8 @@ int main(int argc, char** argv) {
     } else if (hpcc::cli::ConsumeFlag(argv[i], "--label", &v)) {
       label = v;
     } else if (hpcc::cli::ConsumeFlag(argv[i], "--min-time-ms", &v)) {
-      min_seconds = std::atof(v) / 1000.0;
+      min_seconds =
+          hpcc::cli::ParseNumber<double>("--min-time-ms", v) / 1000.0;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       min_seconds = 0.05;
     } else {

@@ -22,13 +22,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     if (hpcc::cli::ConsumeFlag(argv[i], "--seed", &v)) {
-      options.seed = std::strtoull(v, nullptr, 10);
+      options.seed = hpcc::cli::ParseNumber<uint64_t>("--seed", v);
     } else if (hpcc::cli::ConsumeFlag(argv[i], "--runs", &v)) {
-      options.runs = std::atoi(v);
+      options.runs = hpcc::cli::ParseNumber<int>("--runs", v);
     } else if (hpcc::cli::ConsumeFlag(argv[i], "--out-dir", &v)) {
       options.reproducer_dir = v;
     } else if (hpcc::cli::ConsumeFlag(argv[i], "--max-events", &v)) {
-      options.max_events = std::strtoull(v, nullptr, 10);
+      options.max_events =
+          hpcc::cli::ParseNumber<uint64_t>("--max-events", v);
     } else if (std::strcmp(argv[i], "--no-determinism") == 0) {
       options.check_determinism = false;
     } else if (std::strcmp(argv[i], "--no-fastpath-check") == 0) {

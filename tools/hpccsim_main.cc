@@ -125,17 +125,25 @@ Options Parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
+    const char* flag = nullptr;  // the experiment flag `v` belongs to
     const auto experiment = [&](const char* key) {
       const bool hit = cli::ConsumeFlag(argv[i], key, &v);
+      if (hit) flag = key;
       if (hit && o.experiment_flag.empty()) o.experiment_flag = key;
       return hit;
+    };
+    // `v` parsed strictly as the type of the option it sets.
+    const auto number = [&](auto current) {
+      return cli::ParseNumber<decltype(current)>(flag, v);
     };
     const auto experiment_switch = [&](const char* key) {
       const bool hit = std::strcmp(argv[i], key) == 0;
       if (hit && o.experiment_flag.empty()) o.experiment_flag = key;
       return hit;
     };
-    if (cli::ConsumeFlag(argv[i], "--jobs", &v)) o.jobs = std::atoi(v);
+    if (cli::ConsumeFlag(argv[i], "--jobs", &v)) {
+      o.jobs = cli::ParseNumber<int>("--jobs", v);
+    }
     else if (cli::ConsumeFlag(argv[i], "--out", &v)) o.out = v;
     else if (cli::ConsumeFlag(argv[i], "--fastpath", &v)) {
       if (std::strcmp(v, "on") == 0) o.fastpath = 1;
@@ -143,7 +151,7 @@ Options Parse(int argc, char** argv) {
       else Usage(argv[0]);
     }
     else if (cli::ConsumeFlag(argv[i], "--shards", &v)) {
-      o.shards = std::atoi(v);
+      o.shards = cli::ParseNumber<int>("--shards", v);
       if (o.shards < 1) Usage(argv[0]);
     }
     else if (cli::ConsumeFlag(argv[i], "--warm", &v)) {
@@ -157,7 +165,7 @@ Options Parse(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--check") == 0) o.check = true;
     else if (std::strcmp(argv[i], "--manifest") == 0) o.manifest = true;
     else if (cli::ConsumeFlag(argv[i], "--deadline", &v)) {
-      o.deadline = std::atof(v);
+      o.deadline = cli::ParseNumber<double>("--deadline", v);
       if (!(o.deadline > 0)) Usage(argv[0]);
     }
     else if (std::strcmp(argv[i], "--resume") == 0) o.resume = true;
@@ -166,15 +174,15 @@ Options Parse(int argc, char** argv) {
     else if (experiment("--scheme")) o.scheme = v;
     else if (experiment("--topo")) o.topo = v;
     else if (experiment("--trace")) o.trace = v;
-    else if (experiment("--load")) o.load = std::atof(v);
-    else if (experiment("--duration-ms")) o.duration_ms = std::atof(v);
-    else if (experiment("--hosts")) o.hosts = std::atoi(v);
-    else if (experiment("--incast")) o.incast_fan_in = std::atoi(v);
+    else if (experiment("--load")) o.load = number(o.load);
+    else if (experiment("--duration-ms")) o.duration_ms = number(o.duration_ms);
+    else if (experiment("--hosts")) o.hosts = number(o.hosts);
+    else if (experiment("--incast")) o.incast_fan_in = number(o.incast_fan_in);
     else if (experiment("--incast-bytes"))
-      o.incast_bytes = std::strtoull(v, nullptr, 10);
-    else if (experiment("--eta")) o.eta = std::atof(v);
-    else if (experiment("--wai")) o.wai = std::atof(v);
-    else if (experiment("--seed")) o.seed = std::strtoull(v, nullptr, 10);
+      o.incast_bytes = number(o.incast_bytes);
+    else if (experiment("--eta")) o.eta = number(o.eta);
+    else if (experiment("--wai")) o.wai = number(o.wai);
+    else if (experiment("--seed")) o.seed = number(o.seed);
     else if (experiment_switch("--lossy")) o.lossy = true;
     else if (experiment_switch("--irn")) o.irn = true;
     else if (experiment_switch("--paper-scale")) o.paper_scale = true;
