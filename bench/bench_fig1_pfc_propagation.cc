@@ -1,25 +1,78 @@
 // Figure 1 (substitute): PFC pause propagation depth and suppressed
 // bandwidth. The paper's figure is production telemetry; we regenerate the
 // same two distributions from simulated incast-heavy DCQCN runs (see the
-// Fig. 1 row of docs/PAPER_MAPPING.md).
+// Fig. 1 row of docs/PAPER_MAPPING.md). The other figures are scenario
+// files; this one stays a program because its depth CDF needs each pause's
+// hop distance from the incast receiver, which no run output carries.
+//
+//   bench_fig1_pfc_propagation [--full] [--duration-ms=N] [--seed=N]
+//
+// --full runs the §5.1 320-host fat-tree instead of the 16-host one.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "runner/experiment.h"
+#include "tools/cli_util.h"
 
 using namespace hpcc;
 
+namespace {
+
+struct Flags {
+  bool full = false;
+  double duration_ms = 0;  // 0 = the default horizon
+  uint64_t seed = 1;
+};
+
+Flags ParseFlags(int argc, char** argv) {
+  Flags f;
+  for (int i = 1; i < argc; ++i) {
+    const char* value = nullptr;
+    if (std::strcmp(argv[i], "--full") == 0) {
+      f.full = true;
+    } else if (cli::ConsumeFlag(argv[i], "--duration-ms", &value)) {
+      f.duration_ms = cli::ParseNumber<double>("--duration-ms", value);
+    } else if (cli::ConsumeFlag(argv[i], "--seed", &value)) {
+      f.seed = cli::ParseNumber<uint64_t>("--seed", value);
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--full] [--duration-ms=N] [--seed=N]\n",
+                   argv[0]);
+      std::exit(2);
+    }
+  }
+  return f;
+}
+
+// 2 pods x 2 ToRs x 2 aggs, 2 cores per agg, 4 hosts per ToR: 16 hosts.
+topo::FatTreeOptions FatTree(bool full) {
+  if (full) return topo::FatTreeOptions::PaperScale();
+  topo::FatTreeOptions o;
+  o.pods = 2;
+  o.tors_per_pod = 2;
+  o.aggs_per_pod = 2;
+  o.cores_per_agg = 2;
+  o.hosts_per_tor = 4;
+  return o;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const bench::Flags flags = bench::ParseFlags(argc, argv);
-  bench::PrintHeader(
-      "Figure 1 (substitute)",
-      "PFC pause propagation depth & suppressed bandwidth under DCQCN");
+  const Flags flags = ParseFlags(argc, argv);
+  std::printf(
+      "==============================================================\n"
+      "Figure 1 (substitute) — PFC pause propagation depth & suppressed "
+      "bandwidth under DCQCN\n"
+      "==============================================================\n");
 
   runner::ExperimentConfig cfg;
   cfg.topology = runner::TopologyKind::kFatTree;
-  cfg.fattree = bench::BenchFatTree(flags.full);
+  cfg.fattree = FatTree(flags.full);
   // Shallow-buffer switches make pause trees reproducible at mini scale.
   cfg.cc.scheme = "dcqcn";
   cfg.load = 0.4;

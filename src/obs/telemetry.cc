@@ -215,9 +215,10 @@ void TelemetrySession::SampleFlows() {
   while (flow_states_.size() < flows.size() &&
          flow_states_.size() < static_cast<size_t>(cfg_.flow_tracks)) {
     const host::Flow* f = flows[flow_states_.size()];
+    // Every flow starts with nothing acked, so the first sample counts the
+    // bytes acked since the flow began, however late the tick adopts it.
     FlowTrack ft;
     ft.flow_id = f->spec().id;
-    ft.last_acked = f->snd_una;
     ft.flow = f;
     flow_states_.push_back(ft);
     TelemetryTrack t;

@@ -56,8 +56,8 @@ struct TelemetryConfig {
   int queue_track_points = 256;
   double queue_sample_us = 10.0;
 
-  // Per-flow rate tracks (delta snd_una, same idea as stats::GoodputSampler)
-  // for the first `flow_tracks` flows by creation order.
+  // Per-flow goodput tracks (acked-byte delta per interval, in Gbps) for
+  // the first `flow_tracks` flows by creation order.
   int flow_tracks = 8;
   int flow_track_points = 512;
   double flow_sample_us = 10.0;

@@ -1,6 +1,7 @@
 // Experiment harness: wires a topology, a CC scheme, workload generators and
-// monitors into one runnable unit. Every bench binary (one per paper figure)
-// and example builds on this.
+// monitors into one runnable unit. The scenario runner builds one per sweep
+// point; tests, the examples, bench_report and the Fig. 1 bench drive it
+// directly through AddFlow/RunUntil/Collect.
 //
 // Every run executes as one or more lanes (config.shards) driven by a single
 // barrier-round loop; shards=1 is simply the one-lane case. A few surfaces

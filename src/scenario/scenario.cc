@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 
 #include "core/hash.h"
@@ -127,9 +128,9 @@ const char* NameOf(const Named<E> (&names)[N], E value) {
 }
 
 // What a key does beyond its rule: `required` makes absence a reader error,
-// `write` false makes the writer elide it, and `present` (object keys) is
-// set by the reader when the block appears. Any other absent key leaves its
-// field at its default.
+// `write` false makes the writer elide it, and `present` is set by the
+// reader when the key appears. Any other absent key leaves its field at its
+// default.
 struct Opt {
   bool required = false;
   bool write = true;
@@ -256,7 +257,6 @@ class Reader {
   void Object(const char* key, Opt opt, Fn visit) {
     if (const Json* v = Take(key, opt)) {
       Reader block(*v, KeyPath(path_, key));
-      if (opt.present != nullptr) *opt.present = true;
       visit(block);
       block.Finish();
     }
@@ -313,6 +313,7 @@ class Reader {
       throw ScenarioError(std::string("missing required key \"") + key +
                           "\" in " + Block());
     }
+    if (v != nullptr && opt.present != nullptr) *opt.present = true;
     return v;
   }
 
@@ -518,14 +519,55 @@ void VisitTopology(Io& io, runner::ExperimentConfig& c) {
   }
 }
 
+// Fig. 3's ECN marking thresholds in KB at the 25 Gbps reference. Given
+// together, they replace the scheme's own marking with
+// RedConfig::Dcqcn(kmin, kmax); the reader requires both or neither and
+// Kmin <= Kmax.
 template <class Io>
-void VisitCc(Io& io, cc::CcConfig& c) {
-  io.Str("scheme", c.scheme, OneOf(cc::AllSchemes()));
-  io.Num("eta", c.hpcc.eta, kPlain, kPositive);
-  io.Num("wai_bytes", c.hpcc.wai_bytes, kPlain, kAnyNumber);
-  io.Int("max_stage", c.hpcc.max_stage, kPositiveInt);
-  io.Int("expected_flows", c.hpcc.expected_flows, kPositiveInt);
-  io.Num("alpha_fair", c.alpha_fair, kPlain, kPositive);
+void VisitRed(Io& io, std::optional<net::RedConfig>& red) {
+  bool has_kmin = red.has_value();
+  bool has_kmax = red.has_value();
+  double kmin_kb = red ? red->kmin_bytes / 1e3 : 0;
+  double kmax_kb = red ? red->kmax_bytes / 1e3 : 0;
+  io.Num("red_kmin_kb", kmin_kb, kPlain, kNonNegative, Presence(has_kmin));
+  io.Num("red_kmax_kb", kmax_kb, kPlain, kNonNegative, Presence(has_kmax));
+  // Only the reader of a document that sets the keys gets past here.
+  if (red.has_value() || (!has_kmin && !has_kmax)) return;
+  if (has_kmin != has_kmax) {
+    throw ScenarioError(
+        "\"red_kmin_kb\" and \"red_kmax_kb\" in cc must be given together");
+  }
+  if (kmin_kb > kmax_kb) {
+    throw ScenarioError(
+        "\"red_kmin_kb\" in cc must be <= \"red_kmax_kb\"");
+  }
+  red = net::RedConfig::Dcqcn(kmin_kb, kmax_kb);
+}
+
+template <class Io>
+void VisitCc(Io& io, runner::ExperimentConfig& c) {
+  cc::CcConfig& cc = c.cc;
+  const cc::DcqcnParams default_dcqcn;
+  io.Str("scheme", cc.scheme, OneOf(cc::AllSchemes()));
+  io.Num("eta", cc.hpcc.eta, kPlain, kPositive);
+  io.Num("wai_bytes", cc.hpcc.wai_bytes, kPlain, kAnyNumber);
+  io.Int("max_stage", cc.hpcc.max_stage, kPositiveInt);
+  io.Int("expected_flows", cc.hpcc.expected_flows, kPositiveInt);
+  io.Num("alpha_fair", cc.alpha_fair, kPlain, kPositive);
+  // Algorithm 1's noise filters and the hardware-fidelity switches (§4.1,
+  // §4.3), written only when switched from their defaults.
+  io.Bool("min_qlen_filter", cc.hpcc.use_min_qlen_filter,
+          WriteIf(!cc.hpcc.use_min_qlen_filter));
+  io.Bool("ewma", cc.hpcc.use_ewma, WriteIf(!cc.hpcc.use_ewma));
+  io.Bool("div_table", cc.hpcc.use_div_table,
+          WriteIf(cc.hpcc.use_div_table));
+  io.Bool("wire_format", cc.hpcc.wire_format, WriteIf(cc.hpcc.wire_format));
+  // DCQCN's rate-increase timer Ti and minimum decrease interval Td (Fig. 2).
+  io.Num("dcqcn_ti_us", cc.dcqcn.rate_inc_timer, kUs, kPositive,
+         WriteIf(cc.dcqcn.rate_inc_timer != default_dcqcn.rate_inc_timer));
+  io.Num("dcqcn_td_us", cc.dcqcn.min_dec_interval, kUs, kPositive,
+         WriteIf(cc.dcqcn.min_dec_interval != default_dcqcn.min_dec_interval));
+  VisitRed(io, c.red_override);
 }
 
 // The incast keys shared by "workload.incast" and incast events. Events
@@ -553,7 +595,8 @@ void VisitWorkload(Io& io, runner::ExperimentConfig& c) {
   // replay and load phases. Fluid requires the top-level hybrid block.
   io.Enum("flow_class", c.flow_class, kFlowClasses,
           WriteIf(c.flow_class != workload::FlowClass::kPacket));
-  // CSV flow-trace replay (workload/trace_replay.h), relative to the CWD.
+  // CSV flow-trace replay (workload/trace_replay.h). A relative path opens
+  // against the scenario file's directory (MakeExperimentConfig).
   io.Str("trace_file", c.trace_file, kAnyText, WriteIf(!c.trace_file.empty()));
   io.Object("incast", Presence(c.incast), [&](auto& block) {
     VisitIncast(block, c.incast_opts, /*schedule=*/true);
@@ -615,10 +658,11 @@ void VisitScenario(Io& io, Scenario& s) {
          WriteIf(!s.description.empty()));
   io.Object("topology", kRequired,
             [&](auto& block) { VisitTopology(block, c); });
-  io.Object("cc", {}, [&](auto& block) { VisitCc(block, c.cc); });
+  io.Object("cc", {}, [&](auto& block) { VisitCc(block, c); });
   io.Object("workload", {}, [&](auto& block) { VisitWorkload(block, c); });
   io.Num("duration_ms", c.duration, kMs, kPositive);
-  io.Num("drain_factor", c.drain_factor, kPlain, kPositive);
+  // 0 stops the run at `duration`, like Experiment::RunUntil.
+  io.Num("drain_factor", c.drain_factor, kPlain, kNonNegative);
   io.Int("seed", c.seed, kNonNegativeInt);
   // Execution sharding (conservative PDES). Results are pinned byte-equal
   // to shards=1, so this is a performance knob, not a semantic one.
@@ -756,7 +800,9 @@ Scenario LoadScenarioFile(const std::string& path) {
     throw ScenarioError("read error on scenario file: " + path);
   }
   try {
-    return ParseScenarioText(text);
+    Scenario s = ParseScenarioText(text);
+    s.dir = std::filesystem::path(path).parent_path().string();
+    return s;
   } catch (const std::runtime_error& e) {
     throw ScenarioError(path + ": " + e.what());
   }
@@ -835,6 +881,7 @@ std::vector<ScenarioRun> ExpandSweep(const Scenario& s) {
         doc.SetPath(s.sweep[a].key, s.sweep[a].values[idx[a]]);
       }
       run.scenario = ParseScenario(doc);
+      run.scenario.dir = s.dir;
     } catch (const ScenarioError& e) {
       throw ScenarioError(run.label + ": " + e.what());
     } catch (const JsonError& e) {
@@ -925,6 +972,10 @@ uint64_t WarmFingerprint(const Scenario& s) {
 
 runner::ExperimentConfig MakeExperimentConfig(const Scenario& s) {
   runner::ExperimentConfig cfg = s.config;
+  if (!cfg.trace_file.empty()) {
+    // An absolute trace_file stays as is, and an empty dir keeps the CWD.
+    cfg.trace_file = (std::filesystem::path(s.dir) / cfg.trace_file).string();
+  }
   for (const ScenarioEvent& ev : s.events) {
     if (ev.kind == ScenarioEvent::Kind::kLoadPhase) {
       cfg.load_phases.push_back({ev.at, ev.load});

@@ -102,6 +102,10 @@ struct Scenario {
   std::vector<SweepAxis> sweep;
   // The original document, kept for sweep patching.
   Json source;
+  // Directory of the file LoadScenarioFile read ("" for a document parsed
+  // from text): a relative workload.trace_file opens against it, while
+  // every echo of the scenario keeps the path as written.
+  std::string dir;
 };
 
 // Parses and validates a scenario document. Throws ScenarioError (or
@@ -111,6 +115,7 @@ struct Scenario {
 Scenario ParseScenario(const Json& doc);
 Scenario ParseScenarioText(const std::string& text);
 // Reads, parses and validates a scenario file. Throws on I/O failure too.
+// Records the file's directory in Scenario::dir.
 Scenario LoadScenarioFile(const std::string& path);
 
 // Canonical document for a parsed scenario: every recognized field with its
@@ -139,7 +144,8 @@ struct ScenarioRun {
 // Cross-product expansion of the sweep grid; a scenario without a sweep
 // expands to a single run. Axis order is declaration order, the last axis
 // varies fastest. A point that fails to parse throws with its label as the
-// message prefix ("grid[eta=-1]: ...").
+// message prefix ("grid[eta=-1]: ..."). Every point keeps the scenario's
+// dir.
 std::vector<ScenarioRun> ExpandSweep(const Scenario& s);
 
 // True when the event script changes topology state (link_down/link_up and
@@ -157,7 +163,9 @@ bool HasFaultEvents(const Scenario& s);
 
 // ExperimentConfig for one run: the parsed config plus the script's load
 // phases, time-sorted (equal times keep script order), which the Experiment
-// builds in place of its single background generator.
+// builds in place of its single background generator. A relative trace_file
+// is resolved against Scenario::dir; without one it stays relative to the
+// working directory.
 runner::ExperimentConfig MakeExperimentConfig(const Scenario& s);
 
 // FNV-1a digest of the canonical topology block: the key sweep runs share a

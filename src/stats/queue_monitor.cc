@@ -37,21 +37,4 @@ void QueueMonitor::Sample() {
   }
 }
 
-PortQueueSampler::PortQueueSampler(sim::Simulator* simulator,
-                                   const net::Port* port, sim::TimePs interval)
-    : simulator_(simulator), port_(port), interval_(interval) {}
-
-void PortQueueSampler::Start(sim::TimePs until) {
-  until_ = until;
-  simulator_->ScheduleIn(interval_, [this]() { Sample(); });
-}
-
-void PortQueueSampler::Sample() {
-  series_.Add(simulator_->now(),
-              static_cast<double>(port_->queue_bytes(net::kDataPriority)));
-  if (simulator_->now() + interval_ <= until_) {
-    simulator_->ScheduleIn(interval_, [this]() { Sample(); });
-  }
-}
-
 }  // namespace hpcc::stats

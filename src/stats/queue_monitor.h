@@ -1,5 +1,6 @@
-// Periodic sampling of switch egress queue depths (queue-length CDFs of
-// Fig. 9f/10b/10d and the time series of Fig. 6/9/13b/14b).
+// Periodic sampling of switch egress queue depths: the queue-length
+// distribution of every run's summary (Figs. 9f/10b/10d). Per-port time
+// series (Figs. 6/9/13b/14b) are the telemetry queue tracks (obs/telemetry.h).
 #pragma once
 
 #include <cstdint>
@@ -8,14 +9,9 @@
 #include "sim/restorable_event.h"
 #include "sim/simulator.h"
 #include "stats/percentile.h"
-#include "stats/timeseries.h"
 
 namespace hpcc::topo {
 class Topology;
-}
-
-namespace hpcc::net {
-class Port;
 }
 
 namespace hpcc::stats {
@@ -75,23 +71,6 @@ class QueueMonitor {
   PercentileTracker dist_;
   int64_t max_seen_ = 0;
   sim::RestorableEvent tick_;
-};
-
-// Time series of one specific port's data queue (Fig. 6 / 13b).
-class PortQueueSampler {
- public:
-  PortQueueSampler(sim::Simulator* simulator, const net::Port* port,
-                   sim::TimePs interval);
-  void Start(sim::TimePs until);
-  const TimeSeries& series() const { return series_; }
-
- private:
-  void Sample();
-  sim::Simulator* simulator_;
-  const net::Port* port_;
-  sim::TimePs interval_;
-  sim::TimePs until_ = 0;
-  TimeSeries series_;
 };
 
 }  // namespace hpcc::stats

@@ -1,24 +1,8 @@
 #include "stats/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "host/flow.h"
 
 namespace hpcc::stats {
-
-std::string TimeSeries::Format(size_t max_rows) const {
-  std::string out;
-  if (points_.empty()) return out;
-  const size_t stride = std::max<size_t>(1, points_.size() / max_rows);
-  char line[64];
-  for (size_t i = 0; i < points_.size(); i += stride) {
-    std::snprintf(line, sizeof(line), "  %10.1f us  %10.3f\n",
-                  sim::ToUs(points_[i].first), points_[i].second);
-    out += line;
-  }
-  return out;
-}
 
 void TimeSeries::set_max_points(size_t max_points) {
   // A cap under 4 would thin the series down to almost nothing on every
@@ -34,51 +18,6 @@ void TimeSeries::Compact() {
   size_t out = 0;
   for (size_t i = 0; i < points_.size(); i += 2) points_[out++] = points_[i];
   points_.resize(out);
-}
-
-double TimeSeries::MaxValue() const {
-  double m = 0;
-  for (const auto& [t, v] : points_) m = std::max(m, v);
-  return m;
-}
-
-GoodputSampler::GoodputSampler(sim::Simulator* simulator, sim::TimePs interval)
-    : simulator_(simulator), interval_(interval) {}
-
-void GoodputSampler::Track(const host::Flow* flow, const std::string& label) {
-  flows_.push_back(flow);
-  labels_.push_back(label);
-  last_acked_.push_back(0);
-  series_.emplace_back();
-}
-
-void GoodputSampler::Start(sim::TimePs until) {
-  until_ = until;
-  simulator_->ScheduleIn(interval_, [this]() { Sample(); });
-}
-
-void GoodputSampler::Sample() {
-  const sim::TimePs now = simulator_->now();
-  const double interval_sec = sim::ToSec(interval_);
-  double agg_gbps = 0;
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    const uint64_t acked = flows_[i]->snd_una;
-    const double gbps = static_cast<double>(acked - last_acked_[i]) * 8.0 /
-                        interval_sec / 1e9;
-    last_acked_[i] = acked;
-    series_[i].Add(now, gbps);
-    agg_gbps += gbps;
-  }
-  agg_points_.emplace_back(now, agg_gbps);
-  if (now + interval_ <= until_) {
-    simulator_->ScheduleIn(interval_, [this]() { Sample(); });
-  }
-}
-
-TimeSeries GoodputSampler::Aggregate() const {
-  TimeSeries out;
-  for (const auto& [t, v] : agg_points_) out.Add(t, v);
-  return out;
 }
 
 }  // namespace hpcc::stats

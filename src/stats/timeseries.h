@@ -1,16 +1,11 @@
-// Simple (time, value) series plus a per-flow goodput sampler.
+// Simple bounded (time, value) series: the telemetry tracks' storage.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
-#include "sim/simulator.h"
 #include "sim/time.h"
-
-namespace hpcc::host {
-class Flow;
-}
 
 namespace hpcc::stats {
 
@@ -35,43 +30,11 @@ class TimeSeries {
   void set_max_points(size_t max_points);
   size_t max_points() const { return max_points_; }
 
-  // Downsampled CSV-ish rendering: "t_us,value" per line, at most max_rows.
-  std::string Format(size_t max_rows = 40) const;
-  double MaxValue() const;
-
  private:
   void Compact();  // keep even indices: halves size, doubles the stride
 
   std::vector<std::pair<sim::TimePs, double>> points_;
   size_t max_points_ = 0;
-};
-
- // Samples each tracked flow's acked-byte delta per interval -> goodput in
- // Gbps (the per-flow throughput curves of Fig. 9a/9g, 13a, 14a).
-class GoodputSampler {
- public:
-  GoodputSampler(sim::Simulator* simulator, sim::TimePs interval);
-  // Track a flow under a label; safe to call before the flow starts.
-  void Track(const host::Flow* flow, const std::string& label);
-  void Start(sim::TimePs until);
-
-  size_t num_flows() const { return flows_.size(); }
-  const std::string& label(size_t i) const { return labels_[i]; }
-  const TimeSeries& series(size_t i) const { return series_[i]; }
-  // Sum across flows at each tick (aggregate throughput, Fig. 13a).
-  TimeSeries Aggregate() const;
-
- private:
-  void Sample();
-  sim::Simulator* simulator_;
-  sim::TimePs interval_;
-  sim::TimePs until_ = 0;
-  std::vector<const host::Flow*> flows_;
-  std::vector<std::string> labels_;
-  std::vector<uint64_t> last_acked_;
-  std::vector<TimeSeries> series_;
-
-  std::vector<std::pair<sim::TimePs, double>> agg_points_;
 };
 
 }  // namespace hpcc::stats

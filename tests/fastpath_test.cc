@@ -111,6 +111,18 @@ TEST(Fastpath, Fattree16BurstIdenticalAcrossEngines) {
                           "/examples/scenarios/fattree16_hadoop_burst.json");
 }
 
+TEST(Fastpath, PaperIncastsIdenticalAcrossEngines) {
+  // 16-to-1 incasts of 100 Gbps senders replayed from the flow traces beside
+  // the files, which open from here because a relative trace_file resolves
+  // against its scenario's directory: the densest trains in the repo, on a
+  // star and across the dumbbell trunk, run to duration (drain_factor 0).
+  const std::string dir =
+      std::string(HPCC_SOURCE_DIR) + "/examples/scenarios/paper";
+  ExpectEngineEquivalence(dir + "/fig13_reaction.json");
+  ExpectEngineEquivalence(dir + "/fig14_wai.json");
+  ExpectEngineEquivalence(dir + "/ablation_alpha_fair.json");
+}
+
 TEST(Fastpath, CorpusIdenticalAcrossEngines) {
   // Every committed fuzz reproducer (includes link-flap scripts).
   std::vector<std::string> files;

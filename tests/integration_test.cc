@@ -1,12 +1,17 @@
 // End-to-end behavior tests reproducing the paper's qualitative claims on
 // small fixtures: near-zero queues, incast without PFC, fast reclaim,
-// fairness, and full workload runs for every CC scheme.
+// fairness, and full workload runs for every CC scheme. The last group
+// gates the paper figures' claims on their committed run goldens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "runner/experiment.h"
-#include "stats/timeseries.h"
 
 namespace hpcc::runner {
 namespace {
@@ -345,6 +350,150 @@ TEST(Integration, PoissonPlusIncastComposes) {
   EXPECT_GT(r.flows_created, 200u);
   EXPECT_GE(r.flows_completed, r.flows_created * 9 / 10);
   EXPECT_EQ(r.dropped_packets, 0u);
+}
+
+// ---- paper claims over the figure goldens -----------------------------------
+//
+// Each case reads a paper scenario's run golden, tests/run_golden/<name>.csv.
+// cli_paper_<name> pins the CSV hpccsim writes for
+// examples/scenarios/paper/<name>.json to that golden byte for byte, so
+// together they gate each claim on the figure's output without simulating
+// anything here. Margins are wide: a gate trips when a claim flips, not when
+// a number drifts.
+
+// Splits one CSV line; the run label is quoted when it holds commas.
+std::vector<std::string> SplitCsv(const std::string& line) {
+  std::vector<std::string> cells(1);
+  bool quoted = false;
+  for (char c : line) {
+    if (c == '"') {
+      quoted = !quoted;
+    } else if (c == ',' && !quoted) {
+      cells.emplace_back();
+    } else {
+      cells.back() += c;
+    }
+  }
+  return cells;
+}
+
+// A run golden's rows keyed by their sweep-axis cells joined with "," (the
+// columns between "run" and "flows_created"), e.g. "0.3,hpcc"; the one row
+// of a file without a sweep is keyed "".
+class RunGolden {
+ public:
+  explicit RunGolden(const std::string& name) {
+    std::ifstream in(std::string(HPCC_SOURCE_DIR) + "/tests/run_golden/" +
+                     name + ".csv");
+    std::string line;
+    if (!std::getline(in, line)) {
+      ADD_FAILURE() << "no run golden for " << name;
+      return;
+    }
+    header_ = SplitCsv(line);
+    size_t axes = 1;
+    while (axes < header_.size() && header_[axes] != "flows_created") ++axes;
+    while (std::getline(in, line)) {
+      std::vector<std::string> cells = SplitCsv(line);
+      std::string key;
+      for (size_t i = 1; i < axes && i < cells.size(); ++i) {
+        key += (i > 1 ? "," : "") + cells[i];
+      }
+      rows_[key] = std::move(cells);
+    }
+  }
+
+  // The numeric cell of `column` in the row keyed `key`; NaN (which fails
+  // every comparison) when either is missing or the cell is empty.
+  double At(const std::string& key, const std::string& column) const {
+    const auto row = rows_.find(key);
+    const size_t col = static_cast<size_t>(
+        std::find(header_.begin(), header_.end(), column) - header_.begin());
+    if (row == rows_.end() || col >= row->second.size() ||
+        row->second[col].empty()) {
+      ADD_FAILURE() << "no " << column << " in row \"" << key << "\"";
+      return std::nan("");
+    }
+    return std::stod(row->second[col]);
+  }
+
+ private:
+  std::vector<std::string> header_;
+  std::map<std::string, std::vector<std::string>> rows_;
+};
+
+// Fig. 2: aggressive DCQCN timers (small Ti, large Td) improve FCT (2a) but
+// suffer more PFC pausing under incast (2b).
+TEST(PaperClaims, Fig2DcqcnTimersTradeFctForPfc) {
+  const double fct_conservative =
+      RunGolden("fig2a_dcqcn_ti900_td4").At("", "slowdown_p95");
+  const double fct_aggressive =
+      RunGolden("fig2a_dcqcn_ti55_td50").At("", "slowdown_p95");
+  EXPECT_LT(fct_aggressive, 0.8 * fct_conservative);  // 4.0 vs 6.4
+  const double pfc_conservative =
+      RunGolden("fig2b_dcqcn_ti900_td4").At("", "pfc_pause_pct");
+  const double pfc_aggressive =
+      RunGolden("fig2b_dcqcn_ti55_td50").At("", "pfc_pause_pct");
+  EXPECT_GT(pfc_aggressive, 1.5 * pfc_conservative);  // 23.9% vs 11.4%
+}
+
+// Fig. 3: low ECN thresholds favor short flows' latency. (The other half of
+// the trade-off, long flows' bandwidth, is not visible in these columns.)
+TEST(PaperClaims, Fig3LowEcnThresholdsFavorShortFlows) {
+  const RunGolden high("fig3_dcqcn_kmin400_kmax1600");
+  const RunGolden low("fig3_dcqcn_kmin12_kmax50");
+  for (const char* load : {"0.3", "0.5"}) {
+    SCOPED_TRACE(load);
+    // 9.1 vs 117.5 us at 30% load, 9.1 vs 195.3 us at 50%.
+    EXPECT_LT(low.At(load, "short_fct_p95_us"),
+              high.At(load, "short_fct_p95_us") / 4);
+  }
+}
+
+// Fig. 9c/9d: HPCC absorbs the 8-to-1 incast in a small queue; DCQCN's
+// queue grows an order of magnitude deeper.
+TEST(PaperClaims, Fig9IncastHpccQueueStaysSmall) {
+  const RunGolden g("fig9cd_incast");
+  // 112.3 vs 2825.4 KB.
+  EXPECT_LT(g.At("hpcc", "queue_max_kb"), g.At("dcqcn", "queue_max_kb") / 10);
+}
+
+// Fig. 9e/9f: mice beside two elephants see near-base latency under HPCC,
+// and DCQCN's standing queue inflates it several-fold.
+TEST(PaperClaims, Fig9MiceLatencyHpccFarBelowDcqcn) {
+  const RunGolden g("fig9ef_elephant_mice");
+  // 5.3 vs 40.1 us.
+  EXPECT_LT(g.At("hpcc", "short_fct_p95_us"),
+            g.At("dcqcn", "short_fct_p95_us") / 4);
+}
+
+// Fig. 10b/10d: HPCC keeps the switch queues' tail below DCQCN's at both
+// loads.
+TEST(PaperClaims, Fig10HpccQueueTailBelowDcqcn) {
+  const RunGolden g("fig10_websearch");
+  for (const char* load : {"0.3", "0.5"}) {
+    SCOPED_TRACE(load);
+    // 1.1 vs 148.8 KB at 30% load, 3.3 vs 225.3 KB at 50%.
+    EXPECT_LT(g.At(std::string(load) + ",hpcc", "queue_p99_kb"),
+              g.At(std::string(load) + ",dcqcn", "queue_p99_kb"));
+  }
+}
+
+// Fig. 13: per-RTT reaction drains the incast's initial queue slowly, so its
+// queue tail stays far above HPCC's reference-window reaction.
+TEST(PaperClaims, Fig13PerRttQueuePersists) {
+  const RunGolden g("fig13_reaction");
+  // 855.6 vs 151.0 KB.
+  EXPECT_GT(g.At("hpcc-perrtt", "queue_p99_kb"),
+            2 * g.At("hpcc", "queue_p99_kb"));
+}
+
+// Fig. 14: a W_AI beyond the §5.4 bound (300 B here) sustains a standing
+// queue that one within it (25 B) does not.
+TEST(PaperClaims, Fig14LargeWaiSustainsAQueue) {
+  const RunGolden g("fig14_wai");
+  // 13.1 vs 3.3 KB.
+  EXPECT_GT(g.At("300", "queue_p99_kb"), 2 * g.At("25", "queue_p99_kb"));
 }
 
 }  // namespace

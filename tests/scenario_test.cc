@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -13,6 +15,7 @@
 #include "cc/factory.h"
 #include "check/fuzzer.h"
 #include "scenario/json.h"
+#include "scenario/runner.h"
 #include "scenario/scenario.h"
 
 namespace hpcc::scenario {
@@ -359,10 +362,89 @@ TEST(Scenario, ErrorsNameTheKeyAndBlock) {
            // A point that fails to parse is named by its label.
            {R"({"name": "g", "topology": {"kind": "star"},
                 "sweep": {"cc.eta": [0.9, -1]}})",
-            R"(g[eta=-1]: "eta" in cc must be > 0)"}}) {
+            R"(g[eta=-1]: "eta" in cc must be > 0)"},
+           // The RED thresholds come as a pair, in order.
+           {R"({"topology": {"kind": "star"}, "cc": {"red_kmax_kb": 50}})",
+            R"("red_kmin_kb" and "red_kmax_kb" in cc must be given together)"},
+           {R"({"topology": {"kind": "star"},
+                "cc": {"red_kmin_kb": 60, "red_kmax_kb": 50}})",
+            R"("red_kmin_kb" in cc must be <= "red_kmax_kb")"},
+           {R"({"topology": {"kind": "star"}, "cc": {"dcqcn_ti_us": 0}})",
+            R"("dcqcn_ti_us" in cc must be > 0)"},
+           {R"({"topology": {"kind": "star"}, "drain_factor": -1})",
+            R"("drain_factor" in scenario must be >= 0)"}}) {
     EXPECT_PRED_FORMAT2(testing::IsSubstring, c.message,
                         ErrorOf<ScenarioError>(c.doc));
   }
+}
+
+// The keys the figure files set beyond the scheme's defaults: DCQCN's
+// timers (Fig. 2), the RED thresholds (Fig. 3), the ablation's HPCC switches
+// and drain_factor 0. The canonical dump writes each only when it differs
+// from its default.
+TEST(Scenario, FigureKnobsSetTheirConfigFields) {
+  const Scenario s = ParseScenarioText(R"({
+    "topology": {"kind": "star"},
+    "cc": {"dcqcn_ti_us": 300, "dcqcn_td_us": 50, "red_kmin_kb": 12,
+           "red_kmax_kb": 50, "min_qlen_filter": false, "ewma": false,
+           "div_table": true, "wire_format": true},
+    "drain_factor": 0
+  })");
+  const runner::ExperimentConfig& c = s.config;
+  EXPECT_EQ(c.cc.dcqcn.rate_inc_timer, sim::Us(300));
+  EXPECT_EQ(c.cc.dcqcn.min_dec_interval, sim::Us(50));
+  ASSERT_TRUE(c.red_override.has_value());
+  EXPECT_TRUE(c.red_override->enabled);
+  EXPECT_DOUBLE_EQ(c.red_override->kmin_bytes, 12'000);
+  EXPECT_DOUBLE_EQ(c.red_override->kmax_bytes, 50'000);
+  EXPECT_FALSE(c.cc.hpcc.use_min_qlen_filter);
+  EXPECT_FALSE(c.cc.hpcc.use_ewma);
+  EXPECT_TRUE(c.cc.hpcc.use_div_table);
+  EXPECT_TRUE(c.cc.hpcc.wire_format);
+  EXPECT_EQ(c.drain_factor, 0.0);
+
+  const Json set = ScenarioToJson(s).Get("cc");
+  const Json defaults = ScenarioToJson(ParseScenarioText(kMinimal)).Get("cc");
+  for (const char* key : {"dcqcn_ti_us", "dcqcn_td_us", "red_kmin_kb",
+                          "red_kmax_kb", "min_qlen_filter", "ewma",
+                          "div_table", "wire_format"}) {
+    EXPECT_NE(set.Find(key), nullptr) << key;
+    EXPECT_EQ(defaults.Find(key), nullptr) << key;
+  }
+}
+
+// A relative workload.trace_file opens beside the scenario file, whatever
+// the working directory; every echo of the scenario keeps it as written.
+TEST(Scenario, RelativeTraceFileOpensBesideTheScenarioFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "hpcc_scenario_test_trace";
+  std::filesystem::create_directories(dir);
+  ASSERT_NE(std::filesystem::current_path(), dir);
+  std::ofstream(dir / "flows.csv")
+      << "arrival_us,src,dst,bytes\n0,0,2,1000\n5,1,2,2000\n";
+  const std::string doc = R"({
+    "name": "relative_trace",
+    "topology": {"kind": "star", "hosts": 3},
+    "workload": {"trace_file": "flows.csv"},
+    "duration_ms": 0.1,
+    "sweep": {"seed": [1, 2]}
+  })";
+  std::ofstream(dir / "s.json") << doc;
+
+  const Scenario s = LoadScenarioFile((dir / "s.json").string());
+  EXPECT_EQ(MakeExperimentConfig(s).trace_file, (dir / "flows.csv").string());
+  for (const ScenarioRun& run : ExpandSweep(s)) {
+    SCOPED_TRACE(run.label);
+    const SweepRunResult r = ScenarioRunner::RunOne(run);
+    EXPECT_TRUE(r.error.empty()) << r.error;
+    EXPECT_EQ(r.result.flows_created, 2u);  // one per row
+    const Json echo = ScenarioToJson(run.scenario);
+    EXPECT_EQ(echo.Get("workload").Get("trace_file").AsString(), "flows.csv");
+  }
+  // A document parsed from text keeps the working directory.
+  EXPECT_EQ(MakeExperimentConfig(ParseScenarioText(doc)).trace_file,
+            "flows.csv");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Scenario, UnknownSchemeIsAParseError) {
@@ -602,6 +684,14 @@ TEST(Scenario, EveryKeyIsFuzzedOrExempt) {
       {"cc.max_stage", "schemes are drawn at their default parameters"},
       {"cc.expected_flows", "schemes are drawn at their default parameters"},
       {"cc.alpha_fair", "schemes are drawn at their default parameters"},
+      {"cc.min_qlen_filter", "schemes are drawn at their default parameters"},
+      {"cc.ewma", "schemes are drawn at their default parameters"},
+      {"cc.div_table", "schemes are drawn at their default parameters"},
+      {"cc.wire_format", "schemes are drawn at their default parameters"},
+      {"cc.dcqcn_ti_us", "schemes are drawn at their default parameters"},
+      {"cc.dcqcn_td_us", "schemes are drawn at their default parameters"},
+      {"cc.red_kmin_kb", "schemes are drawn at their default parameters"},
+      {"cc.red_kmax_kb", "schemes are drawn at their default parameters"},
       {"workload.flow_class", "fluid flows need a hybrid block, never drawn"},
       {"workload.trace_file", "no flow-trace files are generated"},
       {"workload.incast.receiver", "periodic incasts keep the random receiver"},
@@ -645,6 +735,34 @@ TEST(Scenario, EveryKeyIsFuzzedOrExempt) {
   for (const auto& [path, reason] : kExempt) {
     EXPECT_NE(std::find(schema.begin(), schema.end(), path), schema.end())
         << path << " is not a schema key";
+  }
+}
+
+// docs/PAPER_MAPPING.md names every paper scenario file, and every .json
+// path it names exists: scenario paths relative to examples/scenarios/,
+// other files relative to the repo root.
+TEST(Scenario, EveryPaperFileIsMapped) {
+  const std::string mapping = ReadSourceFile("docs/PAPER_MAPPING.md");
+  ASSERT_FALSE(mapping.empty());
+  const std::filesystem::path root(HPCC_SOURCE_DIR);
+  const std::filesystem::path scenarios = root / "examples" / "scenarios";
+  size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(scenarios / "paper")) {
+    if (entry.path().extension() != ".json") continue;
+    ++files;
+    const std::string name = "`paper/" + entry.path().filename().string();
+    EXPECT_NE(mapping.find(name), std::string::npos)
+        << name << "` is not named in docs/PAPER_MAPPING.md";
+  }
+  EXPECT_GT(files, 0u);
+  const std::regex named("`([^`\\s]+\\.json)`");
+  for (std::sregex_iterator it(mapping.begin(), mapping.end(), named), end;
+       it != end; ++it) {
+    const std::string path = (*it)[1];
+    EXPECT_TRUE(std::filesystem::exists(scenarios / path) ||
+                std::filesystem::exists(root / path))
+        << "docs/PAPER_MAPPING.md names a missing file: " << path;
   }
 }
 

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "check/invariant.h"
+#include "host/flow.h"
 #include "obs/manifest.h"
 #include "obs/telemetry.h"
 #include "scenario/json.h"
@@ -247,6 +249,33 @@ TEST(Telemetry, DropReasonColumnsOnlyWithDrops) {
   EXPECT_EQ(ScenarioRunner::CsvRow(results[0], true).size(), header.size());
   EXPECT_EQ(ScenarioRunner::CsvRow(results[0], false).size(),
             header.size() - 4);
+}
+
+TEST(Telemetry, FlowTrackCountsBytesAckedBeforeTheFirstTick) {
+  // A 20 KB flow from t = 0 is fully acked within the first 20 us sampling
+  // interval. Its track's first sample sits at that first tick and carries
+  // every byte acked since the flow began: the adopting tick must not treat
+  // them as already reported.
+  runner::ExperimentConfig cfg;
+  cfg.topology = runner::TopologyKind::kStar;
+  cfg.star.num_hosts = 3;
+  runner::Experiment e(cfg);
+  check::MonitorRegistry registry;
+  obs::TelemetryConfig tcfg;
+  tcfg.trace = true;
+  tcfg.queue_tracks = 0;
+  tcfg.flow_tracks = 1;
+  tcfg.flow_sample_us = 20;
+  obs::TelemetrySession session(tcfg, {&registry}, &e);
+  session.Start();
+  const host::Flow* f = e.AddFlow(e.hosts()[0], e.hosts()[2], 20'000, 0);
+  e.RunUntil(sim::Us(100));
+  ASSERT_TRUE(f->done);
+  ASSERT_EQ(session.flow_tracks().size(), 1u);
+  const auto& points = session.flow_tracks()[0].series.points();
+  ASSERT_EQ(points.size(), 1u);  // nothing after completion
+  EXPECT_EQ(points[0].first, sim::Us(20));
+  EXPECT_DOUBLE_EQ(points[0].second, 20'000 * 8 / 20e-6 / 1e9);  // Gbps
 }
 
 TEST(Telemetry, ScenarioTelemetryBlockRoundTrips) {
