@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   runner::Experiment e(cfg);
   const uint32_t receiver = e.hosts()[0];
   runner::ExperimentResult r = e.Run();
-  const auto& events = e.pfc_monitor().events();
+  const std::vector<stats::PfcMonitor::PauseEvent> events = e.PauseEvents();
 
   std::printf("\nrun: %s\n", r.Summary().c_str());
   if (events.empty()) {

@@ -100,7 +100,6 @@ class FluidRegion {
   size_t coupled_links() const { return dlinks_.size(); }
   uint64_t delivered_bytes() const { return delivered_bytes_; }
   int64_t peak_queue_bytes() const { return peak_queue_bytes_; }
-  sim::TimePs tick_period() const { return params_.tick; }
 
  private:
   // One direction of a topology link shared with the packet engine.

@@ -303,8 +303,7 @@ void RecordFlight(const Json& doc, const FuzzOptions& options,
   }
 
   // A shard-equivalence failure triages by diffing the single-lane manifest
-  // above against the sharded run's view: record the shards=2 side too
-  // (manifest only — trace export forces one lane, see scenario/runner.cc).
+  // and trace above against the sharded run's: record the shards=2 side too.
   bool shard_mismatch = false;
   for (const Violation& v : rep->violations) {
     if (v.monitor == "shard-equivalence") shard_mismatch = true;
@@ -319,15 +318,17 @@ void RecordFlight(const Json& doc, const FuzzOptions& options,
     ro.shards_override = 2;
     obs::TelemetryConfig tcfg = run.scenario.telemetry;
     tcfg.manifest = true;
+    tcfg.trace = true;
     tcfg.profile = true;
     ro.telemetry = tcfg;
     ro.manifest_path = base + ".shards2.manifest.json";
+    ro.trace_path = base + ".shards2.trace.json";
     ro.event_budget = options.max_events > 0 ? options.max_events * 3 : 0;
     const scenario::SweepRunResult flight =
         scenario::ScenarioRunner::RunOne(run, ro);
-    if (!flight.manifest_path.empty()) {
-      std::fprintf(stderr, "    flight record (shards=2): %s\n",
-                   flight.manifest_path.c_str());
+    if (!flight.manifest_path.empty() || !flight.trace_path.empty()) {
+      std::fprintf(stderr, "    flight record (shards=2): %s %s\n",
+                   flight.manifest_path.c_str(), flight.trace_path.c_str());
     }
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "    (shards=2 flight record replay failed: %s)\n",
@@ -335,11 +336,12 @@ void RecordFlight(const Json& doc, const FuzzOptions& options,
   }
 }
 
-// One warm-equivalence replay: runs `doc` through RunOne with the shared
-// snapshot/checkpoint caches attached (no monitors, no event budget — warm
-// capture is ineligible under either, and the scenario already ran clean
-// twice within budget). Returns the golden-trace hash plus whether this
-// replay built or restored the checkpoint.
+// One warm-equivalence replay: runs `doc` through RunOne on
+// `shards_override` lanes with the shared snapshot/checkpoint caches
+// attached (no monitors, no event budget — warm capture is ineligible under
+// either, and the scenario already ran clean twice within budget). Returns
+// the golden-trace hash plus whether this replay built or restored the
+// checkpoint.
 struct WarmReplay {
   uint64_t trace_hash = 0;
   bool built = false;
@@ -347,7 +349,7 @@ struct WarmReplay {
   std::string error;
 };
 
-WarmReplay ReplayWarm(const Json& doc,
+WarmReplay ReplayWarm(const Json& doc, int shards_override,
                       const std::shared_ptr<scenario::FabricCache>& fabrics,
                       const std::shared_ptr<scenario::WarmCache>& warms) {
   WarmReplay out;
@@ -356,7 +358,7 @@ WarmReplay ReplayWarm(const Json& doc,
     run.scenario = scenario::ParseScenario(doc);
     run.label = run.scenario.name;
     scenario::RunOneOptions ro;
-    ro.warm = true;
+    ro.shards_override = shards_override;
     ro.fabric_cache = fabrics;
     ro.warm_cache = warms;
     const scenario::SweepRunResult r =
@@ -404,7 +406,7 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
       continue;
     }
     FuzzRunReport rep = RunScenarioDocChecked(doc, options.max_events, extra);
-    if (rep.ok() && options.check_determinism) {
+    if (rep.ok()) {
       const FuzzRunReport again =
           RunScenarioDocChecked(doc, options.max_events, extra);
       if (again.trace_hash != rep.trace_hash) {
@@ -416,7 +418,7 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
         ++rep.violation_count;
       }
     }
-    if (rep.ok() && options.check_fastpath) {
+    if (rep.ok()) {
       // Equivalence pin: the per-packet reference engine must produce the
       // same per-flow outcomes as the train fast path. The reference engine
       // executes ~1.5x the events for the same simulated work, so give the
@@ -449,7 +451,7 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
         ++rep.violation_count;
       }
     }
-    if (rep.ok() && options.check_shards) {
+    if (rep.ok()) {
       // Equivalence pin for sharded execution: a two-lane replay must
       // produce the same per-flow outcomes and a clean monitor log. Same
       // budget headroom as the fastpath replay (the lanes execute a handful
@@ -490,39 +492,44 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
         ++rep.violation_count;
       }
     }
-    if (rep.ok() && options.check_warm) {
+    if (rep.ok()) {
       // Equivalence pin for warm-start sweeps: inject a checkpoint instant at
-      // ~40% of the horizon and replay twice through one shared cache. The
-      // first replay either captures the checkpoint or (not quiescent at T,
-      // pre-T link flap, ...) publishes a cold fallback; the second restores
-      // or re-runs cold. Either way both hashes must match the cold run —
-      // warm-start must never change a single output byte.
+      // ~40% of the horizon and replay twice through one shared cache, at
+      // the scenario's lane count and at two lanes. The first replay either
+      // captures the checkpoint or (not quiescent at T, pre-T link flap,
+      // ...) publishes a cold fallback; the second restores or re-runs cold.
+      // Either way both hashes must match the cold run — warm-start must
+      // never change a single output byte.
       Json warm_doc = doc;
       const double duration_us = doc.Find("duration_ms")->AsDouble() * 1000.0;
       Json ws = Json::MakeObject();
       ws.Set("until_us", Num(Round2(duration_us * 0.4)));
       warm_doc.Set("warm_start", std::move(ws));
-      auto fabrics = std::make_shared<scenario::FabricCache>();
-      auto warms = std::make_shared<scenario::WarmCache>();
-      const WarmReplay first = ReplayWarm(warm_doc, fabrics, warms);
-      const WarmReplay second = ReplayWarm(warm_doc, fabrics, warms);
-      for (const WarmReplay* w : {&first, &second}) {
-        const char* which = w == &first ? "first" : "second";
-        if (!w->error.empty()) {
-          rep.violations.push_back(Violation{
-              "warm-equivalence",
-              std::string(which) + " warm_start replay failed: " + w->error,
-              0});
-          ++rep.violation_count;
-        } else if (w->trace_hash != rep.trace_hash) {
-          rep.violations.push_back(Violation{
-              "warm-equivalence",
-              std::string(which) + " warm_start replay (" +
-                  (w->restored ? "restored checkpoint"
-                               : w->built ? "built checkpoint" : "cold") +
-                  ") produced a different golden-trace hash",
-              0});
-          ++rep.violation_count;
+      for (const int shards : {0, 2}) {
+        auto fabrics = std::make_shared<scenario::FabricCache>();
+        auto warms = std::make_shared<scenario::WarmCache>();
+        const WarmReplay first = ReplayWarm(warm_doc, shards, fabrics, warms);
+        const WarmReplay second = ReplayWarm(warm_doc, shards, fabrics, warms);
+        const std::string lanes = shards > 0 ? " at shards=2" : "";
+        for (const WarmReplay* w : {&first, &second}) {
+          const char* which = w == &first ? "first" : "second";
+          if (!w->error.empty()) {
+            rep.violations.push_back(Violation{
+                "warm-equivalence",
+                std::string(which) + " warm_start replay" + lanes +
+                    " failed: " + w->error,
+                0});
+            ++rep.violation_count;
+          } else if (w->trace_hash != rep.trace_hash) {
+            rep.violations.push_back(Violation{
+                "warm-equivalence",
+                std::string(which) + " warm_start replay" + lanes + " (" +
+                    (w->restored ? "restored checkpoint"
+                                 : w->built ? "built checkpoint" : "cold") +
+                    ") produced a different golden-trace hash",
+                0});
+            ++rep.violation_count;
+          }
         }
       }
     }

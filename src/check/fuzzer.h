@@ -37,31 +37,12 @@ struct FuzzOptions {
   // Livelock watchdog: a run executing more simulator events than this is
   // itself an invariant violation (event storms must not hang the fuzzer).
   uint64_t max_events = 50'000'000;
-  // Run each scenario twice and compare golden-trace hashes.
-  bool check_determinism = true;
-  // Additionally replay each clean run on the per-packet reference engine
-  // (--fastpath=off) and require an identical golden-trace hash, so every
-  // fuzz scenario doubles as a train-fast-path equivalence check.
-  bool check_fastpath = true;
-  // Additionally replay each clean run on two execution lanes (--shards=2)
-  // and require an identical golden-trace hash and a clean monitor log, so
-  // every fuzz scenario doubles as a conservative-PDES equivalence check.
-  // Event-budget-truncated replays are skipped (a truncated run stops at an
-  // arbitrary event, so its hash is meaningless).
-  bool check_shards = true;
-  // Additionally replay each clean run twice with an injected
-  // warm_start.until_us (~40% of the horizon) through one shared
-  // fabric-snapshot/warm-checkpoint cache — the first replay builds the
-  // checkpoint, the second restores from it — and require both to reproduce
-  // the cold golden-trace hash, so every fuzz scenario doubles as a
-  // warm-start equivalence check.
-  bool check_warm = true;
   // Chaos mode (--faults): additionally inject random fault events — seeded
   // corruption windows, switch flaps, NIC flaps (always repaired before the
-  // end) — into every generated scenario. All the equivalence replays above
-  // still apply, so every chaos scenario is also pinned deterministic,
-  // fastpath-equal and shard-equal, and the monitors (including the
-  // flow no-progress audit) must stay clean under faults.
+  // end) — into every generated scenario. Every equivalence replay FuzzMain
+  // runs still applies, so every chaos scenario is also pinned
+  // deterministic, fastpath-equal and shard-equal, and the monitors
+  // (including the flow no-progress audit) must stay clean under faults.
   bool faults = false;
 };
 
@@ -107,7 +88,17 @@ std::string WriteReproducer(const scenario::Json& doc, const std::string& dir,
 
 // CLI driver behind tools/fuzz_scenarios: generates and runs
 // `options.runs` scenarios, writes reproducers for violating runs, prints a
-// summary, and returns the process exit code (0 = all clean).
+// summary, and returns the process exit code (0 = all clean). Each clean run
+// is replayed, and must reproduce its golden-trace hash:
+//  - a second time (run-to-run determinism);
+//  - on the per-packet reference engine (--fastpath=off);
+//  - on two execution lanes (--shards=2), with a clean monitor log too;
+//    event-budget-truncated replays are skipped (a truncated run stops at
+//    an arbitrary event, so its hash is meaningless);
+//  - twice with an injected warm_start.until_us (~40% of the horizon)
+//    through one shared fabric-snapshot/warm-checkpoint cache, the first
+//    building the checkpoint and the second restoring it, at the
+//    scenario's own lane count and again at two lanes.
 int FuzzMain(const FuzzOptions& options,
              const MonitorInstaller& extra = nullptr);
 

@@ -41,23 +41,6 @@ HostNode::RxState& HostNode::RxStateFor(uint64_t flow_id) {
 }
 
 void HostNode::AddFlow(std::unique_ptr<Flow> flow) {
-  Flow* f = RegisterFlow(std::move(flow));
-  const sim::TimePs start = std::max(f->spec().start_time, simulator_->now());
-  simulator_->ScheduleAt(start, [this, f]() { StartFlow(f); });
-}
-
-void HostNode::AddPendingFlow(std::unique_ptr<Flow> flow) {
-  RegisterFlow(std::move(flow));  // waits for the READ request
-}
-
-void HostNode::SendReadRequest(uint64_t flow_id, uint32_t responder) {
-  schedulers_.resize(static_cast<size_t>(num_ports()));
-  wake_events_.resize(static_cast<size_t>(num_ports()), sim::kInvalidEvent);
-  wake_targets_.resize(static_cast<size_t>(num_ports()), 0);
-  SendControl(net::MakeReadRequest(flow_id, id_, responder), flow_id);
-}
-
-Flow* HostNode::RegisterFlow(std::unique_ptr<Flow> flow) {
   assert(flow->spec().src == id_);
   schedulers_.resize(static_cast<size_t>(num_ports()));
   wake_events_.resize(static_cast<size_t>(num_ports()), sim::kInvalidEvent);
@@ -77,7 +60,8 @@ Flow* HostNode::RegisterFlow(std::unique_ptr<Flow> flow) {
   flows_.push_back(std::move(flow));
   tx_flows_[f->spec().id + 1] = f;
   schedulers_[static_cast<size_t>(f->tx_port)].Add(f);
-  return f;
+  const sim::TimePs start = std::max(f->spec().start_time, simulator_->now());
+  simulator_->ScheduleAt(start, [this, f]() { StartFlow(f); });
 }
 
 void HostNode::StartFlow(Flow* flow) {
@@ -253,12 +237,6 @@ void HostNode::Receive(net::PacketPtr pkt, int in_port) {
     case net::PacketType::kCnp:
       HandleAckLike(std::move(pkt));
       return;
-    case net::PacketType::kReadRequest: {
-      // Responder side of RDMA READ: start the pre-registered flow.
-      Flow* f = FindFlow(pkt->flow_id);
-      if (f != nullptr && !f->started && !f->done) StartFlow(f);
-      return;
-    }
   }
 }
 

@@ -67,12 +67,6 @@ class HostNode : public net::Node {
   // The flow must have spec().src == id().
   void AddFlow(std::unique_ptr<Flow> flow);
 
-  // RDMA READ (§4.2): registers the responder-side flow without starting it;
-  // transmission begins when the requester's kReadRequest arrives.
-  void AddPendingFlow(std::unique_ptr<Flow> flow);
-  // Requester side: emit the READ request for a flow pending at `responder`.
-  void SendReadRequest(uint64_t flow_id, uint32_t responder);
-
   void set_flow_done_callback(FlowDoneCallback cb) {
     flow_done_ = std::move(cb);
   }
@@ -124,7 +118,6 @@ class HostNode : public net::Node {
 
  private:
   // TX pipe.
-  Flow* RegisterFlow(std::unique_ptr<Flow> flow);
   void StartFlow(Flow* flow);
   void TrySend(int port_index);
   void ScheduleWake(int port_index, sim::TimePs wake);

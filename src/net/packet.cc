@@ -122,19 +122,6 @@ PacketPtr MakeCnp(uint64_t flow_id, uint32_t src, uint32_t dst) {
   return p;
 }
 
-PacketPtr MakeReadRequest(uint64_t flow_id, uint32_t requester,
-                          uint32_t responder) {
-  auto p = AllocatePacket();
-  p->type = PacketType::kReadRequest;
-  p->flow_id = flow_id;
-  p->src = requester;
-  p->dst = responder;
-  p->payload_bytes = 0;
-  p->header_bytes = kAckHeaderBytes;
-  p->priority = kControlPriority;
-  return p;
-}
-
 PacketPtr MakePfc(PacketType pause_or_resume, int priority) {
   assert(pause_or_resume == PacketType::kPfcPause ||
          pause_or_resume == PacketType::kPfcResume);

@@ -22,7 +22,6 @@ enum class PacketType : uint8_t {
   kCnp,          // DCQCN congestion notification packet
   kPfcPause,     // 802.1Qbb pause frame for one priority
   kPfcResume,
-  kReadRequest,  // RDMA READ: requester asks the responder to start sending
 };
 
 inline constexpr int kPayloadBytes = 1000;   // MTU-sized data segment
@@ -138,9 +137,5 @@ PacketPtr MakeAck(const Packet& data, uint64_t cumulative_ack);
 PacketPtr MakeNack(const Packet& data, uint64_t expected_seq);
 PacketPtr MakeCnp(uint64_t flow_id, uint32_t src, uint32_t dst);
 PacketPtr MakePfc(PacketType pause_or_resume, int priority);
-// RDMA READ request (§4.2): `requester` asks `responder` to transmit the
-// flow registered under `flow_id` back to it.
-PacketPtr MakeReadRequest(uint64_t flow_id, uint32_t requester,
-                          uint32_t responder);
 
 }  // namespace hpcc::net

@@ -45,9 +45,8 @@ void Node::AddCorruptWindow(int in_port, sim::TimePs start, sim::TimePs end,
 bool Node::CorruptDrop(const Packet& pkt, int in_port) {
   // PFC control frames are link-local MAC frames outside the corruption
   // model (losing one would wedge the pause protocol, which has no recovery
-  // path), and a lost READ request would strand a flow that never armed its
-  // retransmission timer. Everything end-to-end — data, ACK/NACK, CNP — is
-  // fair game; the transport's RTO machinery recovers it.
+  // path). Everything end-to-end — data, ACK/NACK, CNP — is fair game; the
+  // transport's RTO machinery recovers it.
   switch (pkt.type) {
     case PacketType::kData:
     case PacketType::kAck:
@@ -56,7 +55,6 @@ bool Node::CorruptDrop(const Packet& pkt, int in_port) {
       break;
     case PacketType::kPfcPause:
     case PacketType::kPfcResume:
-    case PacketType::kReadRequest:
       return false;
   }
   auto& by_port = corrupt_->by_port;
@@ -111,13 +109,6 @@ void Port::SetPaused(int priority, bool paused, sim::TimePs now) {
     AbortUnemitted();
   }
   paused_[priority] = paused;
-  if (priority == kDataPriority) {
-    if (paused) {
-      pause_started_ = now;
-    } else {
-      total_paused_ += now - pause_started_;
-    }
-  }
   if (pause_observer_ != nullptr && pause_observer_->on_change) {
     pause_observer_->on_change(owner_->id(), index_, priority, now, paused);
   }
@@ -125,12 +116,6 @@ void Port::SetPaused(int priority, bool paused, sim::TimePs now) {
     hooks->OnPauseChange(owner_->id(), index_, priority, paused, now);
   }
   if (!paused) TryTransmit();
-}
-
-sim::TimePs Port::total_paused_time(sim::TimePs now) const {
-  sim::TimePs t = total_paused_;
-  if (paused_[kDataPriority]) t += now - pause_started_;
-  return t;
 }
 
 void Port::SetLinkUp(bool up) {

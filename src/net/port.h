@@ -113,7 +113,6 @@ class Port {
   // is stamped with the pre-tick fluid state under both transmit engines.
   void SetFluidState(int64_t qlen_bytes, int64_t rate_Bps,
                      int64_t qlen_cap_bytes);
-  bool has_fluid_state() const { return fluid_active_; }
   // Virtual fluid byte counter at time `t` (monotone in t).
   uint64_t FluidTxAt(sim::TimePs t) const;
 
@@ -182,32 +181,25 @@ class Port {
     for (int64_t b : unsettled_bytes_) t += b;
     return t;
   }
-  bool busy() const { return fast_path_ ? SimNow() < busy_until_ : busy_; }
   int index() const { return index_; }
   Node* peer() const { return peer_; }
   int peer_port() const { return peer_port_; }
-  // Total time this egress direction spent paused (data priority).
-  sim::TimePs total_paused_time(sim::TimePs now) const;
 
   // --- Warm checkpoint/restore (runner/experiment.h) ---------------------
   // Cumulative counters a checkpoint must carry: txBytes feeds the INT hop
-  // records (wire-format wrapping depends on the absolute count), the others
-  // are reporting totals. Captured only while the port is quiescent (empty
-  // queues, no train, not paused), so the transient serialization state
-  // (busy_until_, pause_started_) needs no restore: every comparison against
-  // it is already decided at any post-checkpoint time.
+  // records (wire-format wrapping depends on the absolute count), train
+  // aborts is a reporting total. Captured only while the port is quiescent
+  // (empty queues, no train, not paused), so the transient serialization
+  // state (busy_until_) needs no restore: every comparison against it is
+  // already decided at any post-checkpoint time.
   struct WarmCounters {
     uint64_t tx_bytes = 0;
     uint64_t train_aborts = 0;
-    sim::TimePs total_paused = 0;
   };
-  WarmCounters CaptureWarm() const {
-    return {tx_bytes(), train_aborts(), total_paused_};
-  }
+  WarmCounters CaptureWarm() const { return {tx_bytes(), train_aborts()}; }
   void RestoreWarm(const WarmCounters& w) {
     tx_bytes_ = w.tx_bytes;
     train_aborts_ = w.train_aborts;
-    total_paused_ = w.total_paused;
   }
 
  private:
@@ -295,8 +287,6 @@ class Port {
   sim::TimePs fluid_tick_start_ = 0;
 
   const PauseObserver* pause_observer_ = nullptr;
-  sim::TimePs pause_started_ = 0;
-  sim::TimePs total_paused_ = 0;
 
   HandoffChannel* handoff_ = nullptr;  // non-null on shard-boundary egress
 };

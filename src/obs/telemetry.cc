@@ -1,7 +1,6 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/int_header.h"
 #include "host/flow.h"
@@ -130,7 +129,6 @@ TelemetrySession::TelemetrySession(
     recorders_.push_back(static_cast<TelemetryRecorder*>(
         registry->Add(std::make_unique<TelemetryRecorder>(cfg))));
   }
-  recorder_ = recorders_.front();
 }
 
 TelemetryCounters TelemetrySession::counters() const {
@@ -159,38 +157,47 @@ void TelemetrySession::Start() {
            static_cast<sim::TimePs>(c.drain_factor *
                                     static_cast<double>(c.duration));
   if (!cfg_.trace) return;
-  if (experiment_->shards() > 1) {
-    throw std::logic_error("telemetry trace samplers require shards=1");
-  }
-  sim::Simulator& sim = experiment_->simulator();
-  if (cfg_.queue_tracks > 0 && cfg_.queue_sample_us > 0) {
+  const bool queues = cfg_.queue_tracks > 0 && cfg_.queue_sample_us > 0;
+  const bool flows = cfg_.flow_tracks > 0 && cfg_.flow_sample_us > 0;
+  if (queues) {
     queue_interval_ = std::max<sim::TimePs>(
         1, static_cast<sim::TimePs>(cfg_.queue_sample_us * sim::kPsPerUs));
-    topo::Topology& topo = experiment_->topology();
-    for (uint32_t id : topo.switches()) {
-      const net::Node& node = topo.node(id);
-      for (int p = 0; p < node.num_ports(); ++p) {
-        QueueTrack qt;
-        qt.node = id;
-        qt.port = p;
-        qt.series.set_max_points(cfg_.queue_track_points);
-        queue_tracks_.push_back(std::move(qt));
-      }
-    }
-    sim.ScheduleIn(queue_interval_, [this] { SampleQueues(); });
   }
-  if (cfg_.flow_tracks > 0 && cfg_.flow_sample_us > 0) {
+  if (flows) {
     flow_interval_ = std::max<sim::TimePs>(
         1, static_cast<sim::TimePs>(cfg_.flow_sample_us * sim::kPsPerUs));
-    sim.ScheduleIn(flow_interval_, [this] { SampleFlows(); });
+  }
+  // Sized once: the scheduled samplers hold pointers into it.
+  lanes_.resize(static_cast<size_t>(experiment_->shards()));
+  topo::Topology& topo = experiment_->topology();
+  for (int lane = 0; lane < experiment_->shards(); ++lane) {
+    LaneSamplers& ls = lanes_[static_cast<size_t>(lane)];
+    ls.lane = lane;
+    sim::Simulator& sim = experiment_->lane_simulator(lane);
+    if (queues) {
+      for (uint32_t id : experiment_->partition().lane_switches[lane]) {
+        const net::Node& node = topo.node(id);
+        for (int p = 0; p < node.num_ports(); ++p) {
+          QueueTrack qt;
+          qt.node = id;
+          qt.port = p;
+          qt.series.set_max_points(cfg_.queue_track_points);
+          ls.queues.push_back(std::move(qt));
+        }
+      }
+      sim.ScheduleIn(queue_interval_, [this, &ls] { SampleQueues(ls); });
+    }
+    if (flows) {
+      sim.ScheduleIn(flow_interval_, [this, &ls] { SampleFlows(ls); });
+    }
   }
 }
 
-void TelemetrySession::SampleQueues() {
-  sim::Simulator& sim = experiment_->simulator();
+void TelemetrySession::SampleQueues(LaneSamplers& ls) {
+  sim::Simulator& sim = experiment_->lane_simulator(ls.lane);
   const sim::TimePs now = sim.now();
   topo::Topology& topo = experiment_->topology();
-  for (QueueTrack& qt : queue_tracks_) {
+  for (QueueTrack& qt : ls.queues) {
     const int64_t q = topo.node(qt.node).port(qt.port).queue_bytes(
         net::kDataPriority);
     // Idle ports stay pointless (most of a big fabric never queues); the
@@ -203,52 +210,53 @@ void TelemetrySession::SampleQueues() {
     qt.series.Add(now, static_cast<double>(q) / 1000.0);
   }
   if (now + queue_interval_ <= until_) {
-    sim.ScheduleIn(queue_interval_, [this] { SampleQueues(); });
+    sim.ScheduleIn(queue_interval_, [this, &ls] { SampleQueues(ls); });
   }
 }
 
-void TelemetrySession::SampleFlows() {
-  sim::Simulator& sim = experiment_->simulator();
+void TelemetrySession::SampleFlows(LaneSamplers& ls) {
+  sim::Simulator& sim = experiment_->lane_simulator(ls.lane);
   const sim::TimePs now = sim.now();
-  const auto& flows = experiment_->flows();
-  // Adopt newly created flows (creation order) until the track budget fills.
-  while (flow_states_.size() < flows.size() &&
-         flow_states_.size() < static_cast<size_t>(cfg_.flow_tracks)) {
-    const host::Flow* f = flows[flow_states_.size()];
+  // Adopt the lane's newly created flows with ids 1..flow_tracks. Ids grow
+  // with creation order within a lane, so the scan stops at the first flow
+  // past the range and every later one is past it too.
+  const std::vector<host::Flow*>& flows = experiment_->lane_flows(ls.lane);
+  while (ls.flows_scanned < flows.size() &&
+         flows[ls.flows_scanned]->spec().id <=
+             static_cast<uint64_t>(cfg_.flow_tracks)) {
+    const host::Flow* f = flows[ls.flows_scanned++];
     // Every flow starts with nothing acked, so the first sample counts the
     // bytes acked since the flow began, however late the tick adopts it.
     FlowTrack ft;
-    ft.flow_id = f->spec().id;
     ft.flow = f;
-    flow_states_.push_back(ft);
-    TelemetryTrack t;
-    t.name = "flow " + std::to_string(f->spec().id);
-    t.unit = "Gbps";
-    t.series.set_max_points(cfg_.flow_track_points);
-    flow_tracks_.push_back(std::move(t));
+    ft.track.name = "flow " + std::to_string(f->spec().id);
+    ft.track.unit = "Gbps";
+    ft.track.series.set_max_points(cfg_.flow_track_points);
+    ls.flows.push_back(std::move(ft));
   }
   const double interval_sec = sim::ToSec(flow_interval_);
-  for (size_t i = 0; i < flow_states_.size(); ++i) {
-    FlowTrack& ft = flow_states_[i];
+  for (FlowTrack& ft : ls.flows) {
     const host::Flow* f = static_cast<const host::Flow*>(ft.flow);
     const uint64_t acked = std::min(f->snd_una, f->spec().size_bytes);
     const double gbps = static_cast<double>(acked - ft.last_acked) * 8.0 /
                         interval_sec / 1e9;
     ft.last_acked = acked;
-    stats::TimeSeries& s = flow_tracks_[i].series;
+    stats::TimeSeries& s = ft.track.series;
     // Suppress flat zero tails after completion (and before first byte).
     if (gbps == 0 && (f->done || s.empty())) continue;
     s.Add(now, gbps);
   }
   if (now + flow_interval_ <= until_) {
-    sim.ScheduleIn(flow_interval_, [this] { SampleFlows(); });
+    sim.ScheduleIn(flow_interval_, [this, &ls] { SampleFlows(ls); });
   }
 }
 
 std::vector<TelemetryTrack> TelemetrySession::TopQueueTracks() const {
   std::vector<const QueueTrack*> active;
-  for (const QueueTrack& qt : queue_tracks_) {
-    if (qt.max_bytes > 0 && !qt.series.empty()) active.push_back(&qt);
+  for (const LaneSamplers& ls : lanes_) {
+    for (const QueueTrack& qt : ls.queues) {
+      if (qt.max_bytes > 0 && !qt.series.empty()) active.push_back(&qt);
+    }
   }
   std::sort(active.begin(), active.end(),
             [](const QueueTrack* a, const QueueTrack* b) {
@@ -269,6 +277,45 @@ std::vector<TelemetryTrack> TelemetrySession::TopQueueTracks() const {
     t.unit = "kB";
     t.series = qt->series;
     out.push_back(std::move(t));
+  }
+  return out;
+}
+
+std::vector<TelemetryTrack> TelemetrySession::FlowTracks() const {
+  std::vector<const FlowTrack*> all;
+  for (const LaneSamplers& ls : lanes_) {
+    for (const FlowTrack& ft : ls.flows) all.push_back(&ft);
+  }
+  const auto id = [](const FlowTrack* ft) {
+    return static_cast<const host::Flow*>(ft->flow)->spec().id;
+  };
+  std::sort(all.begin(), all.end(),
+            [&](const FlowTrack* a, const FlowTrack* b) {
+              return id(a) < id(b);
+            });
+  std::vector<TelemetryTrack> out;
+  out.reserve(all.size());
+  for (const FlowTrack* ft : all) out.push_back(ft->track);
+  return out;
+}
+
+std::vector<TelemetryTrack> TelemetrySession::IntTracks() const {
+  // Every lane recorder holds a slot per tracked flow id; only the lane of
+  // the flow's source host fills it.
+  const TelemetryRecorder& first = *recorders_.front();
+  const size_t n = first.int_qlen_tracks().size();
+  std::vector<TelemetryTrack> out = first.int_qlen_tracks();
+  out.insert(out.end(), first.int_util_tracks().begin(),
+             first.int_util_tracks().end());
+  for (const TelemetryRecorder* r : recorders_) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!r->int_qlen_tracks()[i].series.empty()) {
+        out[i] = r->int_qlen_tracks()[i];
+      }
+      if (!r->int_util_tracks()[i].series.empty()) {
+        out[n + i] = r->int_util_tracks()[i];
+      }
+    }
   }
   return out;
 }

@@ -11,7 +11,8 @@
 //
 // Determinism contract (tested by tests/telemetry_test.cc): everything the
 // recorder and samplers collect — counter totals, sampled queue depths and
-// flow rates, INT echoes — is identical across --jobs and --fastpath=on/off.
+// flow rates, INT echoes — is identical across --jobs, --fastpath=on/off
+// and --shards.
 // Counter totals are order-independent sums over the same packet stream;
 // sampled tracks read state (queue_bytes, snd_una) at fixed sim times, and
 // that state is already pinned engine-equal by the byte-identical CSV
@@ -57,7 +58,8 @@ struct TelemetryConfig {
   double queue_sample_us = 10.0;
 
   // Per-flow goodput tracks (acked-byte delta per interval, in Gbps) for
-  // the first `flow_tracks` flows by creation order.
+  // flow ids 1..flow_tracks — the first flows by creation order, the rule
+  // the INT tracks use too.
   int flow_tracks = 8;
   int flow_track_points = 512;
   double flow_sample_us = 10.0;
@@ -145,10 +147,14 @@ class TelemetryRecorder final : public check::InvariantMonitor {
 };
 
 // Owns the telemetry machinery for one experiment run: adds a
-// TelemetryRecorder to the registry (which owns it) and, when tracks are
-// requested, schedules fixed-interval samplers for queue depth and per-flow
-// rate. Samplers are read-only: a run with telemetry on produces the exact
-// CSV a run with telemetry off does.
+// TelemetryRecorder to each lane's registry (which owns it) and, when tracks
+// are requested, schedules fixed-interval samplers for queue depth and
+// per-flow rate on every lane's simulator. Each lane's samplers read only
+// that lane's switches and owned flows, at the same sim times and in the
+// same event order as a one-lane run's (the shard-equivalence argument that
+// pins stats::QueueMonitor's per-lane samples). Samplers are read-only: a
+// run with telemetry on produces the exact CSV a run with telemetry off
+// does.
 class TelemetrySession {
  public:
   // One recorder per lane registry (lane order). Counter totals are summed
@@ -158,28 +164,29 @@ class TelemetrySession {
                    runner::Experiment* experiment);
 
   // Schedules the samplers (must be called before Experiment::Run). Sampling
-  // covers [0, duration * (1 + drain_factor)]. The samplers read lane 0's
-  // live state, so trace mode requires shards=1 (throws std::logic_error).
+  // covers [0, duration * (1 + drain_factor)].
   void Start();
 
   const TelemetryConfig& config() const { return cfg_; }
-  const TelemetryRecorder& recorder() const { return *recorder_; }
-  // Counter totals over every lane recorder (== recorder().counters() on a
-  // single-registry session). Plain sums, so the aggregate is byte-equal to
-  // the one-lane totals whatever the shard count.
+  // Counter totals over every lane recorder. Plain sums, so the aggregate
+  // is byte-equal to the one-lane totals whatever the shard count.
   TelemetryCounters counters() const;
-  // Warm restore (single-lane sessions only — warm checkpoints force
-  // shards=1): seeds the recorder with the checkpoint's counter baseline.
+  // Warm restore: seeds the first lane's recorder with the checkpoint's
+  // counter total, so counters() adds the post-restore traffic onto it.
   void RestoreCounters(const TelemetryCounters& c) {
-    recorder_->set_counters(c);
+    recorders_.front()->set_counters(c);
   }
 
   // The `queue_tracks` busiest sampled queues (peak depth desc, then node,
   // port asc); empty tracks (never above zero) are skipped.
   std::vector<TelemetryTrack> TopQueueTracks() const;
-  const std::vector<TelemetryTrack>& flow_tracks() const {
-    return flow_tracks_;
-  }
+  // Goodput tracks of flow ids 1..flow_tracks, in id order (fluid flows and
+  // ids never created have none).
+  std::vector<TelemetryTrack> FlowTracks() const;
+  // INT flight-recorder tracks (empty unless trace && int_tracks > 0): the
+  // qlen track of each flow id 1..int_tracks, then each util track. A
+  // flow's echoes reach only its source host's lane recorder.
+  std::vector<TelemetryTrack> IntTracks() const;
 
  private:
   struct QueueTrack {
@@ -189,24 +196,28 @@ class TelemetrySession {
     stats::TimeSeries series;
   };
   struct FlowTrack {
-    uint64_t flow_id = 0;
     uint64_t last_acked = 0;
     const void* flow = nullptr;  // host::Flow*, opaque here
+    TelemetryTrack track;
+  };
+  // One lane's samplers, run on the lane's own simulator.
+  struct LaneSamplers {
+    int lane = 0;
+    std::vector<QueueTrack> queues;  // one per data queue of its switches
+    std::vector<FlowTrack> flows;    // its tracked flows, id order
+    size_t flows_scanned = 0;        // prefix of its flows already adopted
   };
 
-  void SampleQueues();
-  void SampleFlows();
+  void SampleQueues(LaneSamplers& ls);
+  void SampleFlows(LaneSamplers& ls);
 
   TelemetryConfig cfg_;
   runner::Experiment* experiment_;
-  TelemetryRecorder* recorder_;  // owned by the (first) registry
   std::vector<TelemetryRecorder*> recorders_;  // one per lane registry
   sim::TimePs until_ = 0;
   sim::TimePs queue_interval_ = 0;
   sim::TimePs flow_interval_ = 0;
-  std::vector<QueueTrack> queue_tracks_;   // one per data-priority queue
-  std::vector<FlowTrack> flow_states_;
-  std::vector<TelemetryTrack> flow_tracks_;
+  std::vector<LaneSamplers> lanes_;  // sized once by Start
 };
 
 }  // namespace hpcc::obs

@@ -144,8 +144,8 @@ std::string BuildTraceJson(const TraceExportInputs& in) {
   }
   w.Add(Instant(1, 0, sim_end, "simulation end"));
 
-  // -- pid 2: flow lifetime spans -----------------------------------------
-  for (const host::Flow* f : e.flows()) {
+  // -- pid 2: flow lifetime spans, id order ------------------------------
+  for (const host::Flow* f : e.AllFlows()) {
     const host::FlowSpec& spec = f->spec();
     const std::string id = std::to_string(spec.id);
     const std::string lane = JStr(FlowLane(spec.size_bytes));
@@ -177,8 +177,9 @@ std::string BuildTraceJson(const TraceExportInputs& in) {
 
   // -- pid 3: PFC pause windows, one lane per paused (node, port) ---------
   {
+    const std::vector<stats::PfcMonitor::PauseEvent> pauses = e.PauseEvents();
     std::map<std::pair<uint32_t, int>, int> lane;  // (node, port) -> tid
-    for (const stats::PfcMonitor::PauseEvent& pe : e.pfc_monitor().events()) {
+    for (const stats::PfcMonitor::PauseEvent& pe : pauses) {
       if (pe.end < pe.start) continue;
       lane.emplace(std::make_pair(pe.node, pe.port), 0);
     }
@@ -189,7 +190,7 @@ std::string BuildTraceJson(const TraceExportInputs& in) {
                        "sw" + std::to_string(key.first) + " p" +
                            std::to_string(key.second)));
     }
-    for (const stats::PfcMonitor::PauseEvent& pe : e.pfc_monitor().events()) {
+    for (const stats::PfcMonitor::PauseEvent& pe : pauses) {
       if (pe.end < pe.start) continue;
       const int tid = lane.at({pe.node, pe.port});
       w.Add("{\"name\":\"pause\",\"ph\":\"X\",\"pid\":3,\"tid\":" +
@@ -204,19 +205,14 @@ std::string BuildTraceJson(const TraceExportInputs& in) {
     for (const TelemetryTrack& t : in.session->TopQueueTracks()) {
       CounterTrack(w, 4, t);
     }
-    for (const TelemetryTrack& t : in.session->flow_tracks()) {
+    for (const TelemetryTrack& t : in.session->FlowTracks()) {
       CounterTrack(w, 5, t);
     }
-    const TelemetryRecorder& rec = in.session->recorder();
-    if (!rec.int_qlen_tracks().empty()) {
+    const std::vector<TelemetryTrack> int_tracks = in.session->IntTracks();
+    if (!int_tracks.empty()) {
       w.Add(ProcessName(6, "int"));
       w.Add(ProcessSortIndex(6));
-      for (const TelemetryTrack& t : rec.int_qlen_tracks()) {
-        if (!t.series.empty()) CounterTrack(w, 6, t);
-      }
-      for (const TelemetryTrack& t : rec.int_util_tracks()) {
-        if (!t.series.empty()) CounterTrack(w, 6, t);
-      }
+      for (const TelemetryTrack& t : int_tracks) CounterTrack(w, 6, t);
     }
   }
 

@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "core/hash.h"
 
@@ -83,8 +84,9 @@ std::unique_ptr<stats::FctRecorder> Experiment::MakeFctRecorder() const {
 }
 
 Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
-  if (config_.shards < 1) {
-    throw std::invalid_argument("shards must be >= 1");
+  if (config_.shards < 1 || config_.shards > kMaxShards) {
+    throw std::invalid_argument("shards must be in [1, " +
+                                std::to_string(kMaxShards) + "]");
   }
   if (config_.hybrid.enabled) {
     if (config_.shards > 1) {
@@ -326,13 +328,6 @@ void Experiment::SetupLanes() {
   configured_sources_ = lanes_[0]->sources.size();
 }
 
-void Experiment::RequireOneLane(const char* surface) const {
-  if (config_.shards > 1) {
-    throw std::logic_error(std::string(surface) +
-                           " require shards=1 (they live in lane 0)");
-  }
-}
-
 host::Flow* Experiment::AddFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                                 sim::TimePs start) {
   // Replicate the draw in every lane so flow-id counters stay aligned;
@@ -413,30 +408,6 @@ void Experiment::InstallLinkEvent(sim::TimePs at, size_t link, bool up) {
   script_.push_back({at, link, up});
 }
 
-host::Flow* Experiment::AddReadFlow(uint32_t requester, uint32_t responder,
-                                    uint64_t bytes, sim::TimePs start) {
-  RequireOneLane("read flows");
-  if (requester == responder) {
-    throw std::invalid_argument("read requester == responder");
-  }
-  Lane& lane = *lanes_[0];
-  host::FlowSpec spec;
-  spec.id = lane.next_flow_id++;
-  spec.src = responder;  // data flows responder -> requester
-  spec.dst = requester;
-  spec.size_bytes = bytes;
-  spec.start_time = start;
-  std::unique_ptr<host::Flow> flow = NewFlow(lane, spec);
-  host::Flow* raw = flow.get();
-  topology_->host(responder).AddPendingFlow(std::move(flow));
-
-  const uint64_t id = spec.id;
-  lane.sim->ScheduleAt(start, [this, requester, responder, id]() {
-    topology_->host(requester).SendReadRequest(id, responder);
-  });
-  return raw;
-}
-
 void Experiment::set_event_budget(uint64_t max_total_events) {
   for (auto& lp : lanes_) lp->sim->set_event_budget(max_total_events);
 }
@@ -465,6 +436,26 @@ std::vector<const host::Flow*> Experiment::AllFlows() const {
   for (const auto& lp : lanes_) {
     out.insert(out.end(), lp->flow_ptrs.begin(), lp->flow_ptrs.end());
   }
+  std::sort(out.begin(), out.end(),
+            [](const host::Flow* a, const host::Flow* b) {
+              return a->spec().id < b->spec().id;
+            });
+  return out;
+}
+
+std::vector<stats::PfcMonitor::PauseEvent> Experiment::PauseEvents() const {
+  std::vector<stats::PfcMonitor::PauseEvent> out;
+  for (const auto& lp : lanes_) {
+    out.insert(out.end(), lp->pfc->events().begin(), lp->pfc->events().end());
+  }
+  // A (node, port) belongs to one lane, whose windows are already in time
+  // order, so the sort leaves no tie between lanes to break.
+  std::stable_sort(out.begin(), out.end(),
+                   [](const stats::PfcMonitor::PauseEvent& a,
+                      const stats::PfcMonitor::PauseEvent& b) {
+                     return std::tie(a.start, a.node, a.port) <
+                            std::tie(b.start, b.node, b.port);
+                   });
   return out;
 }
 
@@ -488,7 +479,7 @@ void Experiment::DrainInbound(Lane& lane, sim::TimePs horizon) {
   }
 }
 
-void Experiment::RunRounds(sim::TimePs until, bool drain) {
+void Experiment::RunRounds(sim::TimePs until, RoundEnd end) {
   const int n = config_.shards;
   // Coordinator application order: the script events not yet applied, by
   // (time, install order). Lane marker lists stay install-ordered, so sorted
@@ -524,8 +515,11 @@ void Experiment::RunRounds(sim::TimePs until, bool drain) {
   auto retarget = [&] {
     sim::TimePs t = shared.chunk;
     shared.mark = kNoMark;
+    // A checkpoint stops before the script events at `until`, too.
     if (shared.cursor < order.size() &&
-        script_[order[shared.cursor]].at <= t) {
+        (script_[order[shared.cursor]].at < t ||
+         (script_[order[shared.cursor]].at == t &&
+          end != RoundEnd::kBefore))) {
       shared.mark = order[shared.cursor];
       t = script_[shared.mark].at;
     }
@@ -577,7 +571,7 @@ void Experiment::RunRounds(sim::TimePs until, bool drain) {
       }
       const bool settled =
           finished >= created && (fluid_ == nullptr || !fluid_->active());
-      if (!drain || settled || shared.now >= cap) {
+      if (end != RoundEnd::kDrain || settled || shared.now >= cap) {
         shared.done = true;
         return;
       }
@@ -591,9 +585,12 @@ void Experiment::RunRounds(sim::TimePs until, bool drain) {
     Lane& lane = *lanes_[li];
     do {
       try {
-        const uint64_t bound =
-            shared.mark != kNoMark ? lane.marks[shared.mark].seq
-                                   : std::numeric_limits<uint64_t>::max();
+        uint64_t bound = std::numeric_limits<uint64_t>::max();
+        if (shared.mark != kNoMark) {
+          bound = lane.marks[shared.mark].seq;
+        } else if (end == RoundEnd::kBefore && shared.target == until) {
+          bound = 0;  // no event at `until` runs
+        }
         DrainInbound(lane, shared.target);
         lane.sim->Run(shared.target, bound);
       } catch (...) {
@@ -622,7 +619,7 @@ void Experiment::StartQueueMonitor(Lane& lane) {
 
 void Experiment::RunUntil(sim::TimePs until) {
   for (auto& lp : lanes_) StartQueueMonitor(*lp);
-  RunRounds(until, /*drain=*/false);
+  RunRounds(until, RoundEnd::kAt);
 }
 
 ExperimentResult Experiment::Run() {
@@ -638,14 +635,13 @@ void Experiment::StartWorkload() {
 }
 
 ExperimentResult Experiment::FinishRun() {
-  RunRounds(config_.duration, /*drain=*/true);
+  RunRounds(config_.duration, RoundEnd::kDrain);
   return Collect();
 }
 
 std::unique_ptr<Experiment::WarmState> Experiment::RunToWarmCheckpoint(
     sim::TimePs t) {
-  RequireOneLane("warm checkpoints");
-  simulator_->Run(t, /*until_seq=*/0);
+  RunRounds(t, RoundEnd::kBefore);
   if (!QuiescentForWarmCheckpoint(t)) return nullptr;
   return CaptureWarmState();
 }
@@ -654,9 +650,6 @@ bool Experiment::QuiescentForWarmCheckpoint(sim::TimePs t) const {
   // Hybrid runs are always cold: the fluid engine's continuous link/window
   // state has no warm capture surface.
   if (fluid_ != nullptr) return false;
-  const Lane& lane = *lanes_[0];
-  // Every created flow fully delivered and acknowledged.
-  if (lane.flows_completed != lane.flow_ptrs.size()) return false;
   // Every egress queue empty and every fast-path train settled; no pacing
   // wake armed anywhere (see HostNode::pending_wake_count).
   const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
@@ -670,39 +663,60 @@ bool Experiment::QuiescentForWarmCheckpoint(sim::TimePs t) const {
   for (uint32_t h : hosts_) {
     if (topology_->host(h).pending_wake_count() != 0) return false;
   }
-  if (lane.pfc->has_open_pauses()) return false;
-  // Every pending event must be accounted for: the link-script markers not
-  // yet reached, the sources' own next steps, and the queue-monitor tick.
-  // Anything else — an RTO, a CC timer — means live protocol state we
-  // cannot capture.
-  size_t expected = lane.queue_monitor->tick_pending() ? 1 : 0;
-  for (const Lane::Mark& m : lane.marks) {
-    if (m.at >= t) ++expected;
+  for (const auto& lp : lanes_) {
+    const Lane& lane = *lp;
+    // Every created flow fully delivered and acknowledged.
+    if (lane.flows_completed != lane.flow_ptrs.size()) return false;
+    if (lane.pfc->has_open_pauses()) return false;
+    // No packet on a cut link: at one lane it would be a pending arrival.
+    for (const Lane::Inbound& in : lane.inbound) {
+      sim::TimePs at = 0;
+      if (in.channel->PeekArrival(&at)) return false;
+    }
+    // Every pending event must be accounted for: the link-script markers
+    // not yet reached, the sources' own next steps, and the queue-monitor
+    // tick. Anything else — an RTO, a CC timer — means live protocol state
+    // we cannot capture.
+    size_t expected = lane.queue_monitor->tick_pending() ? 1 : 0;
+    for (const Lane::Mark& m : lane.marks) {
+      if (m.at >= t) ++expected;
+    }
+    for (const auto& src : lane.sources) {
+      if (src->warm_pending()) ++expected;
+    }
+    if (lane.sim->pending_events() != expected) return false;
   }
-  for (const auto& src : lane.sources) {
-    if (src->warm_pending()) ++expected;
-  }
-  return simulator_->pending_events() == expected;
+  return true;
 }
 
 std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() const {
-  const Lane& lane = *lanes_[0];
   auto w = std::make_unique<WarmState>();
-  const sim::TimePs now = simulator_->now();
-  w->now = now;
-  w->next_schedule_seq = simulator_->next_schedule_seq();
-  w->events_executed = simulator_->events_executed();
-  w->next_flow_id = lane.next_flow_id;
-  w->flows.reserve(lane.flow_ptrs.size());
-  for (const host::Flow* f : lane.flow_ptrs) {
-    const host::FlowSpec& s = f->spec();
-    w->flows.push_back({s.id, s.src, s.dst, s.size_bytes, s.start_time,
-                        f->finish_time, f->done});
+  for (const auto& lp : lanes_) {
+    const Lane& lane = *lp;
+    WarmLane& wl = w->lanes.emplace_back();
+    const sim::TimePs now = lane.sim->now();
+    wl.now = now;
+    wl.next_schedule_seq = lane.sim->next_schedule_seq();
+    wl.events_executed = lane.sim->events_executed();
+    wl.next_flow_id = lane.next_flow_id;
+    wl.flows.reserve(lane.flow_ptrs.size());
+    for (const host::Flow* f : lane.flow_ptrs) {
+      const host::FlowSpec& s = f->spec();
+      wl.flows.push_back({s.id, s.src, s.dst, s.size_bytes, s.start_time,
+                          f->finish_time, f->done});
+    }
+    wl.fct = std::make_unique<stats::FctRecorder>(*lane.fct);
+    wl.short_fct_us = lane.short_fct_us;
+    wl.queue = lane.queue_monitor->CaptureWarm();
+    wl.pfc = lane.pfc->CaptureWarm();
+    wl.sources.resize(lane.sources.size());
+    for (size_t i = 0; i < lane.sources.size(); ++i) {
+      if (lane.sources[i]->first_activity() < now) {
+        wl.sources[i] = lane.sources[i]->CaptureWarm();
+      }
+    }
+    wl.phase_flows = lane.phase_flows;
   }
-  w->fct = std::make_unique<stats::FctRecorder>(*lane.fct);
-  w->short_fct_us = lane.short_fct_us;
-  w->queue = lane.queue_monitor->CaptureWarm();
-  w->pfc = lane.pfc->CaptureWarm();
   for (uint32_t s : topology_->switches()) {
     w->switches.push_back(topology_->switch_node(s).CaptureWarm());
   }
@@ -716,21 +730,21 @@ std::unique_ptr<Experiment::WarmState> Experiment::CaptureWarmState() const {
   for (uint32_t h : hosts_) {
     w->hosts.push_back(topology_->host(h).CaptureWarm());
   }
-  w->sources.resize(lane.sources.size());
-  for (size_t i = 0; i < lane.sources.size(); ++i) {
-    if (lane.sources[i]->first_activity() < now) {
-      w->sources[i] = lane.sources[i]->CaptureWarm();
-    }
-  }
-  w->phase_flows = lane.phase_flows;
   return w;
 }
 
 bool Experiment::ValidateWarmState(const WarmState& w) const {
-  const Lane& lane = *lanes_[0];
-  if (!lane.queue_monitor_started) return false;
-  if (w.fct == nullptr) return false;
-  if (lane.sources.size() != w.sources.size()) return false;
+  // A checkpoint from another lane count partitions the fabric differently:
+  // run cold.
+  if (w.lanes.size() != lanes_.size()) return false;
+  for (size_t i = 0; i < lanes_.size(); ++i) {
+    const Lane& lane = *lanes_[i];
+    const WarmLane& wl = w.lanes[i];
+    if (!lane.queue_monitor_started) return false;
+    if (wl.fct == nullptr) return false;
+    if (lane.sources.size() != wl.sources.size()) return false;
+    if (wl.now < lane.sim->now()) return false;
+  }
   if (topology_->switches().size() != w.switches.size()) return false;
   if (hosts_.size() != w.hosts.size()) return false;
   const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
@@ -738,29 +752,18 @@ bool Experiment::ValidateWarmState(const WarmState& w) const {
   for (uint32_t id = 0; id < num_nodes; ++id) {
     num_ports += static_cast<size_t>(topology_->node(id).num_ports());
   }
-  if (num_ports != w.ports.size()) return false;
-  if (w.now < simulator_->now()) return false;
-  return true;
+  return num_ports == w.ports.size();
 }
 
 bool Experiment::RestoreWarmState(const WarmState& w) {
-  RequireOneLane("warm checkpoints");
   // Validate the structural match completely before touching anything, so a
   // mismatch leaves this experiment cold-runnable.
   if (!ValidateWarmState(w)) return false;
-  Lane& lane = *lanes_[0];
-  const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
-
-  for (size_t i = 0; i < w.sources.size(); ++i) {
-    if (w.sources[i].has_value()) lane.sources[i]->RestoreWarm(*w.sources[i]);
-  }
-  lane.phase_flows = w.phase_flows;
-  lane.queue_monitor->RestoreWarm(w.queue);
-  lane.pfc->RestoreWarm(w.pfc);
   for (size_t i = 0; i < w.switches.size(); ++i) {
     topology_->switch_node(topology_->switches()[i]).RestoreWarm(
         w.switches[i]);
   }
+  const uint32_t num_nodes = static_cast<uint32_t>(topology_->num_nodes());
   size_t pi = 0;
   for (uint32_t id = 0; id < num_nodes; ++id) {
     net::Node& node = topology_->node(id);
@@ -771,15 +774,27 @@ bool Experiment::RestoreWarmState(const WarmState& w) {
   for (size_t i = 0; i < hosts_.size(); ++i) {
     topology_->host(hosts_[i]).RestoreWarm(w.hosts[i]);
   }
-  lane.fct = std::make_unique<stats::FctRecorder>(*w.fct);
-  lane.short_fct_us = w.short_fct_us;
-  warm_flows_ = w.flows;
-  lane.next_flow_id = w.next_flow_id;
-  // Last: jump the clock and counters to T. Every event replayed above was
-  // scheduled while now_ was still pre-T, so their captured (time, seq) keys
-  // landed unchallenged; from here on the engine continues exactly as the
-  // checkpointing run would have.
-  simulator_->Restore(w.now, w.next_schedule_seq, w.events_executed);
+  for (size_t li = 0; li < lanes_.size(); ++li) {
+    Lane& lane = *lanes_[li];
+    const WarmLane& wl = w.lanes[li];
+    for (size_t i = 0; i < wl.sources.size(); ++i) {
+      if (wl.sources[i].has_value()) {
+        lane.sources[i]->RestoreWarm(*wl.sources[i]);
+      }
+    }
+    lane.phase_flows = wl.phase_flows;
+    lane.queue_monitor->RestoreWarm(wl.queue);
+    lane.pfc->RestoreWarm(wl.pfc);
+    lane.fct = std::make_unique<stats::FctRecorder>(*wl.fct);
+    lane.short_fct_us = wl.short_fct_us;
+    warm_flows_.insert(warm_flows_.end(), wl.flows.begin(), wl.flows.end());
+    lane.next_flow_id = wl.next_flow_id;
+    // Last: jump the lane's clock and counters to T. Every event replayed
+    // above was scheduled while its clock was still pre-T, so their
+    // captured (time, seq) keys landed unchallenged; from here on the lane
+    // continues exactly as the checkpointing run's would have.
+    lane.sim->Restore(wl.now, wl.next_schedule_seq, wl.events_executed);
+  }
   return true;
 }
 

@@ -4,10 +4,9 @@
 // directly through AddFlow/RunUntil/Collect.
 //
 // Every run executes as one or more lanes (config.shards) driven by a single
-// barrier-round loop; shards=1 is simply the one-lane case. A few surfaces
-// read lane 0 directly and are refused on multi-lane runs: warm
-// checkpoint/restore, RDMA READ flows, the hybrid fluid engine and the
-// trace-export samplers.
+// barrier-round loop; shards=1 is simply the one-lane case. Every surface
+// works at any lane count except the hybrid fluid engine, which runs on
+// lane 0 and is refused on multi-lane runs.
 #pragma once
 
 #include <chrono>
@@ -39,6 +38,10 @@
 namespace hpcc::runner {
 
 enum class TopologyKind { kFatTree, kTestbed, kStar, kDumbbell };
+
+// Upper bound on ExperimentConfig::shards. The scenario "shards" key, the
+// --shards flag and the Experiment constructor all enforce it.
+inline constexpr int kMaxShards = 64;
 
 struct ExperimentConfig {
   TopologyKind topology = TopologyKind::kFatTree;
@@ -98,10 +101,11 @@ struct ExperimentConfig {
   double drain_factor = 4.0;
   uint64_t seed = 1;
   // Intra-run parallelism: partition the fabric into this many lanes
-  // (logical processes), each with its own event arena, synchronized
-  // conservatively on cut-link propagation delay. Results are byte-identical
-  // to shards=1 (the shard-equivalence suite pins TraceHash / CSV /
-  // manifest equality); >1 requires every cut link to have positive delay.
+  // (logical processes, 1..kMaxShards), each with its own event arena,
+  // synchronized conservatively on cut-link propagation delay. Results are
+  // byte-identical to shards=1 (the shard-equivalence suite pins TraceHash /
+  // CSV / manifest equality); >1 requires every cut link to have positive
+  // delay, and is refused for hybrid runs.
   int shards = 1;
 
   // Warm-start sweeps: an immutable fabric snapshot exported by an
@@ -189,11 +193,6 @@ class Experiment {
   // fluid flows interleave in one creation order.
   void AddWorkloadFlow(workload::FlowClass flow_class, int lane, uint32_t src,
                        uint32_t dst, uint64_t bytes, sim::TimePs start);
-  // RDMA READ (§4.2): `requester` pulls `bytes` from `responder`. The data
-  // flow runs responder -> requester; its FCT starts at the request post
-  // time, so it includes the request's propagation. Requires shards=1.
-  host::Flow* AddReadFlow(uint32_t requester, uint32_t responder,
-                          uint64_t bytes, sim::TimePs start);
 
   // Adds a scripted one-shot incast burst (a scenario's incast event) to
   // every lane's sources and starts it at once, so its schedule seq is drawn
@@ -227,16 +226,17 @@ class Experiment {
 
   // --- Warm checkpoint/restore (warm-start sweeps) -----------------------
   // A warm checkpoint captures the full mutable simulation state at a
-  // *quiescent* instant T: every flow complete, every queue empty, no pause
-  // open, and no pending event beyond the self-schedules of the lane's
-  // traffic sources, the queue-monitor tick and the link-script markers at
-  // >= T. Restoring into a freshly built, identically configured experiment
-  // then reproduces the checkpointing run's state exactly — same RNG
-  // engines, counters, pending (time, seq) pairs — so the continued run is
-  // byte-identical to one that simulated [0, T) itself. Anything pending
-  // that this accounting can't explain (a CC timer, an RTO) makes the
-  // instant non-quiescent and the caller falls back to a cold run. Warm
-  // state lives in lane 0: every method below requires shards=1.
+  // *quiescent* instant T, taken at a barrier with every lane stopped just
+  // before T: every flow complete, every queue and cut-link handoff channel
+  // empty, no pause open, and no pending event beyond each lane's traffic
+  // source self-schedules, its queue-monitor tick and its link-script
+  // markers at >= T. Restoring into a freshly built, identically configured
+  // experiment (same lane count) then reproduces the checkpointing run's
+  // state exactly — same RNG engines, counters, pending (time, seq) pairs in
+  // every lane — so the continued run is byte-identical to one that
+  // simulated [0, T) itself. Anything pending that this accounting can't
+  // explain (a CC timer, an RTO) makes the instant non-quiescent and the
+  // caller falls back to a cold run.
 
   // One completed pre-checkpoint flow, carried for TraceHash / flow-count
   // folding (the live Flow objects stay with the checkpointing experiment).
@@ -249,19 +249,18 @@ class Experiment {
     sim::TimePs finish = 0;
     bool done = false;
   };
-  struct WarmState {
+  // One lane's share of a checkpoint: its simulator and every piece of
+  // Lane state.
+  struct WarmLane {
     sim::TimePs now = 0;             // checkpoint time T
     uint64_t next_schedule_seq = 0;  // simulator tie-break counter at T
     uint64_t events_executed = 0;
     uint64_t next_flow_id = 1;
-    std::vector<WarmFlowRecord> flows;
+    std::vector<WarmFlowRecord> flows;  // the lane's flows
     std::unique_ptr<stats::FctRecorder> fct;
     stats::PercentileTracker short_fct_us;
     stats::QueueMonitor::WarmState queue;
     stats::PfcMonitor::WarmState pfc;
-    std::vector<net::SwitchNode::WarmState> switches;  // switches() order
-    std::vector<net::Port::WarmCounters> ports;  // node asc, then port asc
-    std::vector<host::HostNode::WarmCounters> hosts;   // hosts() order
     // One slot per lane source, in lane order (configured sources, then
     // incast bursts in script order). Engaged iff the source's first
     // activity predates T; a source that starts at or beyond T is left
@@ -272,18 +271,25 @@ class Experiment {
     std::vector<std::optional<workload::TrafficSource::WarmState>> sources;
     uint64_t phase_flows = 0;  // Lane::phase_flows
   };
+  struct WarmState {
+    std::vector<WarmLane> lanes;  // lane order
+    // The fabric, shared by every lane.
+    std::vector<net::SwitchNode::WarmState> switches;  // switches() order
+    std::vector<net::Port::WarmCounters> ports;  // node asc, then port asc
+    std::vector<host::HostNode::WarmCounters> hosts;   // hosts() order
+  };
 
-  // Call after StartWorkload: runs lane 0 up to T (events at exactly T stay
-  // pending) and captures the warm state there. Returns null when T is not
-  // quiescent; the run can carry on either way.
+  // Call after StartWorkload: runs every lane up to T (events at exactly T
+  // stay pending) and captures the warm state there. Returns null when T is
+  // not quiescent; the run can carry on either way.
   std::unique_ptr<WarmState> RunToWarmCheckpoint(sim::TimePs t);
-  // Validates that `w` structurally matches this experiment (same source
-  // count, node/port/host counts, non-regressed clock), then restores every
-  // captured piece and jumps the simulator clock/counters to T. Returns
-  // false (mutating nothing) on a mismatch — the caller runs cold. Call
-  // after StartWorkload, before any Run: the pre-T self-schedules this
-  // experiment drew are cancelled and replaced by the checkpoint's captured
-  // (time, seq) events.
+  // Validates that `w` structurally matches this experiment (same lane,
+  // source, node, port and host counts, non-regressed clocks), then
+  // restores every captured piece and jumps each lane's simulator
+  // clock/counters to T. Returns false (mutating nothing) on a mismatch —
+  // the caller runs cold. Call after StartWorkload, before any Run: the
+  // pre-T self-schedules this experiment drew are cancelled and replaced by
+  // the checkpoint's captured (time, seq) events.
   bool RestoreWarmState(const WarmState& w);
 
   sim::Simulator& simulator() { return *simulator_; }
@@ -291,8 +297,6 @@ class Experiment {
   const ExperimentConfig& config() const { return config_; }
   const std::vector<uint32_t>& hosts() const { return hosts_; }
   sim::TimePs base_rtt() const { return base_rtt_; }
-  // Lane 0's live flows, creation order (every flow when shards == 1).
-  const std::vector<host::Flow*>& flows() const { return lanes_[0]->flow_ptrs; }
   uint64_t flows_completed() const {
     uint64_t n = 0;
     for (const auto& lp : lanes_) n += lp->flows_completed;
@@ -300,16 +304,22 @@ class Experiment {
   }
   // The hybrid fluid engine (null unless config.hybrid.enabled).
   analytic::FluidRegion* fluid_region() { return fluid_.get(); }
-  // Every live flow across all lanes (lane order, creation order within a
-  // lane). For post-run checkers like the no-progress monitor.
+  // Every live flow across all lanes, in id order (creation order at any
+  // lane count). For post-run readers: the no-progress monitor, trace export.
   std::vector<const host::Flow*> AllFlows() const;
-  // Lane 0's pause recorder (every port when shards == 1).
-  stats::PfcMonitor& pfc_monitor() { return *lanes_[0]->pfc; }
+  // Every lane's PFC pause windows in (start, node, port) order, the same
+  // order at any lane count. Pauses still open have end == -1 until the run
+  // is collected.
+  std::vector<stats::PfcMonitor::PauseEvent> PauseEvents() const;
 
   // Lane surface. Lane 0 runs on simulator(); with shards == 1 it is the
   // only lane and owns every node.
   int shards() const { return config_.shards; }
   sim::Simulator& lane_simulator(int lane) { return *lanes_[lane]->sim; }
+  // Live flows `lane` owns (those whose source host it runs), creation order.
+  const std::vector<host::Flow*>& lane_flows(int lane) const {
+    return lanes_[lane]->flow_ptrs;
+  }
   // Node ids owned by `lane`, ascending.
   const std::vector<uint32_t>& lane_nodes(int lane) const {
     return lane_node_ids_[lane];
@@ -386,20 +396,21 @@ class Experiment {
   // Admits a fluid-class flow (consumes lane 0's next flow id).
   void AddFluidFlow(uint32_t src, uint32_t dst, uint64_t bytes,
                     sim::TimePs start);
-  // Guard for the lane-0-only surfaces: throws std::logic_error naming
-  // `surface` when shards > 1.
-  void RequireOneLane(const char* surface) const;
   void StartQueueMonitor(Lane& lane);
   // Warm-checkpoint helpers behind RunToWarmCheckpoint / RestoreWarmState.
   bool QuiescentForWarmCheckpoint(sim::TimePs t) const;
   std::unique_ptr<WarmState> CaptureWarmState() const;
   bool ValidateWarmState(const WarmState& w) const;
+  // Where RunRounds stops: after every event at `until` (RunUntil), just
+  // before the first event at `until` with its script events unapplied (a
+  // warm checkpoint), or once the run has drained (Run).
+  enum class RoundEnd { kAt, kBefore, kDrain };
   // The barrier-round loop behind every run mode: runs all lanes to
-  // `until`, applying script events at barriers; with `drain`, continues in
-  // 1 ms chunks until every flow settles or the drain cap is reached. A
-  // lane's exception ends the run and is rethrown (lowest lane first) once
-  // every lane thread has joined.
-  void RunRounds(sim::TimePs until, bool drain);
+  // `until`, applying script events at barriers; kDrain continues in 1 ms
+  // chunks until every flow settles or the drain cap is reached. A lane's
+  // exception ends the run and is rethrown (lowest lane first) once every
+  // lane thread has joined.
+  void RunRounds(sim::TimePs until, RoundEnd end);
   // Reschedules every pending inbound record with arrival <= horizon onto
   // the lane's own simulator, under the producer's arrival tie-break key.
   void DrainInbound(Lane& lane, sim::TimePs horizon);

@@ -97,14 +97,6 @@ ScenarioRunner::ScenarioRunner(const ScenarioRunnerOptions& options)
   if (options_.resume) options_.manifest = true;
 }
 
-SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run, bool check,
-                                      int fastpath_override) {
-  RunOneOptions opts;
-  opts.check = check;
-  opts.fastpath_override = fastpath_override;
-  return RunOne(run, opts);
-}
-
 SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
                                       const RunOneOptions& opts) {
   SweepRunResult out;
@@ -145,15 +137,9 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     if (opts.fastpath_override >= 0) {
       cfg.fast_path = opts.fastpath_override != 0;
     }
+    // A hybrid scenario under a shards override > 1 fails in the Experiment
+    // constructor, which names the conflict.
     if (opts.shards_override >= 1) cfg.shards = opts.shards_override;
-    // The flight-recorder samplers read lane 0's live state at fixed sim
-    // times; trace export therefore always runs on one lane. The
-    // deterministic outputs are pinned shard-equal, so this costs nothing
-    // but wall clock.
-    if (tcfg.trace) cfg.shards = 1;
-    // The fluid engine couples shared-port state on one event arena; a
-    // shards override must not push a hybrid run into lanes.
-    if (cfg.hybrid.enabled) cfg.shards = 1;
 
     // Fabric snapshot sharing: the first run to reach this topology key
     // builds the fabric cold and publishes its routing state; everyone else
@@ -179,20 +165,19 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
     // Warm checkpoint eligibility. Everything here falls back to a cold run
     // without changing a single output byte: checking runs hold monitor
     // state a restore cannot reproduce, trace/profile modes record
-    // mid-run engine state, sharded lanes checkpoint nothing, and a link
-    // event before the checkpoint instant mutates routes the snapshotted
-    // fabric build must not see.
+    // mid-run engine state, and a link event before the checkpoint instant
+    // mutates routes the snapshotted fabric build must not see.
     const sim::TimePs warm_until = run.scenario.warm_until;
     // Fault scripts always run cold (the checkpoint models neither the
     // degree-dependent install draws of expanded switch/NIC events nor the
     // corruption RNG streams), and a wall deadline can fire mid-checkpoint.
     // Hybrid runs are always cold too: the fluid engine's continuous link
     // and window state has no warm capture surface.
-    bool warm_on = opts.warm && opts.warm_cache != nullptr && warm_until > 0 &&
-                   warm_until < cfg.duration && cfg.shards == 1 &&
-                   !opts.check && opts.event_budget == 0 && !tcfg.trace &&
-                   !tcfg.profile && deadline_s == 0 &&
-                   !HasFaultEvents(run.scenario) && !cfg.hybrid.enabled;
+    bool warm_on = opts.warm_cache != nullptr && warm_until > 0 &&
+                   warm_until < cfg.duration && !opts.check &&
+                   opts.event_budget == 0 && !tcfg.trace && !tcfg.profile &&
+                   deadline_s == 0 && !HasFaultEvents(run.scenario) &&
+                   !cfg.hybrid.enabled;
     for (const ScenarioEvent& ev : run.scenario.events) {
       if ((ev.kind == ScenarioEvent::Kind::kLinkDown ||
            ev.kind == ScenarioEvent::Kind::kLinkUp) &&
@@ -484,7 +469,6 @@ RunOneOptions ScenarioRunner::PlanRun(const ScenarioRun& run, size_t index,
   opts.check = options_.check;
   opts.fastpath_override = options_.fastpath_override;
   opts.shards_override = options_.shards_override;
-  opts.warm = options_.warm;
   opts.deadline_s = options_.deadline_s;
   opts.sweep_index = index;
   opts.sweep_count = count;

@@ -104,10 +104,10 @@ struct ScenarioRunnerOptions {
   // per-packet reference engine, 1 = force the train fast path. The
   // determinism suite and `--fastpath=on|off` A/B runs use this.
   int fastpath_override = -1;
-  // Shard-count override: 0 = as the scenario says, >= 1 forces that many
-  // execution lanes (runner::ExperimentConfig::shards). The shard-equivalence
-  // suite and `--shards=N` A/B runs use this. Trace export still forces
-  // shards=1 (the flight-recorder samplers read lane 0).
+  // Shard-count override: 0 = as the scenario says, 1..runner::kMaxShards
+  // forces that many execution lanes (runner::ExperimentConfig::shards). The
+  // shard-equivalence suite and `--shards=N` A/B runs use this. A hybrid
+  // scenario fails at any count above 1 (its fluid engine runs on one lane).
   int shards_override = 0;
 
   // --- telemetry (src/obs) ---
@@ -166,10 +166,9 @@ struct RunOneOptions {
   // and its flight recorder run under a budget. A checked run that exhausts
   // it records an "event-budget" violation (event storm or livelock).
   uint64_t event_budget = 0;
-  // Warm-start machinery (RunAll wires these; plain RunOne calls leave them
-  // null and always run cold). `warm` gates checkpoint capture/restore;
-  // the fabric cache engages on its own whenever present.
-  bool warm = true;
+  // Warm-start machinery (RunAll wires these unless --warm=off; plain RunOne
+  // calls leave them null and always run cold). Each cache engages on its
+  // own whenever present.
   std::shared_ptr<FabricCache> fabric_cache;
   std::shared_ptr<WarmCache> warm_cache;
   // Wall-clock deadline in seconds; 0 falls back to the scenario's
@@ -194,15 +193,11 @@ class ScenarioRunner {
   // caller needed the points anyway).
   std::vector<SweepRunResult> RunAll(const std::vector<ScenarioRun>& runs);
 
-  // Executes one fully-resolved sweep point (no threading). `check` attaches
-  // the standard invariant monitors for this point; `fastpath_override` as
-  // in ScenarioRunnerOptions.
-  static SweepRunResult RunOne(const ScenarioRun& run, bool check = false,
-                               int fastpath_override = -1);
-  // Full-control variant: telemetry session, manifest/trace emission and
-  // event budgets. The bool overload above delegates here.
+  // Executes one fully-resolved sweep point (no threading) under `opts`:
+  // invariant monitors, engine and lane overrides, telemetry session,
+  // manifest/trace emission, event budgets and warm-start caches.
   static SweepRunResult RunOne(const ScenarioRun& run,
-                               const RunOneOptions& opts);
+                               const RunOneOptions& opts = {});
 
   // Order-independent digest over the per-flow trace hashes of all points
   // (each salted with its grid index). Equal digests <=> every point saw

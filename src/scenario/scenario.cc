@@ -76,7 +76,9 @@ constexpr Rule kBer{0, 1, true, true, "in (0, 1)"};
 constexpr Rule kPositiveInt{1, 1e6, false, false, "a positive integer"};
 constexpr Rule kTrackCount{0, 1e6, false, false, "a non-negative integer"};
 constexpr Rule kNonNegativeInt{0, kInf, false, false, "a non-negative integer"};
-constexpr Rule kShards{1, 64, false, false, "an integer in [1, 64]"};
+constexpr Rule kShards{1, runner::kMaxShards, false, false,
+                       "an integer in [1, 64]"};
+static_assert(runner::kMaxShards == 64, "kShards' text names the bound");
 constexpr Rule kReceiver{-1, 1e6, false, false,
                          "a host index or -1 (random)"};
 

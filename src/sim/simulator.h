@@ -116,9 +116,6 @@ class Simulator {
   // kOtherSeqBase outside Run. The fast path consults it to decide whether
   // the reference engine's same-timestamp boundary would already have fired.
   uint64_t executing_seq() const { return executing_seq_; }
-  EventClass executing_class() const {
-    return static_cast<EventClass>(executing_seq_ >> kClassShift);
-  }
 
   // Tie-break key the *next* ScheduleAt call would receive. Link-event
   // installation records this before scheduling a link-script marker so the

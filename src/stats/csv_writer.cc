@@ -13,10 +13,6 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-FilePtr Open(const std::string& path) {
-  return FilePtr(std::fopen(path.c_str(), "w"));
-}
-
 void WriteCell(std::FILE* f, const std::string& cell) {
   if (cell.find_first_of(",\"\n\r") == std::string::npos) {
     std::fputs(cell.c_str(), f);
@@ -43,50 +39,12 @@ void WriteRow(std::FILE* f, const std::vector<std::string>& cells) {
 bool WriteTableCsv(const std::string& path,
                    const std::vector<std::string>& header,
                    const std::vector<std::vector<std::string>>& rows) {
-  FilePtr f = Open(path);
+  FilePtr f(std::fopen(path.c_str(), "w"));
   if (f == nullptr) return false;
   WriteRow(f.get(), header);
   for (const auto& row : rows) WriteRow(f.get(), row);
   // A truncated file (e.g. disk full) must not report success.
   return std::fflush(f.get()) == 0 && std::ferror(f.get()) == 0;
-}
-
-bool WriteTimeSeriesCsv(const std::string& path, const TimeSeries& series,
-                        const std::string& value_header) {
-  FilePtr f = Open(path);
-  if (f == nullptr) return false;
-  std::fprintf(f.get(), "time_us,%s\n", value_header.c_str());
-  for (const auto& [t, v] : series.points()) {
-    std::fprintf(f.get(), "%.3f,%.6g\n", sim::ToUs(t), v);
-  }
-  return true;
-}
-
-bool WriteCdfCsv(const std::string& path, const PercentileTracker& dist,
-                 int step_percent) {
-  if (step_percent <= 0) return false;
-  FilePtr f = Open(path);
-  if (f == nullptr) return false;
-  std::fprintf(f.get(), "percentile,value\n");
-  for (int p = 0; p <= 100; p += step_percent) {
-    std::fprintf(f.get(), "%d,%.6g\n", p,
-                 dist.Percentile(static_cast<double>(p)));
-  }
-  return true;
-}
-
-bool WriteFctCsv(const std::string& path, const FctRecorder& fct) {
-  FilePtr f = Open(path);
-  if (f == nullptr) return false;
-  std::fprintf(f.get(), "bin,count,p50,p95,p99\n");
-  for (size_t i = 0; i < fct.num_bins(); ++i) {
-    const PercentileTracker& bin = fct.bin(i);
-    if (bin.Empty()) continue;
-    std::fprintf(f.get(), "%s,%zu,%.4f,%.4f,%.4f\n", fct.BinLabel(i).c_str(),
-                 bin.Count(), bin.Percentile(50), bin.Percentile(95),
-                 bin.Percentile(99));
-  }
-  return true;
 }
 
 }  // namespace hpcc::stats

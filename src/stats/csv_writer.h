@@ -1,32 +1,17 @@
-// CSV export for offline plotting: time series, distributions (as CDF
-// points) and per-bin FCT tables in a gnuplot/pandas-friendly format.
+// CSV export: a rectangular table of pre-formatted cells, the shape the
+// scenario sweep runner aggregates its per-run results into.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "stats/fct_recorder.h"
-#include "stats/percentile.h"
-#include "stats/timeseries.h"
-
 namespace hpcc::stats {
 
 // Generic rectangular table: one header row plus pre-formatted cells. Cells
-// containing commas, quotes or newlines are quoted per RFC 4180. Used by the
-// scenario sweep runner to aggregate per-run results into one file.
+// containing commas, quotes or newlines are quoted per RFC 4180. Returns
+// false if the file cannot be opened or written.
 bool WriteTableCsv(const std::string& path,
                    const std::vector<std::string>& header,
                    const std::vector<std::vector<std::string>>& rows);
-
-// "time_us,value" rows. Returns false if the file cannot be opened.
-bool WriteTimeSeriesCsv(const std::string& path, const TimeSeries& series,
-                        const std::string& value_header = "value");
-
-// "percentile,value" rows at the given resolution (default every 1%).
-bool WriteCdfCsv(const std::string& path, const PercentileTracker& dist,
-                 int step_percent = 1);
-
-// "bin,count,p50,p95,p99" rows per non-empty size bin.
-bool WriteFctCsv(const std::string& path, const FctRecorder& fct);
 
 }  // namespace hpcc::stats

@@ -1,6 +1,5 @@
 #include "stats/pfc_monitor.h"
 
-#include <algorithm>
 
 #include "net/packet.h"
 #include "topo/topology.h"
@@ -20,7 +19,6 @@ void PfcMonitor::AttachTo(topo::Topology& topology,
 
 void PfcMonitor::Merge(const PfcMonitor& other) {
   events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-  peak_paused_bps_ = std::max(peak_paused_bps_, other.peak_paused_bps_);
 }
 
 void PfcMonitor::OnChange(uint32_t node, int port, int prio, sim::TimePs now,
@@ -36,13 +34,10 @@ void PfcMonitor::OnChange(uint32_t node, int port, int prio, sim::TimePs now,
     ev.port_bps = port_bps_.count(key) > 0 ? port_bps_[key] : 0;
     open_[key] = events_.size();
     events_.push_back(ev);
-    paused_bps_now_ += ev.port_bps;
-    peak_paused_bps_ = std::max(peak_paused_bps_, paused_bps_now_);
   } else {
     auto it = open_.find(key);
     if (it == open_.end()) return;
     events_[it->second].end = now;
-    paused_bps_now_ -= events_[it->second].port_bps;
     open_.erase(it);
   }
 }
@@ -52,7 +47,6 @@ void PfcMonitor::Finish(sim::TimePs now) {
     events_[idx].end = now;
   }
   open_.clear();
-  paused_bps_now_ = 0;
 }
 
 sim::TimePs PfcMonitor::total_pause_time() const {

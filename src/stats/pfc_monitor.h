@@ -1,6 +1,6 @@
 // PFC pause bookkeeping: pause-time fraction (Fig. 11b/11d), pause event
-// durations (Fig. 2b), propagation depth and suppressed bandwidth
-// (the Fig. 1 substitute experiment).
+// durations (Fig. 2b) and the pause windows the Fig. 1 propagation bench
+// and trace export read.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +39,7 @@ class PfcMonitor {
 
   // Folds a Finish()ed shard-local monitor in. Event lists concatenate (the
   // aggregate total_pause_time and duration distribution are order-
-  // independent); peak_paused_bps becomes the max of per-shard peaks — a
-  // lower bound on the true global simultaneous peak, which only the opt-in
-  // profile section reports, never deterministic output.
+  // independent).
   void Merge(const PfcMonitor& other);
 
   size_t pause_count() const { return events_.size(); }
@@ -52,23 +50,17 @@ class PfcMonitor {
   double PauseTimeFraction(sim::TimePs elapsed, int num_ports) const;
   // Distribution of individual pause durations in microseconds.
   PercentileTracker DurationDistributionUs() const;
-  // Peak simultaneous paused capacity (bps) and its fraction of total.
-  int64_t peak_paused_bps() const { return peak_paused_bps_; }
 
   // --- Warm checkpoint/restore (runner/experiment.h) ---------------------
   // A checkpoint is only taken while no pause is open, so the closed event
-  // list plus the peak is the complete state (port_bps_ is structural and
-  // refilled by AttachTo on the restoring run).
+  // list is the complete state (port_bps_ is structural and refilled by
+  // AttachTo on the restoring run).
   bool has_open_pauses() const { return !open_.empty(); }
   struct WarmState {
     std::vector<PauseEvent> events;
-    int64_t peak_paused_bps = 0;
   };
-  WarmState CaptureWarm() const { return {events_, peak_paused_bps_}; }
-  void RestoreWarm(const WarmState& w) {
-    events_ = w.events;
-    peak_paused_bps_ = w.peak_paused_bps;
-  }
+  WarmState CaptureWarm() const { return {events_}; }
+  void RestoreWarm(const WarmState& w) { events_ = w.events; }
 
  private:
   void OnChange(uint32_t node, int port, int prio, sim::TimePs now,
@@ -80,8 +72,6 @@ class PfcMonitor {
   std::vector<PauseEvent> events_;
   std::map<std::pair<uint32_t, int>, size_t> open_;  // (node,port) -> event
   std::map<std::pair<uint32_t, int>, int64_t> port_bps_;
-  int64_t paused_bps_now_ = 0;
-  int64_t peak_paused_bps_ = 0;
 };
 
 }  // namespace hpcc::stats

@@ -9,6 +9,8 @@
 #   file_with_flag_rejected   FILE plus an experiment flag exits 2, naming it
 #   bad_number_rejected       a malformed integer, unsigned or floating-point
 #                             flag value exits 2, naming the flag and text
+#   shards_out_of_range_rejected
+#                             --shards above the lane bound exits 2 at parse
 #   flags_match_star          a flag-mode run and the committed fixture
 #   flags_match_defaults      document write byte-identical CSVs and dump the
 #                             same canonical scenario (pins flag -> key)
@@ -110,6 +112,8 @@ elseif(CASE STREQUAL "bad_number_rejected")
   expect_exit(2 "error: --eta=1.5x: expected a finite number" --eta=1.5x)
   expect_exit(2 "error: --load=: expected a finite number" --load=)
   expect_exit(2 "error: --load=inf: expected a finite number" --load=inf)
+elseif(CASE STREQUAL "shards_out_of_range_rejected")
+  expect_exit(2 "error: --shards=65: expected 1..64" --shards=65)
 elseif(CASE STREQUAL "flags_match_star")
   expect_same_as_fixture("${fixtures}/flag_mode_star.json"
     --scheme=hpcc --topo=star --hosts=9 --trace=fbhadoop --load=0.4

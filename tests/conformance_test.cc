@@ -44,7 +44,9 @@ TEST_P(Conformance, SharedDumbbellSanityBounds) {
   const std::vector<ScenarioRun> runs = ExpandSweep(s);
   ASSERT_EQ(runs.size(), 1u);
 
-  const SweepRunResult r = ScenarioRunner::RunOne(runs[0], /*check=*/true);
+  RunOneOptions checked;
+  checked.check = true;
+  const SweepRunResult r = ScenarioRunner::RunOne(runs[0], checked);
   ASSERT_TRUE(r.error.empty()) << scheme << ": " << r.error;
   EXPECT_EQ(r.violation_count, 0u)
       << scheme << " violated invariants:\n"

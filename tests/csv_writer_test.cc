@@ -11,7 +11,7 @@ namespace hpcc::stats {
 namespace {
 
 std::string Slurp(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
@@ -21,63 +21,30 @@ std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
-TEST(CsvWriter, TimeSeries) {
-  TimeSeries ts;
-  ts.Add(sim::Us(1), 10.5);
-  ts.Add(sim::Us(2), 20.25);
-  const std::string path = TempPath("series.csv");
-  ASSERT_TRUE(WriteTimeSeriesCsv(path, ts, "gbps"));
-  const std::string content = Slurp(path);
-  EXPECT_NE(content.find("time_us,gbps\n"), std::string::npos);
-  EXPECT_NE(content.find("1.000,10.5\n"), std::string::npos);
-  EXPECT_NE(content.find("2.000,20.25\n"), std::string::npos);
+TEST(CsvWriter, Table) {
+  const std::string path = TempPath("table.csv");
+  ASSERT_TRUE(WriteTableCsv(path, {"run", "load", "p99"},
+                            {{"a", "0.3", "1.5"}, {"b", "0.5", ""}}));
+  EXPECT_EQ(Slurp(path), "run,load,p99\na,0.3,1.5\nb,0.5,\n");
   std::remove(path.c_str());
 }
 
-TEST(CsvWriter, EmptySeriesWritesHeaderOnly) {
-  const std::string path = TempPath("empty.csv");
-  ASSERT_TRUE(WriteTimeSeriesCsv(path, TimeSeries{}));
-  EXPECT_EQ(Slurp(path), "time_us,value\n");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, Cdf) {
-  PercentileTracker d;
-  for (int i = 1; i <= 100; ++i) d.Add(i);
-  const std::string path = TempPath("cdf.csv");
-  ASSERT_TRUE(WriteCdfCsv(path, d, 25));
-  const std::string content = Slurp(path);
-  EXPECT_NE(content.find("percentile,value\n"), std::string::npos);
-  EXPECT_NE(content.find("0,1\n"), std::string::npos);
-  EXPECT_NE(content.find("100,100\n"), std::string::npos);
-  // 5 steps: 0,25,50,75,100 plus header.
-  EXPECT_EQ(std::count(content.begin(), content.end(), '\n'), 6);
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, CdfRejectsBadStep) {
-  PercentileTracker d;
-  EXPECT_FALSE(WriteCdfCsv(TempPath("x.csv"), d, 0));
-}
-
-TEST(CsvWriter, Fct) {
-  FctRecorder fct({1'000, 10'000});
-  fct.Record(500, sim::Us(20), sim::Us(10));
-  fct.Record(5'000, sim::Us(40), sim::Us(10));
-  const std::string path = TempPath("fct.csv");
-  ASSERT_TRUE(WriteFctCsv(path, fct));
-  const std::string content = Slurp(path);
-  EXPECT_NE(content.find("bin,count,p50,p95,p99\n"), std::string::npos);
-  EXPECT_NE(content.find("<=1K,1,2.0000"), std::string::npos);
-  EXPECT_NE(content.find("(1K,10K],1,4.0000"), std::string::npos);
-  // Empty bins omitted: header + 2 rows.
-  EXPECT_EQ(std::count(content.begin(), content.end(), '\n'), 3);
+TEST(CsvWriter, QuotesCellsPerRfc4180) {
+  // Cells with a comma, quote, LF or CR are wrapped in quotes, and embedded
+  // quotes are doubled; every other cell is written bare.
+  const std::string path = TempPath("quoted.csv");
+  ASSERT_TRUE(WriteTableCsv(
+      path, {"run", "error"},
+      {{"x[load=0.3,seed=1]", "say \"hi\""}, {"line\nbreak", "cr\rhere"}}));
+  EXPECT_EQ(Slurp(path),
+            "run,error\n"
+            "\"x[load=0.3,seed=1]\",\"say \"\"hi\"\"\"\n"
+            "\"line\nbreak\",\"cr\rhere\"\n");
   std::remove(path.c_str());
 }
 
 TEST(CsvWriter, UnwritablePathFails) {
-  TimeSeries ts;
-  EXPECT_FALSE(WriteTimeSeriesCsv("/nonexistent-dir/x.csv", ts));
+  EXPECT_FALSE(WriteTableCsv("/nonexistent-dir/x.csv", {"a"}, {}));
 }
 
 }  // namespace

@@ -298,7 +298,9 @@ TEST(FaultEvents, CorruptWindowIsDeterministicAcrossEnginesAndShards) {
                 "until_us": 700}]
   })");
 
-  const SweepRunResult base = ScenarioRunner::RunOne(run, /*check=*/true);
+  RunOneOptions checked;
+  checked.check = true;
+  const SweepRunResult base = ScenarioRunner::RunOne(run, checked);
   ASSERT_TRUE(base.ok()) << base.error;
   EXPECT_GT(base.result.dropped_by_reason[static_cast<int>(
                 check::DropReason::kCorrupt)],
@@ -312,21 +314,21 @@ TEST(FaultEvents, CorruptWindowIsDeterministicAcrossEnginesAndShards) {
   EXPECT_EQ(Cell(base, "status"), "ok");
 
   // Same seed stream -> bit-identical replay...
-  const SweepRunResult again = ScenarioRunner::RunOne(run, /*check=*/true);
+  const SweepRunResult again = ScenarioRunner::RunOne(run, checked);
   ASSERT_TRUE(again.ok()) << again.error;
   EXPECT_EQ(base.result.trace_hash, again.result.trace_hash);
   EXPECT_EQ(ScenarioRunner::CsvRow(base, true),
             ScenarioRunner::CsvRow(again, true));
 
   // ...on the reference engine...
-  const SweepRunResult ref = ScenarioRunner::RunOne(run, /*check=*/true,
-                                                    /*fastpath_override=*/0);
+  RunOneOptions reference = checked;
+  reference.fastpath_override = 0;
+  const SweepRunResult ref = ScenarioRunner::RunOne(run, reference);
   ASSERT_TRUE(ref.ok()) << ref.error;
   EXPECT_EQ(base.result.trace_hash, ref.result.trace_hash);
 
   // ...and under sharded execution.
-  RunOneOptions opts;
-  opts.check = true;
+  RunOneOptions opts = checked;
   opts.shards_override = 2;
   const SweepRunResult sharded = ScenarioRunner::RunOne(run, opts);
   ASSERT_TRUE(sharded.ok()) << sharded.error;
@@ -346,7 +348,9 @@ TEST(FaultEvents, NicFlapIsolatesHostThenRecovers) {
     "events": [{"type": "nic_down", "at_us": 100, "host": 0},
                {"type": "nic_up", "at_us": 400, "host": 0}]
   })");
-  const SweepRunResult base = ScenarioRunner::RunOne(run, /*check=*/true);
+  RunOneOptions checked;
+  checked.check = true;
+  const SweepRunResult base = ScenarioRunner::RunOne(run, checked);
   ASSERT_TRUE(base.ok()) << base.error;
   EXPECT_GT(base.result.flows_created, 0u);
   // The 300us outage delays flows touching host 0 but everything recovers
@@ -354,11 +358,10 @@ TEST(FaultEvents, NicFlapIsolatesHostThenRecovers) {
   EXPECT_EQ(base.result.flows_completed, base.result.flows_created);
   EXPECT_EQ(base.result.flows_failed, 0u);
 
-  const SweepRunResult again = ScenarioRunner::RunOne(run, /*check=*/true);
+  const SweepRunResult again = ScenarioRunner::RunOne(run, checked);
   EXPECT_EQ(base.result.trace_hash, again.result.trace_hash);
 
-  RunOneOptions opts;
-  opts.check = true;
+  RunOneOptions opts = checked;
   opts.shards_override = 2;
   const SweepRunResult sharded = ScenarioRunner::RunOne(run, opts);
   ASSERT_TRUE(sharded.ok()) << sharded.error;

@@ -196,6 +196,20 @@ TEST(Hybrid, DeterministicAcrossJobsAndRepeats) {
   std::remove(f4.c_str());
 }
 
+TEST(Hybrid, ShardsOverrideFailsLoudly) {
+  // The fluid engine runs on one lane: a --shards=2 override must fail the
+  // point with an error naming the conflict, not demote it to one lane.
+  scenario::ScenarioRun run;
+  run.scenario = scenario::ParseScenarioText(kHybridScenario);
+  run.label = run.scenario.name;
+  scenario::RunOneOptions opts;
+  opts.shards_override = 2;
+  const scenario::SweepRunResult r =
+      scenario::ScenarioRunner::RunOne(run, opts);
+  EXPECT_NE(r.error.find("hybrid"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("shards"), std::string::npos) << r.error;
+}
+
 TEST(Hybrid, DeterministicAcrossFastpathEnginesAndMonitorClean) {
   const scenario::Json doc = scenario::Json::Parse(kHybridScenario);
   const check::FuzzRunReport trains =

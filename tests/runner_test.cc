@@ -159,14 +159,22 @@ TEST(Runner, DumbbellHostOrdering) {
   EXPECT_EQ(e.topology().PathHops(e.hosts()[0], e.hosts()[3]), 3);
 }
 
+TEST(Runner, ShardsAboveBoundRejected) {
+  // Lane threads start only in the round loop, so the refused constructor
+  // starts none.
+  ExperimentConfig cfg;
+  cfg.topology = TopologyKind::kStar;
+  cfg.star.num_hosts = 2;
+  cfg.shards = kMaxShards + 1;
+  EXPECT_THROW(Experiment e(cfg), std::invalid_argument);
+}
+
 TEST(Runner, AddFlowRejectsSelfTraffic) {
   ExperimentConfig cfg;
   cfg.topology = TopologyKind::kStar;
   cfg.star.num_hosts = 2;
   Experiment e(cfg);
   EXPECT_THROW(e.AddFlow(e.hosts()[0], e.hosts()[0], 1000, 0),
-               std::invalid_argument);
-  EXPECT_THROW(e.AddReadFlow(e.hosts()[1], e.hosts()[1], 1000, 0),
                std::invalid_argument);
 }
 

@@ -66,7 +66,7 @@ TEST(ScenarioEvents, LinkScriptRecomputesRoutesAndFlowsFinish) {
   // Same-side routing is unaffected.
   EXPECT_EQ(t.Distance(left_host, e.hosts()[1]), 2);
   // The incast fired before the failure, so flows exist and are in flight.
-  ASSERT_EQ(e.flows().size(), 2u);
+  ASSERT_EQ(e.AllFlows().size(), 2u);
   EXPECT_EQ(e.flows_completed(), 0u);
 
   // After the repair event: connectivity and ECMP tables are back.

@@ -164,14 +164,16 @@ TEST(ShardEquivalence, ScenarioShardsKey) {
   scenario::Scenario sc = scenario::LoadScenarioFile(path);
   std::remove(path.c_str());
   EXPECT_EQ(sc.config.shards, 4);
+  scenario::RunOneOptions checked;
+  checked.check = true;
   const auto with = scenario::ScenarioRunner::RunOne(
-      scenario::ExpandSweep(sc).front(), /*check=*/true);
+      scenario::ExpandSweep(sc).front(), checked);
   ASSERT_TRUE(with.error.empty()) << with.error;
   EXPECT_EQ(with.violation_count, 0u);
 
   sc.config.shards = 1;
   const auto without = scenario::ScenarioRunner::RunOne(
-      scenario::ExpandSweep(sc).front(), /*check=*/true);
+      scenario::ExpandSweep(sc).front(), checked);
   ASSERT_TRUE(without.error.empty()) << without.error;
   EXPECT_EQ(with.result.trace_hash, without.result.trace_hash);
   EXPECT_EQ(with.result.flows_completed, without.result.flows_completed);

@@ -314,15 +314,5 @@ TEST(Port, TxBytesCountsEverything) {
   EXPECT_EQ(f.sw.port(0).tx_bytes(), 0u);
 }
 
-TEST(Port, PausedTimeAccounting) {
-  Fixture f;
-  f.sw.port(0).SetPaused(kDataPriority, true, sim::Us(10));
-  f.sw.port(0).SetPaused(kDataPriority, false, sim::Us(35));
-  EXPECT_EQ(f.sw.port(0).total_paused_time(sim::Us(100)), sim::Us(25));
-  // Open-ended pause counts up to `now`.
-  f.sw.port(0).SetPaused(kDataPriority, true, sim::Us(50));
-  EXPECT_EQ(f.sw.port(0).total_paused_time(sim::Us(60)), sim::Us(35));
-}
-
 }  // namespace
 }  // namespace hpcc::net

@@ -1,9 +1,9 @@
 // Telemetry determinism + shape regression tests (src/obs).
 //
 // The headline pins: the manifest and the Perfetto trace are byte-identical
-// across --jobs=1/4 and --fastpath=on/off (the same contract the CSVs
-// honor), and a run with telemetry on produces the exact CSV a run with
-// telemetry off does. Plus schema smoke tests for both artifacts and the
+// across --jobs=1/4, --fastpath=on/off and --shards=1/4 (the same contract
+// the CSVs honor), and a run with telemetry on produces the exact CSV a run
+// with telemetry off does. Plus schema smoke tests for both artifacts and the
 // per-reason drop columns' appear-only-with-drops rule.
 #include <gtest/gtest.h>
 
@@ -119,6 +119,106 @@ TEST(Telemetry, ArtifactsIdenticalAcrossEngines) {
     EXPECT_EQ(fast.first, ref.first);    // manifest
     EXPECT_EQ(fast.second, ref.second);  // trace
   }
+}
+
+TEST(Telemetry, ArtifactsIdenticalAcrossShards) {
+  // Traced + manifest sweeps at one and four lanes: each lane samples its
+  // own switches and flows, and trace export merges the lanes, so the CSV,
+  // every manifest and every trace must come out byte for byte the same.
+  // Fig. 2b's hundreds of pause windows span several lanes.
+  for (const char* name :
+       {"fig13_link_failure.json", "fattree16_hadoop_burst.json",
+        "fig2b_dcqcn_ti300_td4.json"}) {
+    SCOPED_TRACE(name);
+    const std::vector<ScenarioRun> runs =
+        ExpandSweep(LoadScenarioFile(ScenarioPath(name)));
+    ASSERT_FALSE(runs.empty());
+    std::vector<std::string> base;  // CSV, then manifest + trace per point
+    for (const int shards : {1, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      const std::string tag = "telemetry_s" + std::to_string(shards);
+      ScenarioRunnerOptions o;
+      o.jobs = 1;
+      o.shards_override = shards;
+      o.manifest = true;
+      o.trace_out = tag + ".trace.json";
+      o.out_base = tag;
+      const std::vector<SweepRunResult> results =
+          ScenarioRunner(o).RunAll(runs);
+      ASSERT_TRUE(ScenarioRunner::WriteCsv(tag + ".csv", results));
+      std::vector<std::string> bytes = {ReadFile(tag + ".csv")};
+      std::remove((tag + ".csv").c_str());
+      for (const SweepRunResult& r : results) {
+        ASSERT_TRUE(r.ok()) << r.label << ": " << r.error;
+        ASSERT_FALSE(r.manifest_path.empty());
+        ASSERT_FALSE(r.trace_path.empty());
+        bytes.push_back(ReadFile(r.manifest_path));
+        bytes.push_back(ReadFile(r.trace_path));
+        std::remove(r.manifest_path.c_str());
+        std::remove(r.trace_path.c_str());
+      }
+      if (shards == 1) {
+        base = std::move(bytes);
+        continue;
+      }
+      ASSERT_EQ(bytes.size(), base.size());
+      for (size_t i = 0; i < bytes.size(); ++i) {
+        EXPECT_FALSE(bytes[i].empty()) << "artifact " << i;
+        EXPECT_EQ(bytes[i], base[i]) << "artifact " << i;
+      }
+    }
+  }
+}
+
+TEST(Telemetry, TraceSamplersRunOnEveryLane) {
+  // The session's samplers start on a four-lane experiment, and every queue,
+  // flow and INT track equals its one-lane counterpart point for point.
+  std::vector<std::vector<obs::TelemetryTrack>> per_shards;
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    runner::ExperimentConfig cfg;  // 2-pod fat-tree, 32 hosts
+    cfg.load = 0.5;
+    cfg.max_flows = 40;
+    cfg.duration = sim::Us(300);
+    cfg.shards = shards;
+    runner::Experiment e(cfg);
+    std::vector<check::MonitorRegistry> registries(shards);
+    std::vector<check::MonitorRegistry*> regs;
+    for (int lane = 0; lane < shards; ++lane) {
+      registries[lane].set_clock(&e.lane_simulator(lane));
+      registries[lane].AttachTo(e.topology(), e.lane_nodes(lane));
+      regs.push_back(&registries[lane]);
+    }
+    obs::TelemetryConfig tcfg;
+    tcfg.trace = true;
+    tcfg.flow_tracks = 16;
+    tcfg.int_tracks = 16;
+    obs::TelemetrySession session(tcfg, regs, &e);
+    ASSERT_NO_THROW(session.Start());
+    e.Run();
+    std::vector<obs::TelemetryTrack> tracks = session.TopQueueTracks();
+    EXPECT_FALSE(tracks.empty());
+    const std::vector<obs::TelemetryTrack> flows = session.FlowTracks();
+    ASSERT_EQ(flows.size(), 16u);
+    for (size_t i = 0; i < flows.size(); ++i) {
+      EXPECT_EQ(flows[i].name, "flow " + std::to_string(i + 1));
+    }
+    tracks.insert(tracks.end(), flows.begin(), flows.end());
+    const std::vector<obs::TelemetryTrack> ints = session.IntTracks();
+    ASSERT_EQ(ints.size(), 32u);  // qlen, then util, per flow id
+    tracks.insert(tracks.end(), ints.begin(), ints.end());
+    per_shards.push_back(std::move(tracks));
+  }
+  ASSERT_EQ(per_shards[1].size(), per_shards[0].size());
+  size_t sampled = 0;
+  for (size_t i = 0; i < per_shards[0].size(); ++i) {
+    sampled += per_shards[0][i].series.empty() ? 0 : 1;
+    SCOPED_TRACE(per_shards[0][i].name);
+    EXPECT_EQ(per_shards[1][i].name, per_shards[0][i].name);
+    EXPECT_EQ(per_shards[1][i].series.points(),
+              per_shards[0][i].series.points());
+  }
+  EXPECT_GT(sampled, per_shards[0].size() / 2);
 }
 
 TEST(Telemetry, ManifestShape) {
@@ -271,8 +371,9 @@ TEST(Telemetry, FlowTrackCountsBytesAckedBeforeTheFirstTick) {
   const host::Flow* f = e.AddFlow(e.hosts()[0], e.hosts()[2], 20'000, 0);
   e.RunUntil(sim::Us(100));
   ASSERT_TRUE(f->done);
-  ASSERT_EQ(session.flow_tracks().size(), 1u);
-  const auto& points = session.flow_tracks()[0].series.points();
+  const std::vector<obs::TelemetryTrack> tracks = session.FlowTracks();
+  ASSERT_EQ(tracks.size(), 1u);
+  const auto& points = tracks[0].series.points();
   ASSERT_EQ(points.size(), 1u);  // nothing after completion
   EXPECT_EQ(points[0].first, sim::Us(20));
   EXPECT_DOUBLE_EQ(points[0].second, 20'000 * 8 / 20e-6 / 1e9);  // Gbps

@@ -1,13 +1,13 @@
 // Warm-start equivalence suite: a sweep run with fabric-snapshot sharing and
 // warm_start checkpoint/restore enabled must be observably indistinguishable
 // from the all-cold run — equal combined trace hashes, byte-identical
-// aggregate CSVs and byte-identical per-run manifests — at any worker count,
-// including configurations where warm capture is ineligible and every point
-// silently falls back to cold (sharded lanes, pre-checkpoint link flaps, a
-// non-quiescent checkpoint instant). Covers the committed example scenarios
-// and the whole fuzz corpus, plus a purpose-built scenario where the
-// checkpoint provably engages (warm_built/warm_restored are asserted, not
-// hoped for).
+// aggregate CSVs and byte-identical per-run manifests — at any worker count
+// and any lane count, including configurations where warm capture is
+// ineligible and every point silently falls back to cold (pre-checkpoint
+// link flaps, a non-quiescent checkpoint instant). Covers the committed
+// example scenarios and the whole fuzz corpus, plus a purpose-built scenario
+// where the checkpoint provably engages (warm_built/warm_restored are
+// asserted, not hoped for).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,26 +100,28 @@ void ExpectSameOutputs(const SweepOutputs& cold, const SweepOutputs& other) {
   }
 }
 
-// Cold baseline vs warm at jobs {1, 4} vs warm on 4 execution lanes (where
-// checkpointing is ineligible and only the fabric snapshot is shared): all
-// four must produce the same bytes.
+// Cold baseline vs warm at jobs {1, 4} vs warm on 4 execution lanes: all
+// four must produce the same bytes, and the lanes must checkpoint exactly
+// where one lane does (a checkpoint instant is quiescent at any lane count
+// or at none).
 void ExpectWarmEquivalence(const std::vector<scenario::ScenarioRun>& runs,
                            const std::string& tag) {
   const SweepOutputs cold = RunVariant(runs, /*warm=*/false, 1, 0,
                                        tag + "_cold");
+  const SweepOutputs warm1 = RunVariant(runs, true, 1, 0, tag + "_w1");
   {
     SCOPED_TRACE("warm jobs=1");
-    ExpectSameOutputs(cold, RunVariant(runs, true, 1, 0, tag + "_w1"));
+    ExpectSameOutputs(cold, warm1);
   }
   {
     SCOPED_TRACE("warm jobs=4");
     ExpectSameOutputs(cold, RunVariant(runs, true, 4, 0, tag + "_w4"));
   }
   {
-    SCOPED_TRACE("warm shards=4 (cold fallback)");
+    SCOPED_TRACE("warm shards=4");
     const SweepOutputs sharded = RunVariant(runs, true, 1, 4, tag + "_ws4");
-    EXPECT_EQ(sharded.built, 0u);
-    EXPECT_EQ(sharded.restored, 0u);
+    EXPECT_EQ(sharded.built, warm1.built);
+    EXPECT_EQ(sharded.restored, warm1.restored);
     ExpectSameOutputs(cold, sharded);
   }
 }
@@ -243,12 +245,13 @@ std::vector<scenario::ScenarioRun> PhaseCapRuns() {
   return scenario::ExpandSweep(scenario::ParseScenarioText(doc));
 }
 
-// Every point shares one WarmFingerprint; the sweep runs cold, then warm at
-// jobs 1 and 4, where exactly one point builds the checkpoint and every
-// other point restores it, with outputs byte-identical to the cold run's.
-// Returns the warm jobs=1 outputs.
+// Every point shares one WarmFingerprint; the sweep runs cold on one lane,
+// then warm on `shards` lanes at jobs 1 and 4, where exactly one point
+// builds the checkpoint and every other point restores it, with outputs
+// byte-identical to the cold run's. Returns the warm jobs=1 outputs.
 SweepOutputs ExpectCheckpointEngages(
-    const std::vector<scenario::ScenarioRun>& runs, const std::string& tag) {
+    const std::vector<scenario::ScenarioRun>& runs, int shards,
+    const std::string& tag) {
   const uint64_t fp = scenario::WarmFingerprint(runs[0].scenario);
   for (const scenario::ScenarioRun& run : runs) {
     EXPECT_EQ(scenario::WarmFingerprint(run.scenario), fp) << run.label;
@@ -259,14 +262,14 @@ SweepOutputs ExpectCheckpointEngages(
   EXPECT_EQ(cold.built, 0u);
   EXPECT_EQ(cold.restored, 0u);
 
-  const SweepOutputs warm = RunVariant(runs, /*warm=*/true, 1, 0,
+  const SweepOutputs warm = RunVariant(runs, /*warm=*/true, 1, shards,
                                        tag + "_w1");
   // Exactly one point builds the checkpoint; every other point restores it.
   EXPECT_EQ(warm.built, 1u);
   EXPECT_EQ(warm.restored, runs.size() - 1);
   ExpectSameOutputs(cold, warm);
 
-  const SweepOutputs warm4 = RunVariant(runs, /*warm=*/true, 4, 0,
+  const SweepOutputs warm4 = RunVariant(runs, /*warm=*/true, 4, shards,
                                         tag + "_w4");
   EXPECT_EQ(warm4.built, 1u);
   EXPECT_EQ(warm4.restored, runs.size() - 1);
@@ -275,23 +278,28 @@ SweepOutputs ExpectCheckpointEngages(
 }
 
 TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
-  {
-    SCOPED_TRACE("post-checkpoint burst");
-    const std::vector<scenario::ScenarioRun> runs = WarmEngagedRuns();
-    ASSERT_EQ(runs.size(), 4u);
-    ExpectCheckpointEngages(runs, "warm_engaged");
-  }
-  {
-    SCOPED_TRACE("phase flow cap");
-    const std::vector<scenario::ScenarioRun> runs = PhaseCapRuns();
-    ASSERT_EQ(runs.size(), 3u);
-    const SweepOutputs warm = ExpectCheckpointEngages(runs, "warm_phase_cap");
-    ASSERT_EQ(warm.flows_created.size(), runs.size());
-    for (size_t i = 0; i < runs.size(); ++i) {
-      EXPECT_EQ(warm.flows_created[i],
-                12u + static_cast<uint64_t>(
-                          runs[i].scenario.events[2].incast.fan_in))
-          << runs[i].label;
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string lanes = "_s" + std::to_string(shards);
+    {
+      SCOPED_TRACE("post-checkpoint burst");
+      const std::vector<scenario::ScenarioRun> runs = WarmEngagedRuns();
+      ASSERT_EQ(runs.size(), 4u);
+      ExpectCheckpointEngages(runs, shards, "warm_engaged" + lanes);
+    }
+    {
+      SCOPED_TRACE("phase flow cap");
+      const std::vector<scenario::ScenarioRun> runs = PhaseCapRuns();
+      ASSERT_EQ(runs.size(), 3u);
+      const SweepOutputs warm =
+          ExpectCheckpointEngages(runs, shards, "warm_phase_cap" + lanes);
+      ASSERT_EQ(warm.flows_created.size(), runs.size());
+      for (size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(warm.flows_created[i],
+                  12u + static_cast<uint64_t>(
+                            runs[i].scenario.events[2].incast.fan_in))
+            << runs[i].label;
+      }
     }
   }
 }

@@ -279,7 +279,7 @@ uint64_t MacroFig11TelemetryBatch() {
   session.Start();
   auto result = e.Run();
   registry.Finish(e.simulator().now());
-  if (session.recorder().counters().dequeued_packets == 0) std::abort();
+  if (session.counters().dequeued_packets == 0) std::abort();
   return result.packets_forwarded;
 }
 

@@ -3,8 +3,9 @@
 // Generates --runs random-but-valid scenarios from --seed, runs each under
 // the full invariant-monitor set (conservation, queue bounds, PFC sanity,
 // INT monotonicity, CC sanity, lossless drops) plus an event-budget
-// watchdog, and runs each twice to cross-check the golden-trace hash. Any
-// violation writes the offending scenario as a runnable reproducer JSON:
+// watchdog, and replays each clean run to cross-check the golden-trace hash
+// (repeat, reference engine, two lanes, warm start; see check::FuzzMain).
+// Any violation writes the offending scenario as a runnable reproducer JSON:
 //
 //   fuzz_scenarios --seed=42 --runs=50
 //   hpccsim repro_fuzz_42_17.json --check   # replay a violation
@@ -30,14 +31,6 @@ int main(int argc, char** argv) {
     } else if (hpcc::cli::ConsumeFlag(argv[i], "--max-events", &v)) {
       options.max_events =
           hpcc::cli::ParseNumber<uint64_t>("--max-events", v);
-    } else if (std::strcmp(argv[i], "--no-determinism") == 0) {
-      options.check_determinism = false;
-    } else if (std::strcmp(argv[i], "--no-fastpath-check") == 0) {
-      options.check_fastpath = false;
-    } else if (std::strcmp(argv[i], "--no-shard-check") == 0) {
-      options.check_shards = false;
-    } else if (std::strcmp(argv[i], "--no-warm-check") == 0) {
-      options.check_warm = false;
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       options.faults = true;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
@@ -45,9 +38,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--seed=N] [--runs=N] [--out-dir=DIR]\n"
-                   "          [--max-events=N] [--no-determinism]\n"
-                   "          [--no-fastpath-check] [--no-shard-check]\n"
-                   "          [--no-warm-check] [--faults] [--verbose]\n",
+                   "          [--max-events=N] [--faults] [--verbose]\n",
                    argv[0]);
       return 2;
     }

@@ -83,9 +83,10 @@ struct Options {
       "  --fastpath=on|off  force the transmission-train fast path on or off\n"
       "                     (default: as the scenario says; both engines\n"
       "                     produce identical results)\n"
-      "  --shards=N         force N execution lanes per point (default: as\n"
-      "                     the scenario says; any N produces byte-identical\n"
-      "                     results)\n"
+      "  --shards=N         force N execution lanes per point, 1..64\n"
+      "                     (default: as the scenario says; any N produces\n"
+      "                     byte-identical results; hybrid scenarios run on\n"
+      "                     one lane and fail above 1)\n"
       "  --warm=on|off      share fabric snapshots and warm_start checkpoints\n"
       "                     across sweep points (default: on; off forces cold\n"
       "                     runs — results are byte-identical either way)\n"
@@ -152,7 +153,11 @@ Options Parse(int argc, char** argv) {
     }
     else if (cli::ConsumeFlag(argv[i], "--shards", &v)) {
       o.shards = cli::ParseNumber<int>("--shards", v);
-      if (o.shards < 1) Usage(argv[0]);
+      if (o.shards < 1 || o.shards > runner::kMaxShards) {
+        std::fprintf(stderr, "error: --shards=%s: expected 1..%d\n", v,
+                     runner::kMaxShards);
+        std::exit(2);
+      }
     }
     else if (cli::ConsumeFlag(argv[i], "--warm", &v)) {
       if (std::strcmp(v, "on") == 0) o.warm = true;
