@@ -165,7 +165,6 @@ void HostNode::SendOnePacket(Flow& flow, sim::TimePs now) {
       sim::SerializationTime(wire_bytes, rate);
 
   flow.cc().OnSent(payload, now);
-  data_bytes_sent_ += static_cast<uint64_t>(payload);
   ++data_packets_sent_;
 
   port(flow.tx_port).Enqueue(std::move(pkt));
@@ -227,7 +226,7 @@ void HostNode::Receive(net::PacketPtr pkt, int in_port) {
     case net::PacketType::kPfcResume:
       ports_[in_port]->SetPaused(pkt->pause_priority,
                                  pkt->type == net::PacketType::kPfcPause,
-                                 simulator_->now());
+                                 simulator_->now(), pkt->pause_depth);
       return;
     case net::PacketType::kData:
       HandleData(std::move(pkt));

@@ -19,8 +19,9 @@ namespace hpcc::host {
 
 struct HostConfig {
   int mtu_bytes = net::kPayloadBytes;
-  // Safety retransmission timeout (tail loss in lossy mode); PFC-protected
-  // runs never fire it.
+  // Safety retransmission timeout (tail loss in lossy mode). PFC-protected
+  // runs fire it too when ACKs wait behind pauses longer than it, as in the
+  // Fig. 1 and Fig. 2b files; those retransmissions are spurious.
   sim::TimePs rto = sim::Us(1000);
   // Exponential backoff cap: consecutive expiries double the effective RTO
   // up to this value (forward ACK progress resets it to `rto`).
@@ -73,7 +74,6 @@ class HostNode : public net::Node {
 
   const HostConfig& config() const { return config_; }
   Flow* FindFlow(uint64_t flow_id);
-  uint64_t data_bytes_sent() const { return data_bytes_sent_; }
   uint64_t data_packets_sent() const { return data_packets_sent_; }
   uint64_t acks_received() const { return acks_received_; }
 
@@ -94,15 +94,13 @@ class HostNode : public net::Node {
   // Cumulative NIC counters (reporting only; nothing reads them back into
   // the dataplane).
   struct WarmCounters {
-    uint64_t data_bytes_sent = 0;
     uint64_t data_packets_sent = 0;
     uint64_t acks_received = 0;
   };
   WarmCounters CaptureWarm() const {
-    return {data_bytes_sent_, data_packets_sent_, acks_received_};
+    return {data_packets_sent_, acks_received_};
   }
   void RestoreWarm(const WarmCounters& w) {
-    data_bytes_sent_ = w.data_bytes_sent;
     data_packets_sent_ = w.data_packets_sent;
     acks_received_ = w.acks_received;
   }
@@ -151,7 +149,6 @@ class HostNode : public net::Node {
   std::vector<RxState> rx_states_;
   FlowDoneCallback flow_done_;
 
-  uint64_t data_bytes_sent_ = 0;
   uint64_t data_packets_sent_ = 0;
   uint64_t acks_received_ = 0;
 };

@@ -53,7 +53,6 @@ class Node {
 
   // Packets discarded by corruption windows on any of this node's in-ports.
   uint64_t corrupt_dropped_packets() const { return corrupt_dropped_packets_; }
-  uint64_t corrupt_dropped_bytes() const { return corrupt_dropped_bytes_; }
 
   // Port hooks (see Port). Default: no-op.
   // Called right before a data/control packet starts serialization.
@@ -127,7 +126,6 @@ class Node {
   // Null unless a scenario installed `corrupt` windows on this node.
   std::unique_ptr<CorruptState> corrupt_;
   uint64_t corrupt_dropped_packets_ = 0;
-  uint64_t corrupt_dropped_bytes_ = 0;
 };
 
 }  // namespace hpcc::net

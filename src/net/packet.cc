@@ -122,11 +122,13 @@ PacketPtr MakeCnp(uint64_t flow_id, uint32_t src, uint32_t dst) {
   return p;
 }
 
-PacketPtr MakePfc(PacketType pause_or_resume, int priority) {
+PacketPtr MakePfc(PacketType pause_or_resume, int priority, int depth) {
   assert(pause_or_resume == PacketType::kPfcPause ||
          pause_or_resume == PacketType::kPfcResume);
+  assert(depth >= 0 && depth <= kMaxPauseDepth);
   auto p = AllocatePacket();
   p->type = pause_or_resume;
+  p->pause_depth = static_cast<uint8_t>(depth);
   p->payload_bytes = 0;
   p->header_bytes = kPfcFrameBytes;
   p->priority = kControlPriority;

@@ -28,6 +28,7 @@ inline constexpr int kPayloadBytes = 1000;   // MTU-sized data segment
 inline constexpr int kDataHeaderBytes = 48;  // Eth+IP+UDP+IB BTH
 inline constexpr int kAckHeaderBytes = 60;   // ACK/NACK/CNP frame
 inline constexpr int kPfcFrameBytes = 64;    // MAC control frame
+inline constexpr int kMaxPauseDepth = 255;   // Packet::pause_depth saturates
 
 // Priorities: control (ACK/NACK/CNP/PFC) preempts data at egress. The paper
 // uses a single data priority queue (§6); PFC acts on the data priority.
@@ -37,6 +38,11 @@ inline constexpr int kNumPriorities = 2;
 
 struct Packet {
   PacketType type = PacketType::kData;
+  // PFC PAUSE: depth of the pause chain behind this frame. 0 = the egress
+  // of the packet whose ingress crossed Xoff was transmitting; d + 1 = that
+  // egress was itself held by a depth-d pause. Saturates at kMaxPauseDepth.
+  // Simulator-side provenance only: the wire size stays kPfcFrameBytes.
+  uint8_t pause_depth = 0;
 
   // Flow addressing. Node ids index Topology::nodes.
   uint64_t flow_id = 0;
@@ -136,6 +142,6 @@ PacketPtr MakeDataPacket(uint64_t flow_id, uint32_t src, uint32_t dst,
 PacketPtr MakeAck(const Packet& data, uint64_t cumulative_ack);
 PacketPtr MakeNack(const Packet& data, uint64_t expected_seq);
 PacketPtr MakeCnp(uint64_t flow_id, uint32_t src, uint32_t dst);
-PacketPtr MakePfc(PacketType pause_or_resume, int priority);
+PacketPtr MakePfc(PacketType pause_or_resume, int priority, int depth = 0);
 
 }  // namespace hpcc::net

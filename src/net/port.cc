@@ -67,7 +67,6 @@ bool Node::CorruptDrop(const Packet& pkt, int in_port) {
     const uint64_t draw = core::SplitMix64(w.seed + w.counter++);
     if (draw >= w.threshold) continue;
     ++corrupt_dropped_packets_;
-    corrupt_dropped_bytes_ += static_cast<uint64_t>(pkt.size_bytes());
     if (check_hooks_ != nullptr) [[unlikely]] {
       check_hooks_->OnDrop(id_, pkt, check::DropReason::kCorrupt);
     }
@@ -101,7 +100,7 @@ void Port::Enqueue(PacketPtr pkt) {
   TryTransmit();
 }
 
-void Port::SetPaused(int priority, bool paused, sim::TimePs now) {
+void Port::SetPaused(int priority, bool paused, sim::TimePs now, int depth) {
   if (paused_[priority] == paused) return;
   if (fast_path_) {
     // A pause state change alters which packets the reference engine would
@@ -109,8 +108,10 @@ void Port::SetPaused(int priority, bool paused, sim::TimePs now) {
     AbortUnemitted();
   }
   paused_[priority] = paused;
+  pause_depth_[priority] = paused ? static_cast<uint8_t>(depth) : 0;
   if (pause_observer_ != nullptr && pause_observer_->on_change) {
-    pause_observer_->on_change(owner_->id(), index_, priority, now, paused);
+    pause_observer_->on_change(owner_->id(), index_, priority, now, paused,
+                               pause_depth_[priority]);
   }
   if (check::NetHooks* hooks = owner_->check_hooks()) [[unlikely]] {
     hooks->OnPauseChange(owner_->id(), index_, priority, paused, now);

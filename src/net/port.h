@@ -53,10 +53,12 @@ namespace hpcc::net {
 
 class Node;
 
-// Pause bookkeeping callback (wired to stats::PfcMonitor).
+// Pause bookkeeping callback (wired to stats::PfcMonitor). `depth` is the
+// pause-chain depth the PAUSE frame carried (Packet::pause_depth); 0 on a
+// resume.
 struct PauseObserver {
   std::function<void(uint32_t node_id, int port, int prio, sim::TimePs now,
-                     bool paused)>
+                     bool paused, int depth)>
       on_change;
 };
 
@@ -78,9 +80,12 @@ class Port {
   void TryTransmit();
 
   // PFC pause state for this egress direction (set when the *peer* sends a
-  // pause frame that arrives at the owning node through this port).
-  void SetPaused(int priority, bool paused, sim::TimePs now);
+  // pause frame that arrives at the owning node through this port). A pause
+  // keeps the frame's `depth` until the resume; the owning switch stamps
+  // depth + 1 on the PAUSEs it sends for traffic held here.
+  void SetPaused(int priority, bool paused, sim::TimePs now, int depth);
   bool paused(int priority) const { return paused_[priority]; }
+  int pause_depth(int priority) const { return pause_depth_[priority]; }
 
   // Link failure: a down port transmits nothing (queued packets freeze until
   // repair; packets already serialized onto the wire still arrive).
@@ -255,6 +260,7 @@ class Port {
 
   PriorityQueues queues_;
   std::array<bool, kNumPriorities> paused_{};
+  std::array<uint8_t, kNumPriorities> pause_depth_{};  // while paused_
   bool busy_ = false;  // reference engine only
   bool link_up_ = true;
   uint64_t tx_bytes_ = 0;

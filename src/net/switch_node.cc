@@ -112,13 +112,12 @@ void SwitchNode::Receive(PacketPtr pkt, int in_port) {
     // egress direction of that same link.
     ports_[in_port]->SetPaused(pkt->pause_priority,
                                pkt->type == PacketType::kPfcPause,
-                               simulator_->now());
+                               simulator_->now(), pkt->pause_depth);
     return;
   }
   const int out_port = RoutePort(*pkt);
   if (out_port < 0) {
     ++dropped_packets_;
-    dropped_bytes_ += static_cast<uint64_t>(pkt->size_bytes());
     ++dropped_by_reason_[static_cast<int>(check::DropReason::kNoRoute)];
     if (check_hooks_ != nullptr) [[unlikely]] {
       check_hooks_->OnDrop(id_, *pkt, check::DropReason::kNoRoute);
@@ -145,7 +144,6 @@ void SwitchNode::AdmitAndForward(PacketPtr pkt, int in_port, int out_port) {
   }
   if (drop) {
     ++dropped_packets_;
-    dropped_bytes_ += static_cast<uint64_t>(bytes);
     ++dropped_by_reason_[static_cast<int>(reason)];
     if (check_hooks_ != nullptr) [[unlikely]] {
       check_hooks_->OnDrop(id_, *pkt, reason);
@@ -172,7 +170,7 @@ void SwitchNode::AdmitAndForward(PacketPtr pkt, int in_port, int out_port) {
   ports_[out_port]->Enqueue(std::move(pkt));
 
   if (config_.pfc_enabled && prio == kDataPriority) {
-    CheckPause(in_port, prio);
+    CheckPause(in_port, out_port, prio);
   }
 }
 
@@ -216,11 +214,16 @@ void SwitchNode::OnPortDequeue(Packet& pkt, int port_index) {
   }
 }
 
-void SwitchNode::CheckPause(int in_port, int priority) {
+void SwitchNode::CheckPause(int in_port, int out_port, int priority) {
   if (pause_sent_[in_port][priority]) return;
   if (buffer_.ShouldPause(in_port, priority, config_.pfc_alpha)) {
     pause_sent_[in_port][priority] = true;
-    SendPfc(in_port, priority, /*pause=*/true);
+    const Port& out = *ports_[out_port];
+    const int depth =
+        out.paused(priority)
+            ? std::min(out.pause_depth(priority) + 1, kMaxPauseDepth)
+            : 0;
+    SendPfc(in_port, priority, /*pause=*/true, depth);
   }
 }
 
@@ -229,11 +232,11 @@ void SwitchNode::CheckResume(int in_port, int priority) {
   if (buffer_.ShouldResume(in_port, priority, config_.pfc_alpha,
                            config_.pfc_resume_ratio)) {
     pause_sent_[in_port][priority] = false;
-    SendPfc(in_port, priority, /*pause=*/false);
+    SendPfc(in_port, priority, /*pause=*/false, /*depth=*/0);
   }
 }
 
-void SwitchNode::SendPfc(int in_port, int priority, bool pause) {
+void SwitchNode::SendPfc(int in_port, int priority, bool pause, int depth) {
   if (pause) {
     // From here until the matching RESUME, emission work must run at exact
     // emission instants (a deferred buffer release could delay the RESUME):
@@ -244,7 +247,7 @@ void SwitchNode::SendPfc(int in_port, int priority, bool pause) {
     --pause_out_;
   }
   PacketPtr frame = MakePfc(
-      pause ? PacketType::kPfcPause : PacketType::kPfcResume, priority);
+      pause ? PacketType::kPfcPause : PacketType::kPfcResume, priority, depth);
   // PFC travels upstream: out through the port the congesting traffic came in
   // on. It rides the control priority, so it preempts queued data.
   ports_[in_port]->Enqueue(std::move(frame));

@@ -138,7 +138,6 @@ class SwitchNode : public Node {
     return static_cast<int64_t>(rcp_[port].rate);
   }
   uint64_t dropped_packets() const { return dropped_packets_; }
-  uint64_t dropped_bytes() const { return dropped_bytes_; }
   // Per-reason breakdown; sums to dropped_packets().
   uint64_t dropped_by_reason(check::DropReason reason) const {
     return dropped_by_reason_[static_cast<int>(reason)];
@@ -164,7 +163,6 @@ class SwitchNode : public Node {
     sim::Rng rng;
     std::vector<RcpState> rcp;
     uint64_t dropped_packets = 0;
-    uint64_t dropped_bytes = 0;
     uint64_t dropped_by_reason[check::kNumDropReasons] = {};
     uint64_t forwarded_packets = 0;
   };
@@ -173,7 +171,6 @@ class SwitchNode : public Node {
     w.rng = rng_;
     w.rcp = rcp_;
     w.dropped_packets = dropped_packets_;
-    w.dropped_bytes = dropped_bytes_;
     for (int i = 0; i < check::kNumDropReasons; ++i) {
       w.dropped_by_reason[i] = dropped_by_reason_[i];
     }
@@ -184,7 +181,6 @@ class SwitchNode : public Node {
     rng_ = w.rng;
     rcp_ = w.rcp;
     dropped_packets_ = w.dropped_packets;
-    dropped_bytes_ = w.dropped_bytes;
     for (int i = 0; i < check::kNumDropReasons; ++i) {
       dropped_by_reason_[i] = w.dropped_by_reason[i];
     }
@@ -193,9 +189,12 @@ class SwitchNode : public Node {
 
  private:
   void AdmitAndForward(PacketPtr pkt, int in_port, int out_port);
-  void CheckPause(int in_port, int priority);
+  // Sends PAUSE upstream through `in_port` once its ingress crosses Xoff,
+  // stamped with the depth of the pause chain behind `out_port`, the egress
+  // of the packet that crossed it (see Packet::pause_depth).
+  void CheckPause(int in_port, int out_port, int priority);
   void CheckResume(int in_port, int priority);
-  void SendPfc(int in_port, int priority, bool pause);
+  void SendPfc(int in_port, int priority, bool pause, int depth);
 
   void MaybeUpdateRcp(int port_index);
 
@@ -227,7 +226,6 @@ class SwitchNode : public Node {
   std::vector<uint8_t> train_pending_flag_;
 
   uint64_t dropped_packets_ = 0;
-  uint64_t dropped_bytes_ = 0;
   uint64_t dropped_by_reason_[check::kNumDropReasons] = {};
   uint64_t forwarded_packets_ = 0;
 };

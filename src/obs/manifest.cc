@@ -90,6 +90,21 @@ scenario::Json BuildManifest(const ManifestInputs& in) {
     scenario::Json pfc = scenario::Json::MakeObject();
     pfc.Set("pause_events", NumU(res.pause_events));
     pfc.Set("pause_time_pct", Num(res.pause_time_fraction * 100));
+    // Fig. 1a/1b, only when the run paused (pause-free manifests keep their
+    // bytes).
+    if (res.pause_events > 0) {
+      scenario::Json depth = scenario::Json::MakeArray();
+      for (uint64_t n : res.pause_depth_counts) depth.Append(NumU(n));
+      pfc.Set("depth", depth);
+      const runner::ExperimentResult::SuppressedBandwidth& bw =
+          res.suppressed_host_bw_pct;
+      scenario::Json suppressed = scenario::Json::MakeObject();
+      suppressed.Set("p50", NumOrNull(bw.p50));
+      suppressed.Set("p90", NumOrNull(bw.p90));
+      suppressed.Set("p99", NumOrNull(bw.p99));
+      suppressed.Set("max", NumOrNull(bw.max));
+      pfc.Set("suppressed_host_bw_pct", suppressed);
+    }
 
     if (in.session) {
       const TelemetryCounters c = in.session->counters();

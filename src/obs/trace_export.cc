@@ -193,10 +193,13 @@ std::string BuildTraceJson(const TraceExportInputs& in) {
     for (const stats::PfcMonitor::PauseEvent& pe : pauses) {
       if (pe.end < pe.start) continue;
       const int tid = lane.at({pe.node, pe.port});
+      const int64_t bps =
+          e.topology().node(pe.node).port(pe.port).bandwidth_bps();
       w.Add("{\"name\":\"pause\",\"ph\":\"X\",\"pid\":3,\"tid\":" +
             std::to_string(tid) + ",\"ts\":" + TsUs(pe.start) +
             ",\"dur\":" + TsUs(pe.end - pe.start) +
-            ",\"args\":{\"port_gbps\":" + Num(pe.port_bps / 1e9) + "}}");
+            ",\"args\":{\"port_gbps\":" + Num(bps / 1e9) +
+            ",\"depth\":" + std::to_string(pe.depth) + "}}");
     }
   }
 

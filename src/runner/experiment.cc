@@ -12,6 +12,77 @@
 #include "core/hash.h"
 
 namespace hpcc::runner {
+namespace {
+
+using PauseEvent = stats::PfcMonitor::PauseEvent;
+
+// Fig. 1a: pause events by pause-chain depth (index = depth).
+std::vector<uint64_t> PauseDepthCounts(const std::vector<PauseEvent>& pauses) {
+  std::vector<uint64_t> counts;
+  for (const PauseEvent& ev : pauses) {
+    const auto depth = static_cast<size_t>(ev.depth);
+    if (depth >= counts.size()) counts.resize(depth + 1);
+    ++counts[depth];
+  }
+  return counts;
+}
+
+// Fig. 1b: sweeps the host NICs' pause windows in time order. Every stretch
+// with at least one host NIC paused is one (share of host capacity,
+// duration) sample; the percentiles are duration-weighted nearest ranks.
+ExperimentResult::SuppressedBandwidth SuppressedHostBandwidth(
+    const std::vector<PauseEvent>& pauses, topo::Topology& topology,
+    const std::vector<uint32_t>& hosts) {
+  int64_t total_bps = 0;
+  for (uint32_t h : hosts) {
+    const net::Node& n = topology.node(h);
+    for (int p = 0; p < n.num_ports(); ++p) {
+      total_bps += n.port(p).bandwidth_bps();
+    }
+  }
+  std::vector<std::pair<sim::TimePs, int64_t>> deltas;
+  for (const PauseEvent& ev : pauses) {
+    const net::Node& n = topology.node(ev.node);
+    if (n.IsSwitch()) continue;
+    const int64_t bps = n.port(ev.port).bandwidth_bps();
+    deltas.emplace_back(ev.start, bps);
+    deltas.emplace_back(ev.end, -bps);
+  }
+  std::sort(deltas.begin(), deltas.end());
+  std::vector<std::pair<double, sim::TimePs>> samples;  // (share %, duration)
+  sim::TimePs paused_time = 0;
+  int64_t paused_bps = 0;
+  sim::TimePs prev = 0;
+  for (const auto& [t, d] : deltas) {
+    if (paused_bps > 0 && t > prev) {
+      samples.emplace_back(100.0 * static_cast<double>(paused_bps) /
+                               static_cast<double>(total_bps),
+                           t - prev);
+      paused_time += t - prev;
+    }
+    paused_bps += d;
+    prev = t;
+  }
+  ExperimentResult::SuppressedBandwidth out;
+  if (samples.empty()) return out;
+  std::sort(samples.begin(), samples.end());
+  auto at = [&](double p) {
+    const double rank = p / 100.0 * static_cast<double>(paused_time);
+    sim::TimePs seen = 0;
+    for (const auto& [share, duration] : samples) {
+      seen += duration;
+      if (static_cast<double>(seen) >= rank) return share;
+    }
+    return samples.back().first;
+  };
+  out.p50 = at(50);
+  out.p90 = at(90);
+  out.p99 = at(99);
+  out.max = samples.back().first;
+  return out;
+}
+
+}  // namespace
 
 net::SwitchConfig Experiment::MakeSwitchConfig() const {
   net::SwitchConfig sw;
@@ -111,8 +182,7 @@ Experiment::Experiment(const ExperimentConfig& config) : config_(config) {
   }
   simulator_ = std::make_unique<sim::Simulator>();
   BuildTopology();
-  base_rtt_ = config_.base_rtt_override > 0 ? config_.base_rtt_override
-                                            : topology_->MaxBaseRtt();
+  base_rtt_ = topology_->MaxBaseRtt();
   if (cc::SchemeUsesRcp(config_.cc.scheme)) {
     for (uint32_t s : topology_->switches()) {
       topology_->switch_node(s).set_rcp_rtt(base_rtt_);
@@ -295,8 +365,7 @@ void Experiment::SetupLanes() {
     lane.pfc = std::make_unique<stats::PfcMonitor>();
     lane.pfc->AttachTo(*topology_, lane_node_ids_[i]);
     lane.queue_monitor = std::make_unique<stats::QueueMonitor>(
-        lane.sim, topology_.get(), config_.queue_sample_interval,
-        partition_.lane_switches[i]);
+        lane.sim, topology_.get(), partition_.lane_switches[i]);
   }
   // Flow completion wiring: every host reports into its owning lane's
   // recorder (IdealFct is a const query with local search state, so
@@ -829,10 +898,12 @@ ExperimentResult Experiment::Collect() {
   r.pause_time_fraction = pfc.PauseTimeFraction(now, total_ports_);
   r.pause_events = pfc.pause_count();
   r.pause_durations_us = pfc.DurationDistributionUs();
+  r.pause_depth_counts = PauseDepthCounts(pfc.events());
+  r.suppressed_host_bw_pct =
+      SuppressedHostBandwidth(pfc.events(), *topology_, hosts_);
   for (uint32_t s : topology_->switches()) {
     const net::SwitchNode& sw = topology_->switch_node(s);
     r.dropped_packets += sw.dropped_packets();
-    r.dropped_bytes += sw.dropped_bytes();
     for (int d = 0; d < check::kNumDropReasons; ++d) {
       r.dropped_by_reason[d] +=
           sw.dropped_by_reason(static_cast<check::DropReason>(d));
@@ -848,7 +919,6 @@ ExperimentResult Experiment::Collect() {
     // Corruption drops happen at delivery (hosts and switches alike), so
     // they live on the node, not inside the switch drop counters.
     r.dropped_packets += node.corrupt_dropped_packets();
-    r.dropped_bytes += node.corrupt_dropped_bytes();
     r.dropped_by_reason[static_cast<int>(check::DropReason::kCorrupt)] +=
         node.corrupt_dropped_packets();
   }

@@ -1,7 +1,7 @@
 // Experiment harness: wires a topology, a CC scheme, workload generators and
 // monitors into one runnable unit. The scenario runner builds one per sweep
-// point; tests, the examples, bench_report and the Fig. 1 bench drive it
-// directly through AddFlow/RunUntil/Collect.
+// point; tests, the examples and bench_report drive it directly through
+// AddFlow/RunUntil/Collect.
 //
 // Every run executes as one or more lanes (config.shards) driven by a single
 // barrier-round loop; shards=1 is simply the one-lane case. Every surface
@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -115,8 +116,6 @@ struct ExperimentConfig {
   // Null = cold build. Never affects results — only setup cost.
   std::shared_ptr<const topo::FabricSnapshot> fabric_snapshot;
 
-  sim::TimePs queue_sample_interval = sim::Us(10);
-  sim::TimePs base_rtt_override = 0;  // 0 = measured MaxBaseRtt
   // Flows at or below this size feed the short-flow latency distribution
   // (the "95pct-latency" series of Fig. 2b/11b/11d).
   uint64_t short_flow_bytes = 3'000;
@@ -129,11 +128,23 @@ struct ExperimentResult {
   double pause_time_fraction = 0;        // of total port-time
   size_t pause_events = 0;
   stats::PercentileTracker pause_durations_us;
+  // Fig. 1a: pause events by pause-chain depth (index = depth, see
+  // net::Packet::pause_depth); sums to pause_events, empty without pauses.
+  std::vector<uint64_t> pause_depth_counts;
+  // Fig. 1b: the share (%) of total host NIC capacity behind paused host
+  // NICs, time-weighted over the time at least one host NIC is paused. NaN
+  // when no host NIC paused.
+  struct SuppressedBandwidth {
+    double p50 = std::numeric_limits<double>::quiet_NaN();
+    double p90 = std::numeric_limits<double>::quiet_NaN();
+    double p99 = std::numeric_limits<double>::quiet_NaN();
+    double max = std::numeric_limits<double>::quiet_NaN();
+  };
+  SuppressedBandwidth suppressed_host_bw_pct;
   stats::PercentileTracker short_fct_us;  // FCT of short flows, microseconds
   uint64_t dropped_packets = 0;
   // Per-check::DropReason breakdown; sums to dropped_packets.
   uint64_t dropped_by_reason[check::kNumDropReasons] = {};
-  uint64_t dropped_bytes = 0;
   // Fast-path train rewinds across all ports (engine-dependent — zero on
   // the reference engine; telemetry quarantines it in "profile").
   uint64_t train_aborts = 0;

@@ -34,21 +34,4 @@ double PercentileTracker::Percentile(double p) const {
   return RankInterpolate(copy, p);
 }
 
-double PercentileTracker::Mean() const {
-  if (samples_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  double sum = 0;
-  for (double s : samples_) sum += s;
-  return sum / static_cast<double>(samples_.size());
-}
-
-double PercentileTracker::Max() const {
-  if (samples_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double PercentileTracker::Min() const {
-  if (samples_.empty()) return std::numeric_limits<double>::quiet_NaN();
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
 }  // namespace hpcc::stats

@@ -37,9 +37,6 @@ class PercentileTracker {
   // between adjacent ranks). Returns NaN on no samples, so downstream
   // formatting can distinguish "no data" from a real 0.
   double Percentile(double p) const;
-  double Mean() const;  // NaN on no samples
-  double Max() const;   // NaN on no samples
-  double Min() const;   // NaN on no samples
   size_t Count() const { return samples_.size(); }
   bool Empty() const { return samples_.empty(); }
 

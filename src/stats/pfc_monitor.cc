@@ -1,6 +1,5 @@
 #include "stats/pfc_monitor.h"
 
-
 #include "net/packet.h"
 #include "topo/topology.h"
 
@@ -12,7 +11,6 @@ void PfcMonitor::AttachTo(topo::Topology& topology,
     net::Node& n = topology.node(id);
     for (int p = 0; p < n.num_ports(); ++p) {
       n.port(p).set_pause_observer(&observer_);
-      port_bps_[{id, p}] = n.port(p).bandwidth_bps();
     }
   }
 }
@@ -22,7 +20,7 @@ void PfcMonitor::Merge(const PfcMonitor& other) {
 }
 
 void PfcMonitor::OnChange(uint32_t node, int port, int prio, sim::TimePs now,
-                          bool paused) {
+                          bool paused, int depth) {
   if (prio != net::kDataPriority) return;
   const auto key = std::make_pair(node, port);
   if (paused) {
@@ -31,7 +29,7 @@ void PfcMonitor::OnChange(uint32_t node, int port, int prio, sim::TimePs now,
     ev.start = now;
     ev.node = node;
     ev.port = port;
-    ev.port_bps = port_bps_.count(key) > 0 ? port_bps_[key] : 0;
+    ev.depth = depth;
     open_[key] = events_.size();
     events_.push_back(ev);
   } else {

@@ -1,6 +1,7 @@
 // PFC pause bookkeeping: pause-time fraction (Fig. 11b/11d), pause event
-// durations (Fig. 2b) and the pause windows the Fig. 1 propagation bench
-// and trace export read.
+// durations (Fig. 2b) and the pause windows, each with its pause-chain depth,
+// that Fig. 1's summaries (runner::Experiment::Collect) and trace export
+// read.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,7 @@ class PfcMonitor {
     sim::TimePs end = -1;  // -1 while still paused
     uint32_t node = 0;     // node whose egress got paused
     int port = 0;
-    int64_t port_bps = 0;
+    int depth = 0;         // the PAUSE frame's pause-chain depth
   };
 
   // Returns the observer to install on every port (Topology helper below).
@@ -53,8 +54,7 @@ class PfcMonitor {
 
   // --- Warm checkpoint/restore (runner/experiment.h) ---------------------
   // A checkpoint is only taken while no pause is open, so the closed event
-  // list is the complete state (port_bps_ is structural and refilled by
-  // AttachTo on the restoring run).
+  // list is the complete state.
   bool has_open_pauses() const { return !open_.empty(); }
   struct WarmState {
     std::vector<PauseEvent> events;
@@ -64,14 +64,15 @@ class PfcMonitor {
 
  private:
   void OnChange(uint32_t node, int port, int prio, sim::TimePs now,
-                bool paused);
+                bool paused, int depth);
 
-  net::PauseObserver observer_{
-      [this](uint32_t node, int port, int prio, sim::TimePs now,
-             bool paused) { OnChange(node, port, prio, now, paused); }};
+  net::PauseObserver observer_{[this](uint32_t node, int port, int prio,
+                                      sim::TimePs now, bool paused,
+                                      int depth) {
+    OnChange(node, port, prio, now, paused, depth);
+  }};
   std::vector<PauseEvent> events_;
   std::map<std::pair<uint32_t, int>, size_t> open_;  // (node,port) -> event
-  std::map<std::pair<uint32_t, int>, int64_t> port_bps_;
 };
 
 }  // namespace hpcc::stats

@@ -10,17 +10,16 @@
 namespace hpcc::stats {
 
 QueueMonitor::QueueMonitor(sim::Simulator* simulator,
-                           topo::Topology* topology, sim::TimePs interval,
+                           topo::Topology* topology,
                            std::vector<uint32_t> switches)
     : simulator_(simulator),
       topology_(topology),
-      interval_(interval),
       switches_(std::move(switches)),
       tick_(simulator, [this](int) { Sample(); }) {}
 
 void QueueMonitor::Start(sim::TimePs until) {
   until_ = until;
-  tick_.Schedule(kTick, simulator_->now() + interval_);
+  tick_.Schedule(kTick, simulator_->now() + kQueueSampleInterval);
 }
 
 void QueueMonitor::Sample() {
@@ -32,8 +31,8 @@ void QueueMonitor::Sample() {
       max_seen_ = std::max(max_seen_, q);
     }
   }
-  if (simulator_->now() + interval_ <= until_) {
-    tick_.Schedule(kTick, simulator_->now() + interval_);
+  if (simulator_->now() + kQueueSampleInterval <= until_) {
+    tick_.Schedule(kTick, simulator_->now() + kQueueSampleInterval);
   }
 }
 

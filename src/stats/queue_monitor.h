@@ -16,13 +16,16 @@ class Topology;
 
 namespace hpcc::stats {
 
+// QueueMonitor's sampling period.
+inline constexpr sim::TimePs kQueueSampleInterval = sim::Us(10);
+
 // Samples every data-priority egress queue of the given switches (one
-// lane's share of the fabric) at a fixed interval; accumulates the
+// lane's share of the fabric) every kQueueSampleInterval; accumulates the
 // distribution over (port, time).
 class QueueMonitor {
  public:
   QueueMonitor(sim::Simulator* simulator, topo::Topology* topology,
-               sim::TimePs interval, std::vector<uint32_t> switches);
+               std::vector<uint32_t> switches);
 
   void Start(sim::TimePs until);
   // Folds a shard-local monitor in: the per-tick sample multiset over all
@@ -65,7 +68,6 @@ class QueueMonitor {
 
   sim::Simulator* simulator_;
   topo::Topology* topology_;
-  sim::TimePs interval_;
   sim::TimePs until_ = 0;
   std::vector<uint32_t> switches_;
   PercentileTracker dist_;

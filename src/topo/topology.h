@@ -155,7 +155,7 @@ class Topology {
   // ignored) so the normalization is stable across a run with link events.
   sim::TimePs IdealFct(uint32_t src, uint32_t dst, uint64_t bytes) const;
 
-  // BFS hop distance between any two nodes (PFC propagation depth metric).
+  // BFS hop distance between any two nodes (negative when disconnected).
   int Distance(uint32_t from, uint32_t to) const;
 
   // One shortest path (first-parent BFS) as a sequence of LinkSpec indices

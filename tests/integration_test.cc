@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "runner/experiment.h"
+#include "scenario/runner.h"
+#include "scenario/scenario.h"
 
 namespace hpcc::runner {
 namespace {
@@ -421,6 +423,29 @@ class RunGolden {
   std::vector<std::string> header_;
   std::map<std::string, std::vector<std::string>> rows_;
 };
+
+// Fig. 1: under DCQCN incasts, PFC pauses spread hop by hop from the
+// congestion point and silence a large share of innocent hosts' capacity.
+// Depth and suppressed bandwidth are not CSV columns, so this runs the file.
+TEST(PaperClaims, Fig1PausePropagation) {
+  const std::vector<scenario::ScenarioRun> runs =
+      scenario::ExpandSweep(scenario::LoadScenarioFile(
+          std::string(HPCC_SOURCE_DIR) +
+          "/examples/scenarios/paper/fig1_pfc_propagation.json"));
+  ASSERT_EQ(runs.size(), 1u);
+  const scenario::SweepRunResult r = scenario::ScenarioRunner::RunOne(runs[0]);
+  ASSERT_TRUE(r.error.empty()) << r.error;
+  const ExperimentResult& res = r.result;
+  uint64_t counted = 0;
+  for (uint64_t n : res.pause_depth_counts) counted += n;
+  EXPECT_EQ(counted, res.pause_events);  // 1691
+  // Pauses reach past the congestion point's neighbours: depths 0..4 hold
+  // 468/414/376/155/278 pauses.
+  EXPECT_GE(res.pause_depth_counts.size(), 3u);
+  // The paper's production worst case suppresses 25% of capacity; this run's
+  // worst case is 93.75% (15 of 16 host NICs paused at once).
+  EXPECT_GE(res.suppressed_host_bw_pct.max, 25.0);
+}
 
 // Fig. 2: aggressive DCQCN timers (small Ti, large Td) improve FCT (2a) but
 // suffer more PFC pausing under incast (2b).

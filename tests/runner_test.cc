@@ -19,15 +19,6 @@ TEST(Runner, MeasuresBaseRttFromTopology) {
   EXPECT_LT(e.base_rtt(), sim::Us(6));
 }
 
-TEST(Runner, BaseRttOverride) {
-  ExperimentConfig cfg;
-  cfg.topology = TopologyKind::kStar;
-  cfg.star.num_hosts = 2;
-  cfg.base_rtt_override = sim::Us(42);
-  Experiment e(cfg);
-  EXPECT_EQ(e.base_rtt(), sim::Us(42));
-}
-
 TEST(Runner, SwitchConfigFollowsScheme) {
   auto red_enabled = [](const char* scheme) {
     ExperimentConfig cfg;

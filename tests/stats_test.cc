@@ -19,9 +19,8 @@ TEST(Percentile, EmptyIsNaN) {
   // CSV/manifest writers map it to an empty cell / JSON null.
   PercentileTracker t;
   EXPECT_TRUE(std::isnan(t.Percentile(50)));
-  EXPECT_TRUE(std::isnan(t.Mean()));
-  EXPECT_TRUE(std::isnan(t.Min()));
-  EXPECT_TRUE(std::isnan(t.Max()));
+  EXPECT_TRUE(std::isnan(t.Percentile(0)));
+  EXPECT_TRUE(std::isnan(t.Percentile(100)));
   EXPECT_TRUE(t.Empty());
 }
 
@@ -53,7 +52,8 @@ TEST(Percentile, ConcurrentReads) {
   auto reader = [&](const PercentileTracker& t, double* out) {
     double acc = 0;
     for (int i = 0; i < 50; ++i) {
-      acc += t.Percentile(50) + t.Percentile(99) + t.Mean() + t.Max();
+      acc += t.Percentile(50) + t.Percentile(99) + t.Percentile(0) +
+             t.Percentile(100);
     }
     *out = acc;
   };
@@ -85,9 +85,8 @@ TEST(Percentile, KnownQuantiles) {
   EXPECT_NEAR(t.Percentile(50), 50.5, 0.01);
   EXPECT_NEAR(t.Percentile(95), 95.05, 0.01);
   EXPECT_NEAR(t.Percentile(99), 99.01, 0.01);
-  EXPECT_EQ(t.Min(), 1);
-  EXPECT_EQ(t.Max(), 100);
-  EXPECT_DOUBLE_EQ(t.Mean(), 50.5);
+  EXPECT_EQ(t.Percentile(0), 1);
+  EXPECT_EQ(t.Percentile(100), 100);
 }
 
 TEST(Percentile, InterleavedAddAndQuery) {
@@ -206,13 +205,16 @@ TEST(TimeSeries, TinyCapClampedToUsableMinimum) {
 TEST(PfcMonitor, TracksDurationsAndPeaks) {
   PfcMonitor m;
   const auto& obs = m.observer();
-  // node 1 port 0 paused 10us..40us; node 2 port 1 paused 20us..50us.
-  obs.on_change(1, 0, net::kDataPriority, sim::Us(10), true);
-  obs.on_change(2, 1, net::kDataPriority, sim::Us(20), true);
-  obs.on_change(1, 0, net::kDataPriority, sim::Us(40), false);
-  obs.on_change(2, 1, net::kDataPriority, sim::Us(50), false);
+  // node 1 port 0 paused 10us..40us by a depth-0 PAUSE; node 2 port 1
+  // paused 20us..50us by a depth-3 one.
+  obs.on_change(1, 0, net::kDataPriority, sim::Us(10), true, 0);
+  obs.on_change(2, 1, net::kDataPriority, sim::Us(20), true, 3);
+  obs.on_change(1, 0, net::kDataPriority, sim::Us(40), false, 0);
+  obs.on_change(2, 1, net::kDataPriority, sim::Us(50), false, 0);
   m.Finish(sim::Us(100));
   EXPECT_EQ(m.pause_count(), 2u);
+  EXPECT_EQ(m.events()[0].depth, 0);
+  EXPECT_EQ(m.events()[1].depth, 3);
   EXPECT_EQ(m.total_pause_time(), sim::Us(60));
   EXPECT_NEAR(m.PauseTimeFraction(sim::Us(100), 6), 0.1, 1e-9);
   const PercentileTracker d = m.DurationDistributionUs();
@@ -221,23 +223,23 @@ TEST(PfcMonitor, TracksDurationsAndPeaks) {
 
 TEST(PfcMonitor, OpenPausesClosedByFinish) {
   PfcMonitor m;
-  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(10), true);
+  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(10), true, 0);
   m.Finish(sim::Us(25));
   EXPECT_EQ(m.total_pause_time(), sim::Us(15));
 }
 
 TEST(PfcMonitor, IgnoresControlPriority) {
   PfcMonitor m;
-  m.observer().on_change(1, 0, net::kControlPriority, sim::Us(10), true);
+  m.observer().on_change(1, 0, net::kControlPriority, sim::Us(10), true, 0);
   EXPECT_EQ(m.pause_count(), 0u);
 }
 
 TEST(PfcMonitor, DuplicatePauseEventsIgnored) {
   PfcMonitor m;
-  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(10), true);
-  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(11), true);
-  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(20), false);
-  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(21), false);
+  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(10), true, 0);
+  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(11), true, 0);
+  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(20), false, 0);
+  m.observer().on_change(1, 0, net::kDataPriority, sim::Us(21), false, 0);
   m.Finish(sim::Us(30));
   EXPECT_EQ(m.pause_count(), 1u);
   EXPECT_EQ(m.total_pause_time(), sim::Us(10));

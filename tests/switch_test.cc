@@ -2,6 +2,7 @@
 // INT stamping at dequeue, ECN marking, buffer drops and PFC on the wire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "net/packet.h"
@@ -237,6 +238,10 @@ TEST(Switch, SendsPfcPauseUpstreamWhenIngressExceedsThreshold) {
   for (const auto& p : f.a.received) {
     pauses += p->type == PacketType::kPfcPause;
     resumes += p->type == PacketType::kPfcResume;
+    // The egress toward B kept transmitting: each pause roots its chain.
+    if (p->type == PacketType::kPfcPause) {
+      EXPECT_EQ(p->pause_depth, 0);
+    }
   }
   EXPECT_GT(pauses, 0);
   EXPECT_EQ(pauses, resumes);  // every pause eventually resumed
@@ -246,22 +251,37 @@ TEST(Switch, SendsPfcPauseUpstreamWhenIngressExceedsThreshold) {
 }
 
 TEST(Switch, PfcFrameArrivingPausesEgressPort) {
-  Fixture f;
-  // Deliver a PAUSE to the switch through port 0 (as if A sent it).
-  f.a.port(0).Enqueue(MakePfc(PacketType::kPfcPause, kDataPriority));
-  f.s.Run();
-  EXPECT_TRUE(f.sw.port(0).paused(kDataPriority));
-  // Data toward A now sticks in the switch...
-  auto toward_a = MakeDataPacket(2, 1, 0, 0, 1000, false, false);
-  f.b.port(0).Enqueue(std::move(toward_a));
-  f.s.Run();
-  EXPECT_TRUE(f.a.received.empty());
-  EXPECT_GT(f.sw.port(0).queue_bytes(kDataPriority), 0);
-  // ...until a RESUME arrives.
-  f.a.port(0).Enqueue(MakePfc(PacketType::kPfcResume, kDataPriority));
-  f.s.Run();
-  ASSERT_EQ(f.a.received.size(), 1u);
-  EXPECT_EQ(f.a.received[0]->type, PacketType::kData);
+  for (const int d : {2, kMaxPauseDepth}) {
+    SCOPED_TRACE(d);
+    SwitchConfig cfg;
+    cfg.buffer_bytes = 200'000;
+    cfg.pfc_alpha = 0.02;  // pause past ~4KB ingress occupancy
+    Fixture f(cfg);
+    // Deliver a depth-d PAUSE to the switch through port 0 (as if A sent it).
+    f.a.port(0).Enqueue(MakePfc(PacketType::kPfcPause, kDataPriority, d));
+    f.s.Run();
+    EXPECT_TRUE(f.sw.port(0).paused(kDataPriority));
+    EXPECT_EQ(f.sw.port(0).pause_depth(kDataPriority), d);
+    // Data toward A now sticks in the switch, so B's ingress crosses Xoff
+    // and the PAUSE sent to B sits one level deeper (saturating)...
+    for (uint64_t i = 0; i < 10; ++i) {
+      f.b.port(0).Enqueue(
+          MakeDataPacket(2, 1, 0, i * 1000, 1000, false, false));
+    }
+    f.s.Run();
+    EXPECT_TRUE(f.a.received.empty());
+    EXPECT_GT(f.sw.port(0).queue_bytes(kDataPriority), 0);
+    ASSERT_FALSE(f.b.received.empty());
+    EXPECT_EQ(f.b.received[0]->type, PacketType::kPfcPause);
+    EXPECT_EQ(f.b.received[0]->pause_depth, std::min(d + 1, kMaxPauseDepth));
+    // ...until a RESUME arrives.
+    f.a.port(0).Enqueue(MakePfc(PacketType::kPfcResume, kDataPriority));
+    f.s.Run();
+    EXPECT_EQ(f.sw.port(0).pause_depth(kDataPriority), 0);
+    ASSERT_EQ(f.a.received.size(), 10u);
+    EXPECT_EQ(f.a.received[0]->type, PacketType::kData);
+    EXPECT_EQ(f.b.received.back()->type, PacketType::kPfcResume);
+  }
 }
 
 TEST(Switch, ControlTrafficBypassesPausedData) {

@@ -102,11 +102,13 @@ TEST(Telemetry, ArtifactsIdenticalAcrossJobs) {
 }
 
 TEST(Telemetry, ArtifactsIdenticalAcrossEngines) {
-  // One sweep point of the fig11 sweep plus one fuzz-corpus scenario: the
+  // One sweep point of the fig11 sweep, one fuzz-corpus scenario and one
+  // Fig. 2b run that pauses (pause depths, suppressed bandwidth): the
   // manifest and trace must not leak which transmit engine ran (that is
   // profile-section-only data).
-  const std::vector<std::string> files = {ScenarioPath("fig11_load_sweep.json"),
-                                          CorpusPath("fuzz_42_0.json")};
+  const std::vector<std::string> files = {
+      ScenarioPath("fig11_load_sweep.json"), CorpusPath("fuzz_42_0.json"),
+      ScenarioPath("fig2b_dcqcn_ti300_td4.json")};
   for (const std::string& file : files) {
     SCOPED_TRACE(file);
     const Scenario sc = LoadScenarioFile(file);
@@ -125,7 +127,8 @@ TEST(Telemetry, ArtifactsIdenticalAcrossShards) {
   // Traced + manifest sweeps at one and four lanes: each lane samples its
   // own switches and flows, and trace export merges the lanes, so the CSV,
   // every manifest and every trace must come out byte for byte the same.
-  // Fig. 2b's hundreds of pause windows span several lanes.
+  // Fig. 2b's hundreds of pause windows, each with its depth, span several
+  // lanes.
   for (const char* name :
        {"fig13_link_failure.json", "fattree16_hadoop_burst.json",
         "fig2b_dcqcn_ti300_td4.json"}) {

@@ -114,7 +114,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_hotpath.h"
 #include "check/monitors.h"
 #include "core/hpcc.h"
 #include "net/handoff.h"
@@ -160,21 +159,73 @@ BenchResult RunBench(const std::string& name, const char* unit,
   return r;
 }
 
-// Steady-state event churn (bench_hotpath.h) at a realistic pending-queue
-// depth.
+// Steady-state event churn: each callback schedules its successor from
+// inside the loop, the shape of port transmissions and pacing wake-ups. The
+// closure captures 24 bytes — above std::function's inline buffer on common
+// ABIs and matching the simulator's real call sites (e.g.
+// Port::StartTransmission captures {Node*, int, Packet*}).
+struct SelfReschedule {
+  hpcc::sim::Simulator* s;
+  uint64_t* remaining;
+  uint64_t salt;
+  void operator()() const {
+    if (*remaining == 0) return;
+    --*remaining;
+    s->ScheduleIn(
+        hpcc::sim::Ns(10 + (salt & 7)),
+        SelfReschedule{s, remaining, salt * 6364136223846793005ULL + 1});
+  }
+};
+
+// Seeds 512 churn chains (a realistic pending-queue depth) with a shared
+// budget of 100k events and runs the loop dry.
 uint64_t EventLoopScheduleRunBatch() {
   constexpr int kPending = 512;
   constexpr uint64_t kEvents = 100'000;
-  const uint64_t executed = hpcc::benchgen::RunSteadyChurn(kPending, kEvents);
+  hpcc::sim::Simulator s;
+  uint64_t remaining = kEvents;
+  for (int i = 0; i < kPending; ++i) {
+    s.ScheduleAt(hpcc::sim::Ns(i),
+                 SelfReschedule{&s, &remaining, static_cast<uint64_t>(i)});
+  }
+  const uint64_t executed = s.Run();
   if (executed < kEvents) std::abort();
   return executed;
 }
 
-// RTO-style timer churn (bench_hotpath.h): Schedule+Cancel pairs plus one
-// drain per batch.
+// RTO-style timer churn: every armed timer is cancelled and re-armed before
+// it fires, measuring Schedule+Cancel pairs, then one drain per batch.
+// Bounded so lazily-discarded cancel records cannot accumulate across
+// batches. Returns the number of Schedule+Cancel operations.
+//
+// The per-timer targets are spread by a *pinned* hash of (round, timer) —
+// earlier versions re-armed all 256 timers onto one identical timestamp,
+// a degenerate single-bucket shape whose measured rate swung several percent
+// with unrelated code-layout changes (one 10.17M -> 9.81M timers/s
+// "regression" was exactly that). The seeded spread matches the real RTO
+// pattern (timers scattered across a window) and makes run-to-run deltas
+// attributable to the event loop, which the CI bench gate relies on.
 uint64_t EventLoopTimerChurnBatch() {
+  constexpr uint64_t kTimerChurnSeed = 0x7f4a7c159e3779b9ULL;
+  constexpr int kTimers = 256;
+  constexpr int kRounds = 64;
   static uint64_t fired = 0;
-  return hpcc::benchgen::RunTimerChurn(&fired);
+  uint64_t* fired_sink = &fired;
+  hpcc::sim::Simulator s;
+  std::vector<hpcc::sim::EventId> armed(kTimers, hpcc::sim::kInvalidEvent);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int t = 0; t < kTimers; ++t) {
+      if (armed[t] != hpcc::sim::kInvalidEvent) s.Cancel(armed[t]);
+      const uint64_t tag = static_cast<uint64_t>(round) << 32 | t;
+      const uint64_t h = (tag ^ kTimerChurnSeed) * 6364136223846793005ULL;
+      const hpcc::sim::TimePs spread =
+          static_cast<hpcc::sim::TimePs>(h >> 44);  // ~1us
+      armed[t] = s.ScheduleAt(hpcc::sim::Us(100 + round) + spread,
+                              [fired_sink, tag]() { *fired_sink += tag; });
+    }
+  }
+  s.Run();
+  return static_cast<uint64_t>(kTimers) * kRounds;
 }
 
 uint64_t PacketCycleBatch() {
@@ -233,11 +284,30 @@ uint64_t HpccOnAckBatch(bool div_table) {
   return kAcks;
 }
 
-// Fig. 11-style macro point (bench_hotpath.h): the metric is
-// switch-forwarded packets per wall-second, the end-to-end figure of merit
-// for the §5 harness.
+// Fig. 11-style macro point: incast over background load on a star. Small
+// enough to finish in well under a second per run; the figure of merit is
+// forwarded packets per wall-second, end to end — a work unit independent
+// of the transmit engine (the train fast path executes fewer simulator
+// events for the same forwarding work, so events/s would undercount it).
+hpcc::runner::ExperimentConfig Fig11MacroConfig(bool fast_path = true) {
+  hpcc::runner::ExperimentConfig cfg;
+  cfg.topology = hpcc::runner::TopologyKind::kStar;
+  cfg.star.num_hosts = 17;
+  cfg.cc.scheme = "hpcc";
+  cfg.load = 0.3;
+  cfg.trace = "fbhadoop";
+  cfg.max_flows = 60;
+  cfg.incast = true;
+  cfg.incast_opts.fan_in = 16;
+  cfg.incast_opts.flow_bytes = 50'000;
+  cfg.duration = hpcc::sim::Ms(1);
+  cfg.drain_factor = 2.0;
+  cfg.fast_path = fast_path;
+  return cfg;
+}
+
 uint64_t MacroFig11Batch() {
-  hpcc::runner::Experiment e(hpcc::benchgen::Fig11MacroConfig());
+  hpcc::runner::Experiment e(Fig11MacroConfig());
   auto result = e.Run();
   return result.packets_forwarded;
 }
@@ -246,8 +316,7 @@ uint64_t MacroFig11Batch() {
 // fastpath-vs-reference pair is a same-host A/B (both runs forward exactly
 // the same packets — the determinism suite pins that).
 uint64_t MacroFig11NoFastpathBatch() {
-  hpcc::runner::Experiment e(
-      hpcc::benchgen::Fig11MacroConfig(/*fast_path=*/false));
+  hpcc::runner::Experiment e(Fig11MacroConfig(/*fast_path=*/false));
   auto result = e.Run();
   return result.packets_forwarded;
 }
@@ -258,7 +327,7 @@ uint64_t MacroFig11NoFastpathBatch() {
 // into the telemetry-off hot path trips the bench_check drop gate even if
 // the fig11 numbers are re-baselined for an unrelated reason.
 uint64_t TelemetryOverheadBatch() {
-  hpcc::runner::Experiment e(hpcc::benchgen::Fig11MacroConfig());
+  hpcc::runner::Experiment e(Fig11MacroConfig());
   auto result = e.Run();
   return result.packets_forwarded;
 }
@@ -269,7 +338,7 @@ uint64_t TelemetryOverheadBatch() {
 // docs/OBSERVABILITY.md can quote a tracked figure.
 uint64_t MacroFig11TelemetryBatch() {
   hpcc::check::MonitorRegistry registry;
-  hpcc::runner::Experiment e(hpcc::benchgen::Fig11MacroConfig());
+  hpcc::runner::Experiment e(Fig11MacroConfig());
   registry.set_clock(&e.simulator());
   registry.AttachTo(e.topology(), e.lane_nodes(0));
   hpcc::obs::TelemetryConfig tcfg;
@@ -288,7 +357,7 @@ uint64_t MacroFig11TelemetryBatch() {
 // number so the overhead is a first-class tracked quantity.
 uint64_t MacroFig11CheckedBatch() {
   hpcc::check::MonitorRegistry registry;
-  hpcc::runner::Experiment e(hpcc::benchgen::Fig11MacroConfig());
+  hpcc::runner::Experiment e(Fig11MacroConfig());
   hpcc::check::InstallStandardMonitors(registry, e);
   auto result = e.Run();
   registry.Finish(e.simulator().now());
@@ -303,7 +372,7 @@ uint64_t MacroFig11CheckedBatch() {
 // upkeep) trips the bench_check drop gate even if the fig11 numbers are
 // re-baselined for an unrelated reason.
 uint64_t MacroFig11FaultOffBatch() {
-  hpcc::runner::Experiment e(hpcc::benchgen::Fig11MacroConfig());
+  hpcc::runner::Experiment e(Fig11MacroConfig());
   auto result = e.Run();
   if (result.flows_failed != 0 ||
       result.dropped_by_reason[static_cast<int>(
@@ -311,6 +380,19 @@ uint64_t MacroFig11FaultOffBatch() {
     std::abort();  // the fault-off pin must really be fault-free
   }
   return result.packets_forwarded;
+}
+
+// Fat-tree shapes for the routing-core benchmarks: the k=16 slice matches
+// examples/scenarios/fattree16_hadoop_burst.json (1024 hosts), the k=32
+// slice matches examples/scenarios/fattree32_websearch.json (8192 hosts).
+hpcc::topo::FatTreeOptions FatTreeShape(int k) {
+  hpcc::topo::FatTreeOptions o;
+  o.pods = k;
+  o.tors_per_pod = k / 2;
+  o.aggs_per_pod = k / 2;
+  o.cores_per_agg = k / 2;
+  o.hosts_per_tor = k / 2;
+  return o;
 }
 
 // Routing-core fabrics, built lazily (the first RunBench warm-up batch
@@ -349,13 +431,13 @@ struct RouteBenchFabric {
 
 RouteBenchFabric& K16Fabric() {
   static RouteBenchFabric* f =
-      new RouteBenchFabric(hpcc::benchgen::FatTreeK16Options());
+      new RouteBenchFabric(FatTreeShape(16));
   return *f;
 }
 
 RouteBenchFabric& K32Fabric() {
   static RouteBenchFabric* f =
-      new RouteBenchFabric(hpcc::benchgen::FatTreeK32Options());
+      new RouteBenchFabric(FatTreeShape(32));
   return *f;
 }
 
@@ -381,11 +463,30 @@ BenchResult RouteResidentRatioK32() {
   return r;
 }
 
+// The k=32 payoff macro workload, mirroring the base sweep point of
+// examples/scenarios/fattree32_websearch.json (keep the two in sync):
+// WebSearch background load on the 8192-host fabric. Each bench installs
+// the two-tier link-flap script itself, so the configuration stays a plain
+// ExperimentConfig.
+hpcc::runner::ExperimentConfig FatTree32MacroConfig() {
+  hpcc::runner::ExperimentConfig cfg;
+  cfg.topology = hpcc::runner::TopologyKind::kFatTree;
+  cfg.fattree = FatTreeShape(32);
+  cfg.cc.scheme = "hpcc";
+  cfg.load = 0.25;
+  cfg.trace = "websearch";
+  cfg.max_flows = 500;
+  cfg.duration = hpcc::sim::Us(100);
+  cfg.drain_factor = 10.0;
+  cfg.seed = 32;
+  return cfg;
+}
+
 // The k=32 payoff scenario's base point, end to end: construction (route
 // build + analytic base-RTT), WebSearch load, and the two-tier link-flap
 // script repaired incrementally mid-run.
 uint64_t MacroFatTree32Batch() {
-  hpcc::runner::Experiment e(hpcc::benchgen::FatTree32MacroConfig());
+  hpcc::runner::Experiment e(FatTree32MacroConfig());
   hpcc::topo::Topology& t = e.topology();
   e.simulator().ScheduleAt(hpcc::sim::Us(25), [&t]() { t.SetLinkUp(0, false); });
   e.simulator().ScheduleAt(hpcc::sim::Us(35), [&t]() { t.SetLinkUp(256, false); });
@@ -401,7 +502,7 @@ uint64_t MacroFatTree32Batch() {
 // shards=1. Work unit stays forwarded packets — identical across shard counts
 // by the equivalence contract — so items/sec comparisons are pure wall-clock.
 uint64_t MacroFatTree32ShardsBatch(int shards) {
-  hpcc::runner::ExperimentConfig cfg = hpcc::benchgen::FatTree32MacroConfig();
+  hpcc::runner::ExperimentConfig cfg = FatTree32MacroConfig();
   cfg.shards = shards;
   hpcc::runner::Experiment e(cfg);
   e.InstallLinkEvent(hpcc::sim::Us(25), 0, false);
