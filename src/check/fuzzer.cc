@@ -222,37 +222,98 @@ Json GenerateScenarioDoc(uint64_t seed, int index, bool faults) {
   return doc;
 }
 
-FuzzRunReport RunScenarioDocChecked(const Json& doc, uint64_t max_events,
-                                    const MonitorInstaller& extra,
-                                    int fastpath_override,
-                                    int shards_override) {
-  FuzzRunReport rep;
-  rep.doc = doc;
+namespace {
+
+// One side of the equivalence contracts FuzzMain pins on every clean run: it
+// differs from the checked run only in how it executes, so its outputs must
+// equal that run's (ScenarioRunner::CompareOutputs).
+struct Replay {
+  const char* contract;   // the violation's monitor name
+  const char* side;       // names the replay in violations and file names
+  int fastpath_override;  // -1: as the scenario says
+  int shards_override;    // 0: as the scenario says
+  // Inject warm_start.until_us at ~40% of the horizon and run twice through
+  // one shared fabric-snapshot/warm-checkpoint cache: the first pass builds
+  // the checkpoint (or publishes a cold fallback: not quiescent at T, a
+  // pre-T link flap, ...), the second restores it (or re-runs cold).
+  bool warm;
+};
+
+// The checked run every replay is compared with.
+constexpr Replay kChecked = {"", "", -1, 0, false};
+
+constexpr Replay kReplays[] = {
+    {"determinism", "repeat", -1, 0, false},
+    {"fastpath-equivalence", "fastpath-off", 0, 0, false},
+    {"shard-equivalence", "shards2", -1, 2, false},
+    {"warm-equivalence", "warm", -1, 0, true},
+    {"warm-equivalence", "warm.shards2", -1, 2, true},
+};
+
+// Runs `row`'s side of `doc`: one result, or one per pass of a warm row.
+// Other sides run under the standard monitors (plus `extra`) within
+// `budget` events; warm sides run unchecked and unbudgeted, since warm
+// capture is ineligible under either. A non-empty `flight` base also
+// writes each pass's manifest next to it, plus a profiled trace where that
+// keeps the side as it ran (a trace or profile sends a warm pass cold).
+std::vector<scenario::SweepRunResult> RunSide(const Json& doc,
+                                              const Replay& row,
+                                              uint64_t budget,
+                                              const MonitorInstaller& extra,
+                                              const std::string& flight) {
+  std::vector<scenario::SweepRunResult> out;
   scenario::ScenarioRun run;
   try {
     run.scenario = scenario::ParseScenario(doc);
   } catch (const std::exception& ex) {
-    rep.error = ex.what();
-    return rep;
+    out.emplace_back().error = ex.what();
+    return out;
   }
-  rep.name = run.scenario.name;
-  run.label = rep.name;
+  run.label = run.scenario.name;
   scenario::RunOneOptions ro;
-  ro.check = true;
-  ro.event_budget = max_events;
-  ro.extra_monitors = extra;
-  ro.fastpath_override = fastpath_override;
-  ro.shards_override = shards_override;
-  // Monitors only: a document's telemetry block writes no artifacts here.
-  ro.telemetry = obs::TelemetryConfig{};
-  const scenario::SweepRunResult r = scenario::ScenarioRunner::RunOne(run, ro);
-  rep.error = r.error;
-  rep.violations = r.violations;
-  rep.violation_count = r.violation_count;
-  rep.trace_hash = r.result.trace_hash;
-  rep.flows_created = r.result.flows_created;
-  rep.flows_completed = r.result.flows_completed;
-  return rep;
+  ro.fastpath_override = row.fastpath_override;
+  ro.shards_override = row.shards_override;
+  // A document's telemetry block writes no artifacts here; a flight record
+  // writes its own.
+  obs::TelemetryConfig tcfg;
+  if (!flight.empty()) {
+    tcfg = run.scenario.telemetry;
+    tcfg.manifest = true;
+    tcfg.trace = !row.warm;
+    tcfg.profile = !row.warm;
+  }
+  ro.telemetry = tcfg;
+  if (row.warm) {
+    run.scenario.warm_until = run.scenario.config.duration * 2 / 5;
+    ro.fabric_cache = std::make_shared<scenario::FabricCache>();
+    ro.warm_cache = std::make_shared<scenario::WarmCache>();
+  } else {
+    ro.check = true;
+    ro.extra_monitors = extra;
+    ro.event_budget = budget;
+  }
+  for (int pass = 0; pass < (row.warm ? 2 : 1); ++pass) {
+    if (!flight.empty()) {
+      std::string stem = flight;
+      if (row.side[0] != '\0') stem += std::string(".") + row.side;
+      if (row.warm) stem += ".pass" + std::to_string(pass + 1);
+      ro.manifest_path = stem + ".manifest.json";
+      if (tcfg.trace) ro.trace_path = stem + ".trace.json";
+    }
+    out.push_back(scenario::ScenarioRunner::RunOne(run, ro));
+  }
+  return out;
+}
+
+}  // namespace
+
+scenario::SweepRunResult RunScenarioDocChecked(const Json& doc,
+                                               uint64_t max_events,
+                                               const MonitorInstaller& extra,
+                                               int fastpath_override,
+                                               int shards_override) {
+  const Replay row = {"", "", fastpath_override, shards_override, false};
+  return std::move(RunSide(doc, row, max_events, extra, "").front());
 }
 
 std::string WriteReproducer(const Json& doc, const std::string& dir,
@@ -269,122 +330,47 @@ std::string WriteReproducer(const Json& doc, const std::string& dir,
 
 namespace {
 
-// Flight recorder: replay the violating scenario once more with telemetry on
-// and drop a manifest + Perfetto trace next to the reproducer, so the first
-// triage step (what was queued where, which flows stalled, when PFC fired)
-// needs no extra tooling run.
-void RecordFlight(const Json& doc, const FuzzOptions& options,
-                  FuzzRunReport* rep) {
-  const std::string base = rep->reproducer_path.substr(
-      0, rep->reproducer_path.size() - 5);  // strip ".json"
-  try {
-    scenario::ScenarioRun run;
-    run.label = rep->name;
-    run.scenario = scenario::ParseScenario(doc);
-    scenario::RunOneOptions ro;
-    ro.check = true;
-    obs::TelemetryConfig tcfg = run.scenario.telemetry;
-    tcfg.manifest = true;
-    tcfg.trace = true;
-    tcfg.profile = true;
-    ro.telemetry = tcfg;
-    ro.manifest_path = base + ".manifest.json";
-    ro.trace_path = base + ".trace.json";
-    // The replay must terminate even when the violation was an event storm.
-    ro.event_budget = options.max_events > 0 ? options.max_events * 3 : 0;
-    const scenario::SweepRunResult flight =
-        scenario::ScenarioRunner::RunOne(run, ro);
-    if (!flight.manifest_path.empty() || !flight.trace_path.empty()) {
-      std::fprintf(stderr, "    flight record: %s %s\n",
-                   flight.manifest_path.c_str(), flight.trace_path.c_str());
-    }
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "    (flight record replay failed: %s)\n", ex.what());
-  }
-
-  // A shard-equivalence failure triages by diffing the single-lane manifest
-  // and trace above against the sharded run's: record the shards=2 side too.
-  bool shard_mismatch = false;
-  for (const Violation& v : rep->violations) {
-    if (v.monitor == "shard-equivalence") shard_mismatch = true;
-  }
-  if (!shard_mismatch) return;
-  try {
-    scenario::ScenarioRun run;
-    run.label = rep->name;
-    run.scenario = scenario::ParseScenario(doc);
-    scenario::RunOneOptions ro;
-    ro.check = true;
-    ro.shards_override = 2;
-    obs::TelemetryConfig tcfg = run.scenario.telemetry;
-    tcfg.manifest = true;
-    tcfg.trace = true;
-    tcfg.profile = true;
-    ro.telemetry = tcfg;
-    ro.manifest_path = base + ".shards2.manifest.json";
-    ro.trace_path = base + ".shards2.trace.json";
-    ro.event_budget = options.max_events > 0 ? options.max_events * 3 : 0;
-    const scenario::SweepRunResult flight =
-        scenario::ScenarioRunner::RunOne(run, ro);
-    if (!flight.manifest_path.empty() || !flight.trace_path.empty()) {
-      std::fprintf(stderr, "    flight record (shards=2): %s %s\n",
-                   flight.manifest_path.c_str(), flight.trace_path.c_str());
-    }
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "    (shards=2 flight record replay failed: %s)\n",
-                 ex.what());
-  }
+// The replay budget: the reference engine executes ~1.5x the events for the
+// same simulated work and lanes add no-op barrier markers, so a replay gets
+// headroom — a watchdog-truncated replay would otherwise masquerade as a
+// difference.
+uint64_t ReplayBudget(const FuzzOptions& options) {
+  return options.max_events > 0 ? options.max_events * 3 : 0;
 }
 
-// One warm-equivalence replay: runs `doc` through RunOne on
-// `shards_override` lanes with the shared snapshot/checkpoint caches
-// attached (no monitors, no event budget — warm capture is ineligible under
-// either, and the scenario already ran clean twice within budget). Returns
-// the golden-trace hash plus whether this replay built or restored the
-// checkpoint.
-struct WarmReplay {
-  uint64_t trace_hash = 0;
-  bool built = false;
-  bool restored = false;
-  std::string error;
-};
-
-WarmReplay ReplayWarm(const Json& doc, int shards_override,
-                      const std::shared_ptr<scenario::FabricCache>& fabrics,
-                      const std::shared_ptr<scenario::WarmCache>& warms) {
-  WarmReplay out;
-  try {
-    scenario::ScenarioRun run;
-    run.scenario = scenario::ParseScenario(doc);
-    run.label = run.scenario.name;
-    scenario::RunOneOptions ro;
-    ro.shards_override = shards_override;
-    ro.fabric_cache = fabrics;
-    ro.warm_cache = warms;
-    const scenario::SweepRunResult r =
-        scenario::ScenarioRunner::RunOne(run, ro);
-    out.error = r.error;
-    out.trace_hash = r.result.trace_hash;
-    out.built = r.warm_built;
-    out.restored = r.warm_restored;
-  } catch (const std::exception& ex) {
-    out.error = ex.what();
-  }
-  return out;
-}
-
-void WriteAndAnnounceReproducer(const Json& doc, const FuzzOptions& options,
-                                FuzzRunReport* rep) {
-  rep->reproducer_path =
-      WriteReproducer(doc, options.reproducer_dir, rep->name);
-  if (!rep->reproducer_path.empty()) {
-    std::fprintf(stderr,
-                 "    reproducer: %s  (replay: hpccsim %s --check)\n",
-                 rep->reproducer_path.c_str(), rep->reproducer_path.c_str());
-    RecordFlight(doc, options, rep);
-  } else {
+// Writes the reproducer and, beside it, a flight record: the checked run and
+// the side of each failed contract replayed with telemetry on, so triage
+// diffs the two sides' manifests and traces without re-running anything.
+void WriteAndAnnounceReproducer(const Json& doc, const std::string& name,
+                                const std::vector<const Replay*>& failed,
+                                const FuzzOptions& options,
+                                const MonitorInstaller& extra) {
+  const std::string path = WriteReproducer(doc, options.reproducer_dir, name);
+  if (path.empty()) {
     std::fprintf(stderr, "    (could not write reproducer under %s)\n",
                  options.reproducer_dir.c_str());
+    return;
+  }
+  std::fprintf(stderr, "    reproducer: %s  (replay: hpccsim %s --check)\n",
+               path.c_str(), path.c_str());
+  const std::string base = path.substr(0, path.size() - 5);  // strip ".json"
+  std::vector<const Replay*> sides = {&kChecked};
+  sides.insert(sides.end(), failed.begin(), failed.end());
+  for (const Replay* row : sides) {
+    const std::string tag =
+        row->side[0] != '\0' ? std::string(" ") + row->side : "";
+    for (const scenario::SweepRunResult& flight :
+         RunSide(doc, *row, ReplayBudget(options), extra, base)) {
+      if (!flight.manifest_path.empty()) {
+        std::fprintf(stderr, "    flight record%s: %s%s%s\n", tag.c_str(),
+                     flight.manifest_path.c_str(),
+                     flight.trace_path.empty() ? "" : " ",
+                     flight.trace_path.c_str());
+      } else {
+        std::fprintf(stderr, "    (flight record%s failed: %s)\n",
+                     tag.c_str(), flight.error.c_str());
+      }
+    }
   }
 }
 
@@ -393,6 +379,7 @@ void WriteAndAnnounceReproducer(const Json& doc, const FuzzOptions& options,
 int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
   int bad_runs = 0;
   size_t total_violations = 0;
+  size_t warm_pairs = 0, warm_built = 0, warm_restored = 0;
   for (int i = 0; i < options.runs; ++i) {
     Json doc;
     try {
@@ -405,164 +392,87 @@ int FuzzMain(const FuzzOptions& options, const MonitorInstaller& extra) {
                    options.runs, ex.what());
       continue;
     }
-    FuzzRunReport rep = RunScenarioDocChecked(doc, options.max_events, extra);
-    if (rep.ok()) {
-      const FuzzRunReport again =
-          RunScenarioDocChecked(doc, options.max_events, extra);
-      if (again.trace_hash != rep.trace_hash) {
-        rep.violations.push_back(Violation{
-            "determinism",
-            "two runs of the identical scenario produced different "
-            "golden-trace hashes",
-            0});
-        ++rep.violation_count;
-      }
-    }
-    if (rep.ok()) {
-      // Equivalence pin: the per-packet reference engine must produce the
-      // same per-flow outcomes as the train fast path. The reference engine
-      // executes ~1.5x the events for the same simulated work, so give the
-      // replay budget headroom — a watchdog-truncated replay would otherwise
-      // masquerade as a hash mismatch.
-      const uint64_t replay_budget =
-          options.max_events > 0 ? options.max_events * 3 : 0;
-      const FuzzRunReport reference = RunScenarioDocChecked(
-          doc, replay_budget, extra, /*fastpath_override=*/0);
-      bool truncated = false;
-      for (const Violation& v : reference.violations) {
-        if (v.monitor == "event-budget") truncated = true;
-      }
-      if (truncated) {
-        std::fprintf(stderr,
-                     "[%s] fastpath-equivalence replay exceeded %llu events; "
-                     "comparison skipped\n",
-                     rep.name.c_str(),
-                     static_cast<unsigned long long>(replay_budget));
-      } else if (!reference.error.empty() ||
-                 reference.trace_hash != rep.trace_hash) {
-        rep.violations.push_back(Violation{
-            "fastpath-equivalence",
-            reference.error.empty()
-                ? "reference (--fastpath=off) replay produced a different "
-                  "golden-trace hash"
-                : "reference (--fastpath=off) replay failed: " +
-                      reference.error,
-            0});
-        ++rep.violation_count;
-      }
-    }
-    if (rep.ok()) {
-      // Equivalence pin for sharded execution: a two-lane replay must
-      // produce the same per-flow outcomes and a clean monitor log. Same
-      // budget headroom as the fastpath replay (the lanes execute a handful
-      // of extra no-op barrier markers); a truncated replay stops at an
-      // arbitrary event, so its hash is skipped rather than compared.
-      const uint64_t replay_budget =
-          options.max_events > 0 ? options.max_events * 3 : 0;
-      const FuzzRunReport sharded =
-          RunScenarioDocChecked(doc, replay_budget, extra,
-                                /*fastpath_override=*/-1,
-                                /*shards_override=*/2);
-      bool truncated = false;
-      for (const Violation& v : sharded.violations) {
-        if (v.monitor == "event-budget") truncated = true;
-      }
-      if (truncated) {
-        std::fprintf(stderr,
-                     "[%s] shard-equivalence replay exceeded %llu events; "
-                     "comparison skipped\n",
-                     rep.name.c_str(),
-                     static_cast<unsigned long long>(replay_budget));
-      } else if (!sharded.error.empty() ||
-                 sharded.trace_hash != rep.trace_hash ||
-                 sharded.violation_count > 0) {
-        std::string detail;
-        if (!sharded.error.empty()) {
-          detail = "sharded (--shards=2) replay failed: " + sharded.error;
-        } else if (sharded.trace_hash != rep.trace_hash) {
-          detail = "sharded (--shards=2) replay produced a different "
-                   "golden-trace hash";
-        } else {
-          detail = "sharded (--shards=2) replay tripped " +
-                   std::to_string(sharded.violation_count) +
-                   " invariant violation(s) on a clean scenario";
+    scenario::SweepRunResult rep =
+        RunScenarioDocChecked(doc, options.max_events, extra);
+    // Every replay row until the first whose side differs from `rep`.
+    std::vector<Violation> broken;
+    std::vector<const Replay*> failed;
+    for (const Replay& row : kReplays) {
+      if (!rep.ok() || !failed.empty()) break;
+      const std::vector<scenario::SweepRunResult> passes =
+          RunSide(doc, row, ReplayBudget(options), extra, "");
+      for (size_t pass = 0; pass < passes.size(); ++pass) {
+        const scenario::SweepRunResult& side = passes[pass];
+        bool truncated = false;
+        for (const Violation& v : side.violations) {
+          truncated = truncated || v.monitor == "event-budget";
         }
-        rep.violations.push_back(
-            Violation{"shard-equivalence", detail, 0});
-        ++rep.violation_count;
-      }
-    }
-    if (rep.ok()) {
-      // Equivalence pin for warm-start sweeps: inject a checkpoint instant at
-      // ~40% of the horizon and replay twice through one shared cache, at
-      // the scenario's lane count and at two lanes. The first replay either
-      // captures the checkpoint or (not quiescent at T, pre-T link flap,
-      // ...) publishes a cold fallback; the second restores or re-runs cold.
-      // Either way both hashes must match the cold run — warm-start must
-      // never change a single output byte.
-      Json warm_doc = doc;
-      const double duration_us = doc.Find("duration_ms")->AsDouble() * 1000.0;
-      Json ws = Json::MakeObject();
-      ws.Set("until_us", Num(Round2(duration_us * 0.4)));
-      warm_doc.Set("warm_start", std::move(ws));
-      for (const int shards : {0, 2}) {
-        auto fabrics = std::make_shared<scenario::FabricCache>();
-        auto warms = std::make_shared<scenario::WarmCache>();
-        const WarmReplay first = ReplayWarm(warm_doc, shards, fabrics, warms);
-        const WarmReplay second = ReplayWarm(warm_doc, shards, fabrics, warms);
-        const std::string lanes = shards > 0 ? " at shards=2" : "";
-        for (const WarmReplay* w : {&first, &second}) {
-          const char* which = w == &first ? "first" : "second";
-          if (!w->error.empty()) {
-            rep.violations.push_back(Violation{
-                "warm-equivalence",
-                std::string(which) + " warm_start replay" + lanes +
-                    " failed: " + w->error,
-                0});
-            ++rep.violation_count;
-          } else if (w->trace_hash != rep.trace_hash) {
-            rep.violations.push_back(Violation{
-                "warm-equivalence",
-                std::string(which) + " warm_start replay" + lanes + " (" +
-                    (w->restored ? "restored checkpoint"
-                                 : w->built ? "built checkpoint" : "cold") +
-                    ") produced a different golden-trace hash",
-                0});
-            ++rep.violation_count;
-          }
+        if (truncated) {
+          std::fprintf(stderr,
+                       "[%s] %s replay exceeded %llu events; comparison "
+                       "skipped\n",
+                       rep.label.c_str(), row.side,
+                       static_cast<unsigned long long>(ReplayBudget(options)));
+          continue;
         }
+        const std::vector<scenario::OutputDiff> diffs =
+            scenario::ScenarioRunner::CompareOutputs({&rep, 1}, {&side, 1});
+        if (diffs.empty()) continue;
+        std::string detail = std::string(row.side) + " replay";
+        if (row.warm) {
+          detail += " " + std::to_string(pass + 1) +
+                    (side.warm_restored ? " (restored checkpoint)"
+                     : side.warm_built  ? " (built checkpoint)"
+                                        : " (cold)");
+        }
+        detail += " differs: " + diffs.front().Format();
+        if (!side.violations.empty()) {
+          detail += "; its first violation: " + side.violations.front().Format();
+        }
+        broken.push_back(Violation{row.contract, detail, 0});
+        if (failed.empty() || failed.back() != &row) failed.push_back(&row);
+      }
+      if (row.warm) {
+        ++warm_pairs;
+        warm_built += passes.front().warm_built ? 1 : 0;
+        warm_restored += passes.back().warm_restored ? 1 : 0;
       }
     }
+    rep.violation_count += broken.size();
+    rep.violations.insert(rep.violations.end(), broken.begin(), broken.end());
     if (!rep.error.empty()) {
       ++bad_runs;
       std::fprintf(stderr, "[%d/%d] %s: ERROR: %s\n", i + 1, options.runs,
-                   rep.name.c_str(), rep.error.c_str());
-      WriteAndAnnounceReproducer(doc, options, &rep);
+                   rep.label.c_str(), rep.error.c_str());
+      WriteAndAnnounceReproducer(doc, rep.label, failed, options, extra);
       continue;
     }
     if (rep.violation_count > 0) {
       ++bad_runs;
       total_violations += rep.violation_count;
       std::fprintf(stderr, "[%d/%d] %s: %zu invariant violation(s)\n", i + 1,
-                   options.runs, rep.name.c_str(), rep.violation_count);
+                   options.runs, rep.label.c_str(), rep.violation_count);
       for (const Violation& v : rep.violations) {
         std::fprintf(stderr, "    %s\n", v.Format().c_str());
       }
-      WriteAndAnnounceReproducer(doc, options, &rep);
+      WriteAndAnnounceReproducer(doc, rep.label, failed, options, extra);
       continue;
     }
     if (options.verbose) {
       std::fprintf(stderr,
                    "[%d/%d] %s: ok  flows %llu/%llu  trace %016llx\n", i + 1,
-                   options.runs, rep.name.c_str(),
-                   static_cast<unsigned long long>(rep.flows_completed),
-                   static_cast<unsigned long long>(rep.flows_created),
-                   static_cast<unsigned long long>(rep.trace_hash));
+                   options.runs, rep.label.c_str(),
+                   static_cast<unsigned long long>(rep.result.flows_completed),
+                   static_cast<unsigned long long>(rep.result.flows_created),
+                   static_cast<unsigned long long>(rep.result.trace_hash));
     }
   }
   std::printf("fuzz: %d run(s), seed %llu: %d bad, %zu violation(s)\n",
               options.runs, static_cast<unsigned long long>(options.seed),
               bad_runs, total_violations);
+  std::printf("fuzz: warm replays: %zu of %zu pair(s) built a checkpoint, "
+              "%zu restored one\n",
+              warm_built, warm_pairs, warm_restored);
   return bad_runs == 0 ? 0 : 1;
 }
 

@@ -11,8 +11,8 @@
 //
 // Determinism contract: GenerateScenarioDoc(seed, i) is a pure function of
 // (seed, i) — the same binary always produces byte-identical documents — and
-// every run is executed twice with the golden-trace hash compared, so fuzz
-// runs double as run-to-run determinism checks.
+// every clean run is replayed and compared output for output, so fuzz runs
+// double as run-to-run determinism checks.
 //
 // The committed corpus under tests/corpus/ is a frozen set of these
 // documents; see docs/TESTING.md for the corpus policy.
@@ -25,6 +25,7 @@
 #include "check/invariant.h"
 #include "check/monitors.h"
 #include "scenario/json.h"
+#include "scenario/runner.h"
 
 namespace hpcc::check {
 
@@ -46,20 +47,6 @@ struct FuzzOptions {
   bool faults = false;
 };
 
-struct FuzzRunReport {
-  std::string name;
-  scenario::Json doc;               // the scenario that ran
-  std::vector<Violation> violations;
-  size_t violation_count = 0;
-  uint64_t trace_hash = 0;
-  uint64_t flows_created = 0;
-  uint64_t flows_completed = 0;
-  std::string error;                // exception text; empty on clean runs
-  std::string reproducer_path;      // set when a reproducer was written
-
-  bool ok() const { return error.empty() && violation_count == 0; }
-};
-
 // The index-th scenario document for `seed`; pure and deterministic (a
 // function of (seed, index, faults) only). `faults` appends the chaos-mode
 // fault events described at FuzzOptions::faults; false reproduces the
@@ -69,17 +56,17 @@ scenario::Json GenerateScenarioDoc(uint64_t seed, int index,
 
 // Parses one scenario document and runs it through ScenarioRunner::RunOne
 // under the standard monitors (plus `extra`, if any) with the event-budget
-// watchdog armed and telemetry off. Never throws: parse and runtime errors
-// land in FuzzRunReport::error. `fastpath_override`: -1
-// as the scenario says, 0/1 force the reference/train transmit engine.
-// `shards_override`: 0 as the scenario says, >= 1 forces that many execution
-// lanes (each lane gets its own registry; `extra` is invoked once per lane,
-// so installers must hand out a fresh monitor instance per call).
-FuzzRunReport RunScenarioDocChecked(const scenario::Json& doc,
-                                    uint64_t max_events,
-                                    const MonitorInstaller& extra = nullptr,
-                                    int fastpath_override = -1,
-                                    int shards_override = 0);
+// watchdog armed and telemetry off; the result's label is the scenario's
+// name. Never throws: parse and runtime errors land in the result's error.
+// `fastpath_override`: -1 as the scenario says, 0/1 force the
+// reference/train transmit engine. `shards_override`: 0 as the scenario
+// says, >= 1 forces that many execution lanes (each lane gets its own
+// registry; `extra` is invoked once per lane, so installers must hand out a
+// fresh monitor instance per call).
+scenario::SweepRunResult RunScenarioDocChecked(
+    const scenario::Json& doc, uint64_t max_events,
+    const MonitorInstaller& extra = nullptr, int fastpath_override = -1,
+    int shards_override = 0);
 
 // Writes `doc` as "<dir>/repro_<name>.json"; returns the path, or "" when
 // the file cannot be written.
@@ -88,17 +75,19 @@ std::string WriteReproducer(const scenario::Json& doc, const std::string& dir,
 
 // CLI driver behind tools/fuzz_scenarios: generates and runs
 // `options.runs` scenarios, writes reproducers for violating runs, prints a
-// summary, and returns the process exit code (0 = all clean). Each clean run
-// is replayed, and must reproduce its golden-trace hash:
+// summary and a count of the warm replays that built and restored a
+// checkpoint, and returns the process exit code (0 = all clean). Each clean
+// run is replayed, and every replay must reproduce its outputs
+// (ScenarioRunner::CompareOutputs: every CSV cell and the TraceHash):
 //  - a second time (run-to-run determinism);
 //  - on the per-packet reference engine (--fastpath=off);
-//  - on two execution lanes (--shards=2), with a clean monitor log too;
-//    event-budget-truncated replays are skipped (a truncated run stops at
-//    an arbitrary event, so its hash is meaningless);
+//  - on two execution lanes (--shards=2), monitor log clean too;
 //  - twice with an injected warm_start.until_us (~40% of the horizon)
 //    through one shared fabric-snapshot/warm-checkpoint cache, the first
 //    building the checkpoint and the second restoring it, at the
 //    scenario's own lane count and again at two lanes.
+// Event-budget-truncated replays are skipped (a truncated run stops at an
+// arbitrary event, so its outputs are meaningless).
 int FuzzMain(const FuzzOptions& options,
              const MonitorInstaller& extra = nullptr);
 

@@ -236,4 +236,15 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
   return true;
 }
 
+bool ReadTextFile(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return false;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  return ok;
+}
+
 }  // namespace hpcc::obs

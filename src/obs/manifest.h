@@ -62,5 +62,7 @@ scenario::Json BuildManifest(const ManifestInputs& in);
 // half-written file, even across a SIGKILL mid-write. Returns false on any
 // I/O failure.
 bool WriteTextFile(const std::string& path, const std::string& content);
+// Appends the whole file at `path` to `out`; false on any I/O error.
+bool ReadTextFile(const std::string& path, std::string* out);
 
 }  // namespace hpcc::obs

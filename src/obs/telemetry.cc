@@ -42,7 +42,7 @@ TelemetryRecorder::TelemetryRecorder(const TelemetryConfig& cfg) : cfg_(cfg) {
 }
 
 unsigned TelemetryRecorder::interests() const {
-  return kEnqueue | kDequeue | kDrop | kPause | kCcUpdate | kIntEcho;
+  return kEnqueue | kDequeue | kPause | kCcUpdate | kIntEcho;
 }
 
 void TelemetryRecorder::OnEnqueue(uint32_t, int, const net::Packet& pkt,
@@ -63,14 +63,6 @@ void TelemetryRecorder::OnDequeueBurst(uint32_t, int,
   counters_.dequeued_packets += n;
   for (size_t i = 0; i < n; ++i) {
     counters_.dequeued_bytes += recs[i].pkt->size_bytes();
-  }
-}
-
-void TelemetryRecorder::OnDrop(uint32_t, const net::Packet&,
-                               check::DropReason reason) {
-  const int idx = static_cast<int>(reason);
-  if (idx >= 0 && idx < check::kNumDropReasons) {
-    ++counters_.drops_by_reason[idx];
   }
 }
 
@@ -139,9 +131,6 @@ TelemetryCounters TelemetrySession::counters() const {
     total.enqueued_bytes += c.enqueued_bytes;
     total.dequeued_packets += c.dequeued_packets;
     total.dequeued_bytes += c.dequeued_bytes;
-    for (int i = 0; i < check::kNumDropReasons; ++i) {
-      total.drops_by_reason[i] += c.drops_by_reason[i];
-    }
     total.pause_on += c.pause_on;
     total.pause_off += c.pause_off;
     total.cc_updates += c.cc_updates;

@@ -80,7 +80,6 @@ struct TelemetryCounters {
   uint64_t enqueued_bytes = 0;
   uint64_t dequeued_packets = 0;
   uint64_t dequeued_bytes = 0;
-  uint64_t drops_by_reason[check::kNumDropReasons] = {};
   uint64_t pause_on = 0;   // pause transitions (off -> paused)
   uint64_t pause_off = 0;  // resume transitions
   uint64_t cc_updates = 0;
@@ -110,8 +109,6 @@ class TelemetryRecorder final : public check::InvariantMonitor {
                  int64_t queue_bytes_after) override;
   void OnDequeueBurst(uint32_t node, int port, const check::DequeueRecord* recs,
                       size_t n) override;
-  void OnDrop(uint32_t node, const net::Packet& pkt,
-              check::DropReason reason) override;
   void OnPauseChange(uint32_t node, int port, int priority, bool paused,
                      sim::TimePs now) override;
   void OnCcUpdate(uint64_t flow_id, int64_t window_bytes, int64_t rate_bps,

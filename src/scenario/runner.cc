@@ -64,18 +64,6 @@ std::vector<std::string> AllMetricColumns() {
   return cols;
 }
 
-// Whole-file read for the resume journal probe; false on any I/O error.
-bool ReadTextFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
 // "x.json" + index 3 -> "x.run3.json" (plain append when no .json suffix):
 // per-run artifact names for sweeps, same for any --jobs interleaving.
 std::string WithRunIndex(const std::string& path, size_t index) {
@@ -372,15 +360,6 @@ SweepRunResult ScenarioRunner::RunOne(const ScenarioRun& run,
   return out;
 }
 
-uint64_t ScenarioRunner::CombinedTraceHash(
-    const std::vector<SweepRunResult>& results) {
-  stats::TraceHash combined;
-  for (size_t i = 0; i < results.size(); ++i) {
-    combined.Combine(results[i].result.trace_hash, i);
-  }
-  return combined.digest();
-}
-
 std::vector<SweepRunResult> ScenarioRunner::RunAll(const Scenario& scenario) {
   return RunAll(ExpandSweep(scenario));
 }
@@ -506,7 +485,7 @@ std::optional<SweepRunResult> ScenarioRunner::TryResume(
     const ScenarioRun& run, const RunOneOptions& opts) const {
   if (opts.manifest_path.empty()) return std::nullopt;
   std::string text;
-  if (!ReadTextFile(opts.manifest_path, &text)) return std::nullopt;
+  if (!obs::ReadTextFile(opts.manifest_path, &text)) return std::nullopt;
   try {
     const Json m = Json::Parse(text);
     const Json* schema = m.Find("schema");
@@ -545,8 +524,8 @@ std::optional<SweepRunResult> ScenarioRunner::TryResume(
       out.resumed_cells[name] = value.AsString();
     }
     // The two result fields the aggregate outputs read directly: drop
-    // presence decides the CSV shape, the trace hash feeds
-    // CombinedTraceHash.
+    // presence decides the CSV shape, and CompareOutputs compares the trace
+    // hash.
     const auto drops = out.resumed_cells.find("dropped_packets");
     if (drops == out.resumed_cells.end()) return std::nullopt;
     out.result.dropped_packets =
@@ -676,6 +655,90 @@ std::vector<std::string> ScenarioRunner::CsvRow(const SweepRunResult& r,
     row.push_back(std::move(value));
   }
   return row;
+}
+
+std::string OutputDiff::Format() const {
+  std::string out = "point " + std::to_string(point) + " (" + label + ") " +
+                    item;
+  if (line > 0) out += " line " + std::to_string(line);
+  return out + ": \"" + a + "\" vs \"" + b + "\"";
+}
+
+std::vector<OutputDiff> ScenarioRunner::CompareOutputs(
+    std::span<const SweepRunResult> a, std::span<const SweepRunResult> b) {
+  std::vector<OutputDiff> diffs;
+  const auto params_text = [](const SweepRunResult& r) {
+    std::string text;
+    for (const auto& [key, value] : r.params) {
+      text += (text.empty() ? "" : ",") + key + "=" + value;
+    }
+    return text;
+  };
+  const auto hex = [](uint64_t v) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    const std::string& label = i < a.size() ? a[i].label : b[i].label;
+    const auto differ = [&](std::string item, std::string x, std::string y,
+                            size_t line = 0) {
+      diffs.push_back(OutputDiff{i, label, std::move(item), line, std::move(x),
+                                 std::move(y)});
+    };
+    if (i >= a.size() || i >= b.size()) {
+      differ("point", i < a.size() ? label : "(missing)",
+             i < b.size() ? label : "(missing)");
+      continue;
+    }
+    const SweepRunResult& x = a[i];
+    const SweepRunResult& y = b[i];
+    if (x.label != y.label) differ("label", x.label, y.label);
+    if (x.params != y.params) differ("params", params_text(x), params_text(y));
+    // A point that failed on one side leads with its error.
+    if (x.error != y.error) differ("error", x.error, y.error);
+    if (StatusOf(x) != StatusOf(y)) differ("status", StatusOf(x), StatusOf(y));
+    const std::vector<std::pair<std::string, std::string>> cx = MetricCells(x);
+    const std::vector<std::pair<std::string, std::string>> cy = MetricCells(y);
+    for (size_t c = 0; c < cx.size(); ++c) {
+      if (cx[c].first == "error" || cx[c].first == "status") continue;
+      if (cx[c].second != cy[c].second) {
+        differ(cx[c].first, cx[c].second, cy[c].second);
+      }
+    }
+    if (x.result.trace_hash != y.result.trace_hash) {
+      differ("trace_hash", hex(x.result.trace_hash), hex(y.result.trace_hash));
+    }
+    // Artifacts compare only when both points wrote one: a telemetry-off
+    // run is still output-equal to a telemetry-on one.
+    const auto artifact = [&](const char* item, const std::string& px,
+                              const std::string& py) {
+      if (px.empty() || py.empty()) return;
+      std::string tx, ty;
+      if (!obs::ReadTextFile(px, &tx) || !obs::ReadTextFile(py, &ty)) {
+        differ(item, "cannot read " + px, "cannot read " + py);
+        return;
+      }
+      if (tx == ty) return;
+      // Equal prefixes keep the two texts' line starts aligned.
+      std::string_view rx = tx, ry = ty;
+      for (size_t line = 1;; ++line) {
+        const size_t ex = rx.find('\n'), ey = ry.find('\n');
+        if (rx.substr(0, ex) != ry.substr(0, ey) || ex == rx.npos ||
+            ey == ry.npos) {
+          differ(item, std::string(rx.substr(0, ex)),
+                 std::string(ry.substr(0, ey)), line);
+          return;
+        }
+        rx.remove_prefix(ex + 1);
+        ry.remove_prefix(ey + 1);
+      }
+    };
+    artifact("manifest", x.manifest_path, y.manifest_path);
+    artifact("trace", x.trace_path, y.trace_path);
+  }
+  return diffs;
 }
 
 int ScenarioRunner::ReportAndWriteCsv(

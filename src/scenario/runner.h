@@ -19,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,21 @@ struct SweepRunResult {
   std::map<std::string, std::string> resumed_cells;
 
   bool ok() const { return error.empty() && violation_count == 0; }
+};
+
+// One way two sweeps' outputs differ (ScenarioRunner::CompareOutputs).
+struct OutputDiff {
+  size_t point = 0;   // grid index
+  std::string label;  // the point's label in the first sweep (else second)
+  // "point" (present in one sweep only), "label", "params", a MetricCells
+  // column ("error", "status", "queue_max_kb", ...), "trace_hash", or an
+  // artifact: "manifest" / "trace".
+  std::string item;
+  size_t line = 0;  // artifacts: the first differing line (1-based)
+  std::string a, b;  // the item in each sweep (an artifact's line text)
+
+  // e.g. `point 2 (fig11[load=0.5]) queue_max_kb: "41.2" vs "40.9"`.
+  std::string Format() const;
 };
 
 struct ScenarioRunnerOptions {
@@ -199,11 +215,6 @@ class ScenarioRunner {
   static SweepRunResult RunOne(const ScenarioRun& run,
                                const RunOneOptions& opts = {});
 
-  // Order-independent digest over the per-flow trace hashes of all points
-  // (each salted with its grid index). Equal digests <=> every point saw
-  // identical per-flow outcomes, whatever --jobs interleaving produced them.
-  static uint64_t CombinedTraceHash(const std::vector<SweepRunResult>& results);
-
   // Aggregates per-run results into one CSV via stats::CsvWriter. Columns:
   // run label, one column per sweep axis, then the summary metrics.
   static bool WriteCsv(const std::string& path,
@@ -235,6 +246,17 @@ class ScenarioRunner {
       const SweepRunResult& r);
   // The CSV status cell: "ok", "violations" or "error".
   static std::string StatusOf(const SweepRunResult& r);
+
+  // The output-equality check behind every byte-identity contract (jobs,
+  // engines, lanes, warm vs cold, resume, telemetry on/off): compares two
+  // sweeps point by point — label, params, error, status, every MetricCells
+  // column, TraceHash, and the bytes of each manifest and trace both points
+  // wrote — and returns every difference, in that order per point. Empty
+  // means the sweeps' outputs are identical. A single result compares as
+  // the sweep {&r, 1}; Experiment-level runs wrap their ExperimentResult in
+  // a SweepRunResult.
+  static std::vector<OutputDiff> CompareOutputs(
+      std::span<const SweepRunResult> a, std::span<const SweepRunResult> b);
 
  private:
   // Resolves the effective telemetry config and artifact paths for sweep

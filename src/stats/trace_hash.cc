@@ -28,11 +28,6 @@ void TraceHash::AddFlow(uint64_t flow_id, uint32_t src, uint32_t dst,
   ++count_;
 }
 
-void TraceHash::Combine(uint64_t digest, uint64_t salt) {
-  acc_ += Fold(SplitMix64(salt), digest);
-  ++count_;
-}
-
 uint64_t TraceHash::digest() const { return Fold(SplitMix64(count_), acc_); }
 
 std::string TraceHash::hex() const {

@@ -2,10 +2,8 @@
 //
 // Two runs of the same scenario are "the same run" iff every flow saw the
 // same (id, endpoints, size, start, finish, completion) tuple — regardless
-// of the order the records are folded in. That makes one digest usable both
-// for a single simulation (records arrive in completion order) and for a
-// sweep executed on a thread pool (per-run digests combine in any order),
-// so fuzz runs and --jobs=1 vs --jobs=N comparisons share one mechanism.
+// of the order the records are folded in, so a run's digest does not depend
+// on how its flows were split across execution lanes.
 // The digest is integer-only (ids, byte counts, picosecond times), so it is
 // independent of float formatting and stable across platforms that simulate
 // identically.
@@ -25,11 +23,6 @@ class TraceHash {
   void AddFlow(uint64_t flow_id, uint32_t src, uint32_t dst,
                uint64_t size_bytes, sim::TimePs start, sim::TimePs finish,
                bool completed);
-
-  // Folds another digest in (used to combine per-run digests of a sweep).
-  // `salt` binds the sub-digest to its grid position so reordered results
-  // cannot cancel out.
-  void Combine(uint64_t digest, uint64_t salt);
 
   uint64_t digest() const;
   std::string hex() const;  // 16 lowercase hex digits of digest()

@@ -41,14 +41,6 @@ TEST(TraceHash, OrderIndependentAndSensitive) {
   c.AddFlow(1, 0, 1, 1000, 0, 501, true);  // one field off
   c.AddFlow(2, 1, 0, 2000, 10, 700, true);
   EXPECT_NE(a.digest(), c.digest());
-
-  // Combine binds sub-digests to their salt (grid position).
-  stats::TraceHash s1, s2;
-  s1.Combine(a.digest(), 0);
-  s1.Combine(c.digest(), 1);
-  s2.Combine(c.digest(), 0);
-  s2.Combine(a.digest(), 1);
-  EXPECT_NE(s1.digest(), s2.digest());
 }
 
 TEST(QueueConservationMonitor, DetectsLedgerMismatch) {
@@ -249,30 +241,39 @@ TEST(Fuzzer, BrokenMonitorEmitsRunnableReproducer) {
     reg.Add(std::make_unique<Broken>());
   };
 
-  FuzzRunReport rep = RunScenarioDocChecked(doc, 50'000'000, broken);
+  const scenario::SweepRunResult rep =
+      RunScenarioDocChecked(doc, 50'000'000, broken);
   ASSERT_TRUE(rep.error.empty()) << rep.error;
   ASSERT_GE(rep.violation_count, 1u);
   EXPECT_EQ(rep.violations.front().monitor, "intentionally-broken");
 
-  const std::string path = WriteReproducer(doc, ".", rep.name);
+  const std::string path = WriteReproducer(doc, ".", rep.label);
   ASSERT_FALSE(path.empty());
 
   // The reproducer must load through the normal scenario pipeline and, with
-  // the broken monitor attached again, reproduce the violation...
+  // the broken monitor attached again, reproduce the violation and every
+  // output...
   const scenario::Scenario reloaded = scenario::LoadScenarioFile(path);
-  FuzzRunReport again =
+  const scenario::SweepRunResult again =
       RunScenarioDocChecked(reloaded.source, 50'000'000, broken);
-  ASSERT_TRUE(again.error.empty()) << again.error;
   EXPECT_GE(again.violation_count, 1u);
-  EXPECT_EQ(again.trace_hash, rep.trace_hash);
+  for (const scenario::OutputDiff& d :
+       scenario::ScenarioRunner::CompareOutputs({&rep, 1}, {&again, 1})) {
+    ADD_FAILURE() << d.Format();
+  }
 
-  // ...and run clean (and deterministically) under the standard set alone.
-  FuzzRunReport clean = RunScenarioDocChecked(reloaded.source, 50'000'000);
+  // ...and run clean under the standard set alone, where the status is the
+  // only output that moves.
+  const scenario::SweepRunResult clean =
+      RunScenarioDocChecked(reloaded.source, 50'000'000);
   EXPECT_TRUE(clean.ok()) << clean.error << "\n"
                           << (clean.violations.empty()
                                   ? ""
                                   : clean.violations.front().Format());
-  EXPECT_EQ(clean.trace_hash, rep.trace_hash);
+  const std::vector<scenario::OutputDiff> diffs =
+      scenario::ScenarioRunner::CompareOutputs({&rep, 1}, {&clean, 1});
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_EQ(diffs[0].item, "status");
   std::remove(path.c_str());
 }
 
@@ -294,7 +295,7 @@ TEST(Fuzzer, GenerationIsDeterministicAndValid) {
 // violation and skips the no-progress audit, which a truncated run would
 // trip on its stranded flows.
 TEST(Fuzzer, ExhaustedEventBudgetIsAViolation) {
-  const FuzzRunReport rep =
+  const scenario::SweepRunResult rep =
       RunScenarioDocChecked(GenerateScenarioDoc(7, 0), /*max_events=*/1000);
   ASSERT_TRUE(rep.error.empty()) << rep.error;
   ASSERT_GE(rep.violation_count, 1u);

@@ -44,15 +44,20 @@ TEST(Corpus, ScenariosRunCleanUnderAllMonitors) {
   for (const std::string& path : files) {
     SCOPED_TRACE(path);
     const scenario::Scenario s = scenario::LoadScenarioFile(path);
-    const FuzzRunReport rep = RunScenarioDocChecked(s.source, 50'000'000);
+    const scenario::SweepRunResult rep =
+        RunScenarioDocChecked(s.source, 50'000'000);
     ASSERT_TRUE(rep.error.empty()) << rep.error;
     EXPECT_EQ(rep.violation_count, 0u)
         << rep.violations.front().Format();
-    EXPECT_GT(rep.flows_created, 0u);
+    EXPECT_GT(rep.result.flows_created, 0u);
 
     // Replay determinism: a corpus file is also a golden-trace pin.
-    const FuzzRunReport again = RunScenarioDocChecked(s.source, 50'000'000);
-    EXPECT_EQ(again.trace_hash, rep.trace_hash);
+    const scenario::SweepRunResult again =
+        RunScenarioDocChecked(s.source, 50'000'000);
+    for (const scenario::OutputDiff& d :
+         scenario::ScenarioRunner::CompareOutputs({&rep, 1}, {&again, 1})) {
+      ADD_FAILURE() << d.Format();
+    }
   }
 }
 

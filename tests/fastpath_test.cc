@@ -1,16 +1,17 @@
 // Fastpath determinism suite: the transmission-train transmit engine
 // (--fastpath=on, the default) must be observably indistinguishable from the
-// per-packet reference engine (--fastpath=off) — equal golden-trace hashes
-// and byte-identical scenario CSVs — while executing measurably fewer
-// simulator events. Covers the committed example scenarios, the whole fuzz
-// corpus, and targeted burst boundary cases: PFC pause arriving mid-train,
-// queue overflow (lossy drops) mid-train, and link_down mid-train.
+// per-packet reference engine (--fastpath=off) — identical outputs
+// (ScenarioRunner::CompareOutputs: every CSV cell and the golden-trace hash)
+// — while executing measurably fewer simulator events. Covers the committed
+// example scenarios, the whole fuzz corpus, and targeted burst boundary
+// cases: PFC pause arriving mid-train, queue overflow (lossy drops)
+// mid-train, and link_down mid-train.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,16 +22,9 @@
 namespace hpcc {
 namespace {
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-// Runs every sweep point of `path` under both engines; expects equal trace
-// hashes, byte-identical CSVs, and (when `expect_fewer_events`) a strictly
-// smaller event count on the fast path somewhere in the grid.
+// Runs every sweep point of `path` under both engines; expects identical
+// outputs and (when `expect_fewer_events`) a strictly smaller event count
+// on the fast path somewhere in the grid.
 void ExpectEngineEquivalence(const std::string& path,
                              bool expect_fewer_events = true) {
   SCOPED_TRACE(path);
@@ -45,58 +39,37 @@ void ExpectEngineEquivalence(const std::string& path,
   off.fastpath_override = 0;
   const auto r_on = scenario::ScenarioRunner(on).RunAll(runs);
   const auto r_off = scenario::ScenarioRunner(off).RunAll(runs);
-  ASSERT_EQ(r_on.size(), r_off.size());
+  for (const scenario::OutputDiff& d :
+       scenario::ScenarioRunner::CompareOutputs(r_on, r_off)) {
+    ADD_FAILURE() << d.Format();
+  }
 
   uint64_t ev_on = 0, ev_off = 0;
   for (size_t i = 0; i < r_on.size(); ++i) {
-    SCOPED_TRACE(r_on[i].label);
-    ASSERT_TRUE(r_on[i].error.empty()) << r_on[i].error;
-    ASSERT_TRUE(r_off[i].error.empty()) << r_off[i].error;
-    EXPECT_EQ(r_on[i].result.trace_hash, r_off[i].result.trace_hash);
-    EXPECT_EQ(r_on[i].result.packets_forwarded,
-              r_off[i].result.packets_forwarded);
+    ASSERT_TRUE(r_on[i].error.empty()) << r_on[i].label << ": "
+                                       << r_on[i].error;
     ev_on += r_on[i].result.events_executed;
     ev_off += r_off[i].result.events_executed;
   }
-  EXPECT_EQ(scenario::ScenarioRunner::CombinedTraceHash(r_on),
-            scenario::ScenarioRunner::CombinedTraceHash(r_off));
   if (expect_fewer_events) {
     // The suite must not pass vacuously with the fast path disabled.
     EXPECT_LT(ev_on, ev_off);
   }
-
-  const std::string f_on = "fastpath_on.csv";
-  const std::string f_off = "fastpath_off.csv";
-  ASSERT_TRUE(scenario::ScenarioRunner::WriteCsv(f_on, r_on));
-  ASSERT_TRUE(scenario::ScenarioRunner::WriteCsv(f_off, r_off));
-  const std::string b_on = ReadFile(f_on);
-  EXPECT_FALSE(b_on.empty());
-  EXPECT_EQ(b_on, ReadFile(f_off));
-  std::remove(f_on.c_str());
-  std::remove(f_off.c_str());
 }
 
-// Runs one ExperimentConfig under both engines and compares every
-// engine-independent observable.
-struct PairResult {
-  runner::ExperimentResult on, off;
-};
-PairResult RunPair(runner::ExperimentConfig cfg) {
+// Runs one ExperimentConfig under both engines, expects identical outputs
+// and returns the train engine's result.
+runner::ExperimentResult RunPair(runner::ExperimentConfig cfg) {
+  scenario::SweepRunResult on, off;
   cfg.fast_path = true;
-  runner::Experiment e_on(cfg);
-  PairResult r;
-  r.on = e_on.Run();
+  on.result = runner::Experiment(cfg).Run();
   cfg.fast_path = false;
-  runner::Experiment e_off(cfg);
-  r.off = e_off.Run();
-  EXPECT_EQ(r.on.trace_hash, r.off.trace_hash);
-  EXPECT_EQ(r.on.flows_completed, r.off.flows_completed);
-  EXPECT_EQ(r.on.packets_forwarded, r.off.packets_forwarded);
-  EXPECT_EQ(r.on.dropped_packets, r.off.dropped_packets);
-  EXPECT_EQ(r.on.pause_events, r.off.pause_events);
-  EXPECT_EQ(r.on.max_queue_bytes, r.off.max_queue_bytes);
-  EXPECT_EQ(r.on.sim_time, r.off.sim_time);
-  return r;
+  off.result = runner::Experiment(cfg).Run();
+  for (const scenario::OutputDiff& d :
+       scenario::ScenarioRunner::CompareOutputs({&on, 1}, {&off, 1})) {
+    ADD_FAILURE() << d.Format();
+  }
+  return std::move(on.result);
 }
 
 TEST(Fastpath, ExampleScenariosIdenticalAcrossEngines) {
@@ -161,9 +134,9 @@ TEST(Fastpath, PfcPauseMidTrain) {
   cfg.incast_opts.first_event = sim::Us(10);
   cfg.duration = sim::Ms(1);
   cfg.drain_factor = 60.0;
-  PairResult r = RunPair(cfg);
-  EXPECT_GT(r.on.pause_events, 0u);  // the case actually exercised pauses
-  EXPECT_EQ(r.on.flows_completed, r.on.flows_created);
+  const runner::ExperimentResult r = RunPair(cfg);
+  EXPECT_GT(r.pause_events, 0u);  // the case actually exercised pauses
+  EXPECT_EQ(r.flows_completed, r.flows_created);
 }
 
 // Queue overflow mid-train (lossy mode): dynamic egress-threshold drops land
@@ -184,8 +157,7 @@ TEST(Fastpath, LossyOverflowMidTrain) {
   cfg.incast_opts.first_event = sim::Us(10);
   cfg.duration = sim::Ms(1);
   cfg.drain_factor = 60.0;
-  PairResult r = RunPair(cfg);
-  EXPECT_GT(r.on.dropped_packets, 0u);  // overflow actually happened
+  EXPECT_GT(RunPair(cfg).dropped_packets, 0u);  // overflow actually happened
 }
 
 // link_down / link_up mid-train: a failing trunk freezes committed-but-

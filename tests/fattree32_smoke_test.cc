@@ -27,11 +27,11 @@ TEST(FatTree32Smoke, WebsearchScenarioRunsMonitorCleanAcrossSeeds) {
   for (int seed = 1; seed <= kSeeds; ++seed) {
     scenario::Json doc = s.source;
     doc.Set("seed", scenario::Json::MakeNumber(seed));
-    const FuzzRunReport rep = RunScenarioDocChecked(doc, 100'000'000);
+    const scenario::SweepRunResult rep = RunScenarioDocChecked(doc, 100'000'000);
     ASSERT_TRUE(rep.error.empty()) << "seed " << seed << ": " << rep.error;
     EXPECT_EQ(rep.violation_count, 0u)
         << "seed " << seed << ": " << rep.violations.front().Format();
-    EXPECT_GT(rep.flows_created, 0u);
+    EXPECT_GT(rep.result.flows_created, 0u);
   }
 }
 

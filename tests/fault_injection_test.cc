@@ -7,7 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,11 +22,11 @@
 namespace hpcc::scenario {
 namespace {
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+void ExpectSameOutputs(std::span<const SweepRunResult> a,
+                       std::span<const SweepRunResult> b) {
+  for (const OutputDiff& d : ScenarioRunner::CompareOutputs(a, b)) {
+    ADD_FAILURE() << d.Format();
+  }
 }
 
 std::string Cell(const SweepRunResult& r, const std::string& column) {
@@ -204,48 +204,36 @@ TEST(FaultEvents, SwitchDownEqualsExpandedLinkScript) {
   const Scenario b = ParseScenarioText(probe_text);
 
   // The contract must hold for any job count and both transmit engines:
-  // equal combined trace hashes and byte-identical aggregate CSVs.
+  // identical outputs, and every config's outputs match the first one's.
   struct Config {
     int jobs;
     int fastpath;
   };
   const Config configs[] = {{1, -1}, {4, -1}, {1, 0}};
-  std::string first_csv;
+  std::vector<SweepRunResult> first;
   for (const Config& c : configs) {
+    SCOPED_TRACE("jobs=" + std::to_string(c.jobs) +
+                 " fastpath=" + std::to_string(c.fastpath));
     ScenarioRunnerOptions o;
     o.jobs = c.jobs;
     o.check = true;
     o.fastpath_override = c.fastpath;
-    const auto ra = ScenarioRunner(o).RunAll(a);
+    auto ra = ScenarioRunner(o).RunAll(a);
     const auto rb = ScenarioRunner(o).RunAll(b);
     ASSERT_EQ(ra.size(), 2u);
-    ASSERT_EQ(rb.size(), 2u);
-    for (size_t i = 0; i < ra.size(); ++i) {
-      ASSERT_TRUE(ra[i].ok()) << ra[i].error;
-      ASSERT_TRUE(rb[i].ok()) << rb[i].error;
+    for (const SweepRunResult& r : ra) {
+      ASSERT_TRUE(r.ok()) << r.error;
       // Faults repaired at 300us: everything the workload created finishes.
-      EXPECT_GT(ra[i].result.flows_created, 0u);
-      EXPECT_EQ(ra[i].result.flows_completed + ra[i].result.flows_failed,
-                ra[i].result.flows_created);
+      EXPECT_GT(r.result.flows_created, 0u);
+      EXPECT_EQ(r.result.flows_completed + r.result.flows_failed,
+                r.result.flows_created);
     }
-    EXPECT_EQ(ScenarioRunner::CombinedTraceHash(ra),
-              ScenarioRunner::CombinedTraceHash(rb))
-        << "jobs=" << c.jobs << " fastpath=" << c.fastpath;
-
-    const std::string pa = testing::TempDir() + "/swfail_a.csv";
-    const std::string pb = testing::TempDir() + "/swfail_b.csv";
-    ASSERT_TRUE(ScenarioRunner::WriteCsv(pa, ra));
-    ASSERT_TRUE(ScenarioRunner::WriteCsv(pb, rb));
-    const std::string ca = ReadFile(pa);
-    EXPECT_FALSE(ca.empty());
-    EXPECT_EQ(ca, ReadFile(pb)) << "jobs=" << c.jobs
-                                << " fastpath=" << c.fastpath;
-    std::remove(pa.c_str());
-    std::remove(pb.c_str());
-    // And the whole suite is engine/job invariant: every config's CSV
-    // matches the first one byte for byte.
-    if (first_csv.empty()) first_csv = ca;
-    EXPECT_EQ(ca, first_csv);
+    ExpectSameOutputs(ra, rb);
+    if (first.empty()) {
+      first = std::move(ra);
+    } else {
+      ExpectSameOutputs(first, ra);
+    }
   }
 }
 
@@ -313,26 +301,16 @@ TEST(FaultEvents, CorruptWindowIsDeterministicAcrossEnginesAndShards) {
   EXPECT_NE(Cell(base, "drops_corrupt"), "0");
   EXPECT_EQ(Cell(base, "status"), "ok");
 
-  // Same seed stream -> bit-identical replay...
-  const SweepRunResult again = ScenarioRunner::RunOne(run, checked);
-  ASSERT_TRUE(again.ok()) << again.error;
-  EXPECT_EQ(base.result.trace_hash, again.result.trace_hash);
-  EXPECT_EQ(ScenarioRunner::CsvRow(base, true),
-            ScenarioRunner::CsvRow(again, true));
-
-  // ...on the reference engine...
+  // Same seed stream -> identical outputs on a replay, on the reference
+  // engine and under sharded execution.
   RunOneOptions reference = checked;
   reference.fastpath_override = 0;
-  const SweepRunResult ref = ScenarioRunner::RunOne(run, reference);
-  ASSERT_TRUE(ref.ok()) << ref.error;
-  EXPECT_EQ(base.result.trace_hash, ref.result.trace_hash);
-
-  // ...and under sharded execution.
-  RunOneOptions opts = checked;
-  opts.shards_override = 2;
-  const SweepRunResult sharded = ScenarioRunner::RunOne(run, opts);
-  ASSERT_TRUE(sharded.ok()) << sharded.error;
-  EXPECT_EQ(base.result.trace_hash, sharded.result.trace_hash);
+  RunOneOptions sharded = checked;
+  sharded.shards_override = 2;
+  for (const RunOneOptions& opts : {checked, reference, sharded}) {
+    const SweepRunResult other = ScenarioRunner::RunOne(run, opts);
+    ExpectSameOutputs({&base, 1}, {&other, 1});
+  }
 }
 
 TEST(FaultEvents, NicFlapIsolatesHostThenRecovers) {
@@ -358,14 +336,12 @@ TEST(FaultEvents, NicFlapIsolatesHostThenRecovers) {
   EXPECT_EQ(base.result.flows_completed, base.result.flows_created);
   EXPECT_EQ(base.result.flows_failed, 0u);
 
-  const SweepRunResult again = ScenarioRunner::RunOne(run, checked);
-  EXPECT_EQ(base.result.trace_hash, again.result.trace_hash);
-
-  RunOneOptions opts = checked;
-  opts.shards_override = 2;
-  const SweepRunResult sharded = ScenarioRunner::RunOne(run, opts);
-  ASSERT_TRUE(sharded.ok()) << sharded.error;
-  EXPECT_EQ(base.result.trace_hash, sharded.result.trace_hash);
+  RunOneOptions sharded = checked;
+  sharded.shards_override = 2;
+  for (const RunOneOptions& opts : {checked, sharded}) {
+    const SweepRunResult other = ScenarioRunner::RunOne(run, opts);
+    ExpectSameOutputs({&base, 1}, {&other, 1});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -471,12 +447,7 @@ TEST(Resume, SkipsValidatedPointsByteIdentically) {
   for (const auto& r : pass1) {
     ASSERT_TRUE(r.ok()) << r.error;
     ASSERT_FALSE(r.manifest_path.empty());
-    EXPECT_FALSE(ReadFile(r.manifest_path).empty());
   }
-  const std::string csv1_path = base + "_pass1.csv";
-  ASSERT_TRUE(ScenarioRunner::WriteCsv(csv1_path, pass1));
-  const std::string csv1 = ReadFile(csv1_path);
-  const uint64_t hash1 = ScenarioRunner::CombinedTraceHash(pass1);
 
   // Simulate a crash that lost point 1's journal and tore point 2's.
   ASSERT_EQ(std::remove(pass1[1].manifest_path.c_str()), 0);
@@ -485,7 +456,8 @@ TEST(Resume, SkipsValidatedPointsByteIdentically) {
     torn << "{\"schema\": \"hpccsim-manifest-v1\", \"label\": trunc";
   }
 
-  // Pass 2: --resume skips the intact point and re-simulates the rest.
+  // Pass 2: --resume skips the intact point and re-simulates the rest, with
+  // outputs identical to pass 1.
   ScenarioRunnerOptions o2;
   o2.jobs = 1;
   o2.resume = true;  // implies manifest
@@ -495,29 +467,15 @@ TEST(Resume, SkipsValidatedPointsByteIdentically) {
   EXPECT_TRUE(pass2[0].resumed);
   EXPECT_FALSE(pass2[1].resumed);
   EXPECT_FALSE(pass2[2].resumed);
-  for (const auto& r : pass2) ASSERT_TRUE(r.ok()) << r.error;
-
-  // The resumed sweep's aggregate outputs are byte-identical to pass 1.
-  const std::string csv2_path = base + "_pass2.csv";
-  ASSERT_TRUE(ScenarioRunner::WriteCsv(csv2_path, pass2));
-  EXPECT_EQ(csv1, ReadFile(csv2_path));
-  EXPECT_EQ(hash1, ScenarioRunner::CombinedTraceHash(pass2));
+  ExpectSameOutputs(pass1, pass2);
 
   // Re-run points re-journaled themselves: a third resume skips everything.
   const auto pass3 = ScenarioRunner(o2).RunAll(s);
   ASSERT_EQ(pass3.size(), 3u);
-  for (const auto& r : pass3) {
-    EXPECT_TRUE(r.resumed) << r.label;
-    ASSERT_TRUE(r.ok()) << r.error;
-  }
-  const std::string csv3_path = base + "_pass3.csv";
-  ASSERT_TRUE(ScenarioRunner::WriteCsv(csv3_path, pass3));
-  EXPECT_EQ(csv1, ReadFile(csv3_path));
+  for (const auto& r : pass3) EXPECT_TRUE(r.resumed) << r.label;
+  ExpectSameOutputs(pass1, pass3);
 
   for (const auto& r : pass3) std::remove(r.manifest_path.c_str());
-  std::remove(csv1_path.c_str());
-  std::remove(csv2_path.c_str());
-  std::remove(csv3_path.c_str());
 }
 
 TEST(Resume, ScenarioMismatchInvalidatesTheJournal) {

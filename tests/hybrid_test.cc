@@ -1,13 +1,11 @@
 // Hybrid fluid/packet co-simulation gates: config + scenario-schema
-// validation, fluid-engine accounting, the determinism suite (equal trace
-// hashes across runs, --jobs values and both fastpath engines), and the
+// validation, fluid-engine accounting, the determinism suite (identical
+// outputs across runs, --jobs values and both fastpath engines), and the
 // k=16 incast A/B tolerance pin (pure-packet vs hybrid background).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -149,11 +147,12 @@ constexpr char kHybridScenario[] = R"({
   "seed": 3
 })";
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+void ExpectSameOutputs(std::span<const scenario::SweepRunResult> a,
+                       std::span<const scenario::SweepRunResult> b) {
+  for (const scenario::OutputDiff& d :
+       scenario::ScenarioRunner::CompareOutputs(a, b)) {
+    ADD_FAILURE() << d.Format();
+  }
 }
 
 TEST(Hybrid, DeterministicAcrossJobsAndRepeats) {
@@ -176,24 +175,12 @@ TEST(Hybrid, DeterministicAcrossJobsAndRepeats) {
   const auto r1b = scenario::ScenarioRunner(o1).RunAll(runs);
   const auto r4 = scenario::ScenarioRunner(o4).RunAll(runs);
   ASSERT_EQ(r1.size(), runs.size());
-  for (size_t i = 0; i < r1.size(); ++i) {
-    SCOPED_TRACE(r1[i].label);
-    ASSERT_TRUE(r1[i].error.empty()) << r1[i].error;
-    ASSERT_TRUE(r4[i].error.empty()) << r4[i].error;
-    EXPECT_NE(r1[i].result.trace_hash, 0u);
-    EXPECT_EQ(r1[i].result.trace_hash, r1b[i].result.trace_hash);
-    EXPECT_EQ(r1[i].result.trace_hash, r4[i].result.trace_hash);
+  for (const scenario::SweepRunResult& r : r1) {
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    EXPECT_NE(r.result.trace_hash, 0u);
   }
-
-  const std::string f1 = "hybrid_jobs1.csv";
-  const std::string f4 = "hybrid_jobs4.csv";
-  ASSERT_TRUE(scenario::ScenarioRunner::WriteCsv(f1, r1));
-  ASSERT_TRUE(scenario::ScenarioRunner::WriteCsv(f4, r4));
-  const std::string b1 = ReadFile(f1);
-  EXPECT_FALSE(b1.empty());
-  EXPECT_EQ(b1, ReadFile(f4));
-  std::remove(f1.c_str());
-  std::remove(f4.c_str());
+  ExpectSameOutputs(r1, r1b);
+  ExpectSameOutputs(r1, r4);
 }
 
 TEST(Hybrid, ShardsOverrideFailsLoudly) {
@@ -212,21 +199,18 @@ TEST(Hybrid, ShardsOverrideFailsLoudly) {
 
 TEST(Hybrid, DeterministicAcrossFastpathEnginesAndMonitorClean) {
   const scenario::Json doc = scenario::Json::Parse(kHybridScenario);
-  const check::FuzzRunReport trains =
+  const scenario::SweepRunResult trains =
       check::RunScenarioDocChecked(doc, 50'000'000, nullptr,
                                    /*fastpath_override=*/1);
-  const check::FuzzRunReport reference =
+  const scenario::SweepRunResult reference =
       check::RunScenarioDocChecked(doc, 50'000'000, nullptr,
                                    /*fastpath_override=*/0);
   ASSERT_TRUE(trains.error.empty()) << trains.error;
-  ASSERT_TRUE(reference.error.empty()) << reference.error;
   EXPECT_EQ(trains.violation_count, 0u)
       << trains.violations.front().Format();
-  EXPECT_EQ(reference.violation_count, 0u)
-      << reference.violations.front().Format();
-  EXPECT_NE(trains.trace_hash, 0u);
-  EXPECT_EQ(trains.trace_hash, reference.trace_hash);
-  EXPECT_GT(trains.flows_created, 0u);
+  EXPECT_NE(trains.result.trace_hash, 0u);
+  EXPECT_GT(trains.result.flows_created, 0u);
+  ExpectSameOutputs({&trains, 1}, {&reference, 1});
 }
 
 // The k=16 A/B gate: the same foreground (16-way incast of short packet

@@ -504,6 +504,23 @@ TEST(PaperClaims, Fig10HpccQueueTailBelowDcqcn) {
   }
 }
 
+// Fig. 11: under FB_Hadoop load, with and without incast, HPCC has the
+// lowest p95 FCT slowdown of the six schemes and never pauses.
+TEST(PaperClaims, Fig11HpccLowestSlowdownWithoutPauses) {
+  for (const char* name : {"fig11_fbhadoop_incast", "fig11_fbhadoop_load50"}) {
+    SCOPED_TRACE(name);
+    const RunGolden g(name);
+    // 2.34 vs 4.77 (timely+win) with incast, 1.97 vs 4.36 (dcqcn+win)
+    // without.
+    const double hpcc = g.At("hpcc", "slowdown_p95");
+    for (const char* other :
+         {"dcqcn", "timely", "dcqcn+win", "timely+win", "dctcp"}) {
+      EXPECT_LT(hpcc, g.At(other, "slowdown_p95")) << other;
+    }
+    EXPECT_EQ(g.At("hpcc", "pfc_pause_pct"), 0.0);
+  }
+}
+
 // Fig. 13: per-RTT reaction drains the incast's initial queue slowly, so its
 // queue tail stays far above HPCC's reference-window reaction.
 TEST(PaperClaims, Fig13PerRttQueuePersists) {

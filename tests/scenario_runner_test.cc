@@ -1,26 +1,21 @@
 // Event-script and sweep-runner tests: scripted link_down/link_up drives
 // Topology::SetLinkUp (routes recompute, stalled flows recover and finish),
-// load phases gate the background generator, and the parallel sweep runner
-// produces byte-identical results for any job count.
+// load phases gate the background generator, the parallel sweep runner
+// produces identical outputs for any job count, and
+// ScenarioRunner::CompareOutputs reports each single difference once.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <span>
+#include <utility>
 
 #include "net/packet.h"
+#include "obs/manifest.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
 namespace hpcc::scenario {
 namespace {
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 // Dumbbell with a 2-to-1 incast crossing the trunk (link 0); the trunk fails
 // mid-transfer and repairs 600us later.
@@ -191,28 +186,82 @@ TEST(ScenarioRunnerTest, ParallelSweepIsByteIdenticalToSerial) {
 
   ASSERT_EQ(r1.size(), 4u);
   ASSERT_EQ(r4.size(), 4u);
+  for (const OutputDiff& d : ScenarioRunner::CompareOutputs(r1, r4)) {
+    ADD_FAILURE() << d.Format();
+  }
   for (size_t i = 0; i < r1.size(); ++i) {
     EXPECT_TRUE(r1[i].ok()) << r1[i].error;
-    EXPECT_EQ(r1[i].label, r4[i].label);
-    // Same grid point -> bit-identical simulation regardless of scheduling.
+    // Same grid point -> bit-identical simulation regardless of scheduling,
+    // down to the event count no output shows.
     EXPECT_EQ(r1[i].result.events_executed, r4[i].result.events_executed);
-    EXPECT_EQ(r1[i].result.flows_created, r4[i].result.flows_created);
-    EXPECT_EQ(ScenarioRunner::CsvRow(r1[i]), ScenarioRunner::CsvRow(r4[i]));
   }
-
-  // And the aggregated CSVs match byte for byte.
-  const std::string p1 = testing::TempDir() + "/sweep_j1.csv";
-  const std::string p4 = testing::TempDir() + "/sweep_j4.csv";
-  ASSERT_TRUE(ScenarioRunner::WriteCsv(p1, r1));
-  ASSERT_TRUE(ScenarioRunner::WriteCsv(p4, r4));
-  const std::string c1 = ReadFile(p1);
-  EXPECT_FALSE(c1.empty());
-  EXPECT_EQ(c1, ReadFile(p4));
-  std::remove(p1.c_str());
-  std::remove(p4.c_str());
 
   // Different seeds really are different runs.
   EXPECT_NE(r1[0].result.events_executed, r1[1].result.events_executed);
+}
+
+TEST(ScenarioRunnerTest, CompareOutputsNamesEachDifference) {
+  const Scenario s = ParseScenarioText(kSeedSweep);
+  const auto sweep = [&s](const std::string& tag) {
+    ScenarioRunnerOptions o;
+    o.manifest = true;
+    o.out_base = testing::TempDir() + "/" + tag;
+    o.trace_out = o.out_base + ".trace.json";
+    return ScenarioRunner(o).RunAll(s);
+  };
+  const std::vector<SweepRunResult> a = sweep("compare_a");
+  std::vector<SweepRunResult> b = sweep("compare_b");
+  ASSERT_EQ(b.size(), 4u);
+  for (const SweepRunResult& r : b) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_FALSE(r.manifest_path.empty());
+    ASSERT_FALSE(r.trace_path.empty());
+  }
+  EXPECT_TRUE(ScenarioRunner::CompareOutputs(a, b).empty());
+
+  // Each single perturbation of `b` is exactly one difference, naming its
+  // point and item (and, for an artifact, the line).
+  const auto expect_one = [&a](std::span<const SweepRunResult> other,
+                               size_t point, const std::string& item) {
+    const std::vector<OutputDiff> diffs =
+        ScenarioRunner::CompareOutputs(a, other);
+    ASSERT_EQ(diffs.size(), 1u) << item;
+    EXPECT_EQ(diffs[0].point, point);
+    EXPECT_EQ(diffs[0].label, a[point].label);
+    EXPECT_EQ(diffs[0].item, item);
+    EXPECT_EQ(diffs[0].line > 0, item == "manifest" || item == "trace");
+  };
+  // Twice restores the file.
+  const auto flip_middle_byte = [](const std::string& path) {
+    std::string text;
+    ASSERT_TRUE(obs::ReadTextFile(path, &text));
+    text[text.size() / 2] ^= 1;
+    ASSERT_TRUE(obs::WriteTextFile(path, text));
+  };
+  expect_one(std::span(b).first(3), 3, "point");
+  b[1].label += "'";
+  expect_one(b, 1, "label");
+  b[1].label = a[1].label;
+  ++b[2].result.retx_timeouts;
+  expect_one(b, 2, "retx_timeouts");
+  --b[2].result.retx_timeouts;
+  b[0].result.trace_hash ^= 1;
+  expect_one(b, 0, "trace_hash");
+  b[0].result.trace_hash ^= 1;
+  flip_middle_byte(b[3].manifest_path);
+  expect_one(b, 3, "manifest");
+  flip_middle_byte(b[3].manifest_path);
+  flip_middle_byte(b[1].trace_path);
+  expect_one(b, 1, "trace");
+  flip_middle_byte(b[1].trace_path);
+  EXPECT_TRUE(ScenarioRunner::CompareOutputs(a, b).empty());
+
+  for (const std::vector<SweepRunResult>* sweep : {&a, &std::as_const(b)}) {
+    for (const SweepRunResult& r : *sweep) {
+      std::remove(r.manifest_path.c_str());
+      std::remove(r.trace_path.c_str());
+    }
+  }
 }
 
 TEST(ScenarioRunnerTest, CsvShapeIsRectangular) {

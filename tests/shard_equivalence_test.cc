@@ -1,16 +1,17 @@
 // Shard-equivalence suite: a sharded run (conservative PDES over per-pod /
 // per-block lanes, see topo/partition.h and runner::Experiment::RunRounds)
-// must be observably indistinguishable from the one-lane run — equal
-// golden-trace hashes, byte-identical scenario CSVs and byte-identical run
-// manifests — at every shard count. Covers the committed example scenarios
-// and the whole fuzz corpus at shards {1, 2, 4}, all under the full
-// invariant-monitor set (each lane's registry must also stay clean).
+// must be observably indistinguishable from the one-lane run — identical
+// outputs (ScenarioRunner::CompareOutputs: every CSV cell, the golden-trace
+// hash and the run manifest of every point) at every shard count. Covers
+// the committed example scenarios and the whole fuzz corpus at shards
+// {1, 2, 4}, all under the full invariant-monitor set (each lane's registry
+// must also stay clean).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,21 +23,11 @@ namespace {
 
 constexpr int kShardCounts[] = {1, 2, 4};
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-// One full checked sweep of `runs` at `shards` lanes, with per-run manifests
-// written under `tag`. Returns the results; registers failures for run
-// errors and invariant violations.
+// One full checked sweep of `runs` at `shards` lanes, each point writing its
+// manifest. Registers failures for run errors and invariant violations.
 std::vector<scenario::SweepRunResult> RunChecked(
-    const std::vector<scenario::ScenarioRun>& runs, int shards,
-    std::vector<std::string>* manifest_paths) {
+    const std::vector<scenario::ScenarioRun>& runs, int shards) {
   std::vector<scenario::SweepRunResult> results;
-  results.reserve(runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
     scenario::RunOneOptions opts;
     opts.check = true;
@@ -46,7 +37,6 @@ std::vector<scenario::SweepRunResult> RunChecked(
     opts.telemetry = tcfg;
     opts.manifest_path = "shard_eq_s" + std::to_string(shards) + "_run" +
                          std::to_string(i) + ".manifest.json";
-    manifest_paths->push_back(opts.manifest_path);
     results.push_back(scenario::ScenarioRunner::RunOne(runs[i], opts));
     const scenario::SweepRunResult& r = results.back();
     EXPECT_TRUE(r.error.empty()) << r.label << ": " << r.error;
@@ -57,49 +47,28 @@ std::vector<scenario::SweepRunResult> RunChecked(
 }
 
 // Runs every sweep point of `path` at shards {1, 2, 4} and expects the
-// deterministic outputs — trace hashes, the aggregate CSV and every per-run
-// manifest — byte-equal to the shards=1 run.
+// outputs of every lane count identical to the shards=1 run's.
 void ExpectShardEquivalence(const std::string& path) {
   SCOPED_TRACE(path);
   const scenario::Scenario sc = scenario::LoadScenarioFile(path);
   const std::vector<scenario::ScenarioRun> runs = scenario::ExpandSweep(sc);
   ASSERT_FALSE(runs.empty());
 
-  std::vector<std::string> cleanup;
-  std::string base_csv_bytes;
-  std::vector<std::string> base_manifest_bytes;
-  uint64_t base_hash = 0;
+  std::vector<std::vector<scenario::SweepRunResult>> sweeps;
   for (int shards : kShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    std::vector<std::string> manifests;
-    const auto results = RunChecked(runs, shards, &manifests);
-    cleanup.insert(cleanup.end(), manifests.begin(), manifests.end());
-
-    const uint64_t hash = scenario::ScenarioRunner::CombinedTraceHash(results);
-    const std::string csv = "shard_eq_s" + std::to_string(shards) + ".csv";
-    cleanup.push_back(csv);
-    ASSERT_TRUE(scenario::ScenarioRunner::WriteCsv(csv, results));
-    const std::string csv_bytes = ReadFile(csv);
-    ASSERT_FALSE(csv_bytes.empty());
-
-    if (shards == kShardCounts[0]) {
-      base_hash = hash;
-      base_csv_bytes = csv_bytes;
-      for (const std::string& m : manifests) {
-        base_manifest_bytes.push_back(ReadFile(m));
-        EXPECT_FALSE(base_manifest_bytes.back().empty()) << m;
-      }
-    } else {
-      EXPECT_EQ(hash, base_hash);
-      EXPECT_EQ(csv_bytes, base_csv_bytes);
-      ASSERT_EQ(manifests.size(), base_manifest_bytes.size());
-      for (size_t i = 0; i < manifests.size(); ++i) {
-        EXPECT_EQ(ReadFile(manifests[i]), base_manifest_bytes[i])
-            << manifests[i];
-      }
+    sweeps.push_back(RunChecked(runs, shards));
+    for (const scenario::OutputDiff& d :
+         scenario::ScenarioRunner::CompareOutputs(sweeps.front(),
+                                                  sweeps.back())) {
+      ADD_FAILURE() << d.Format();
     }
   }
-  for (const std::string& f : cleanup) std::remove(f.c_str());
+  for (const auto& sweep : sweeps) {
+    for (const scenario::SweepRunResult& r : sweep) {
+      std::remove(r.manifest_path.c_str());
+    }
+  }
 }
 
 TEST(ShardEquivalence, Fig11LoadSweep) {
@@ -174,10 +143,10 @@ TEST(ShardEquivalence, ScenarioShardsKey) {
   sc.config.shards = 1;
   const auto without = scenario::ScenarioRunner::RunOne(
       scenario::ExpandSweep(sc).front(), checked);
-  ASSERT_TRUE(without.error.empty()) << without.error;
-  EXPECT_EQ(with.result.trace_hash, without.result.trace_hash);
-  EXPECT_EQ(with.result.flows_completed, without.result.flows_completed);
-  EXPECT_EQ(with.result.sim_time, without.result.sim_time);
+  for (const scenario::OutputDiff& d :
+       scenario::ScenarioRunner::CompareOutputs({&with, 1}, {&without, 1})) {
+    ADD_FAILURE() << d.Format();
+  }
 }
 
 }  // namespace

@@ -3,13 +3,12 @@
 // The headline pins: the manifest and the Perfetto trace are byte-identical
 // across --jobs=1/4, --fastpath=on/off and --shards=1/4 (the same contract
 // the CSVs honor), and a run with telemetry on produces the exact CSV a run
-// with telemetry off does. Plus schema smoke tests for both artifacts and the
-// per-reason drop columns' appear-only-with-drops rule.
+// with telemetry off does — each checked by ScenarioRunner::CompareOutputs.
+// Plus schema smoke tests for both artifacts and the per-reason drop
+// columns' appear-only-with-drops rule.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,13 +23,6 @@
 namespace hpcc::scenario {
 namespace {
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 std::string ScenarioPath(const char* name) {
   return std::string(HPCC_SOURCE_DIR) + "/examples/scenarios/" + name;
 }
@@ -39,11 +31,33 @@ std::string CorpusPath(const char* name) {
   return std::string(HPCC_SOURCE_DIR) + "/tests/corpus/" + name;
 }
 
+void ExpectSameOutputs(const std::vector<SweepRunResult>& a,
+                       const std::vector<SweepRunResult>& b) {
+  for (const OutputDiff& d : ScenarioRunner::CompareOutputs(a, b)) {
+    ADD_FAILURE() << d.Format();
+  }
+}
+
+// Every point wrote both artifacts (so a comparison covers them).
+void ExpectArtifacts(const std::vector<SweepRunResult>& results) {
+  for (const SweepRunResult& r : results) {
+    EXPECT_TRUE(r.ok()) << r.label << ": " << r.error;
+    EXPECT_FALSE(r.manifest_path.empty()) << r.label;
+    EXPECT_FALSE(r.trace_path.empty()) << r.label;
+  }
+}
+
+void RemoveArtifacts(const std::vector<SweepRunResult>& results) {
+  for (const SweepRunResult& r : results) {
+    std::remove(r.manifest_path.c_str());
+    std::remove(r.trace_path.c_str());
+  }
+}
+
 // Runs one sweep point with manifest + trace on, writing to `tag`-derived
-// file names, and returns {manifest bytes, trace bytes}.
-std::pair<std::string, std::string> RunWithTelemetry(const ScenarioRun& run,
-                                                     const std::string& tag,
-                                                     int fastpath_override) {
+// file names.
+SweepRunResult RunWithTelemetry(const ScenarioRun& run, const std::string& tag,
+                                int fastpath_override) {
   RunOneOptions opts;
   opts.fastpath_override = fastpath_override;
   obs::TelemetryConfig tcfg = run.scenario.telemetry;
@@ -52,15 +66,7 @@ std::pair<std::string, std::string> RunWithTelemetry(const ScenarioRun& run,
   opts.telemetry = tcfg;
   opts.manifest_path = tag + ".manifest.json";
   opts.trace_path = tag + ".trace.json";
-  const SweepRunResult r = ScenarioRunner::RunOne(run, opts);
-  EXPECT_TRUE(r.error.empty()) << r.error;
-  EXPECT_EQ(r.manifest_path, opts.manifest_path);
-  EXPECT_EQ(r.trace_path, opts.trace_path);
-  std::pair<std::string, std::string> out{ReadFile(opts.manifest_path),
-                                          ReadFile(opts.trace_path)};
-  std::remove(opts.manifest_path.c_str());
-  std::remove(opts.trace_path.c_str());
-  return out;
+  return ScenarioRunner::RunOne(run, opts);
 }
 
 TEST(Telemetry, ArtifactsIdenticalAcrossJobs) {
@@ -78,27 +84,10 @@ TEST(Telemetry, ArtifactsIdenticalAcrossJobs) {
   };
   const auto r1 = run_with_jobs(1, "telemetry_jobs1");
   const auto r4 = run_with_jobs(4, "telemetry_jobs4");
-  ASSERT_EQ(r1.size(), runs.size());
-  ASSERT_EQ(r4.size(), runs.size());
-
-  for (size_t i = 0; i < r1.size(); ++i) {
-    SCOPED_TRACE(r1[i].label);
-    ASSERT_TRUE(r1[i].error.empty()) << r1[i].error;
-    ASSERT_FALSE(r1[i].manifest_path.empty());
-    ASSERT_FALSE(r1[i].trace_path.empty());
-    const std::string m1 = ReadFile(r1[i].manifest_path);
-    const std::string m4 = ReadFile(r4[i].manifest_path);
-    const std::string t1 = ReadFile(r1[i].trace_path);
-    const std::string t4 = ReadFile(r4[i].trace_path);
-    EXPECT_FALSE(m1.empty());
-    EXPECT_FALSE(t1.empty());
-    EXPECT_EQ(m1, m4);
-    EXPECT_EQ(t1, t4);
-    std::remove(r1[i].manifest_path.c_str());
-    std::remove(r4[i].manifest_path.c_str());
-    std::remove(r1[i].trace_path.c_str());
-    std::remove(r4[i].trace_path.c_str());
-  }
+  ExpectArtifacts(r1);
+  ExpectSameOutputs(r1, r4);
+  RemoveArtifacts(r1);
+  RemoveArtifacts(r4);
 }
 
 TEST(Telemetry, ArtifactsIdenticalAcrossEngines) {
@@ -114,12 +103,13 @@ TEST(Telemetry, ArtifactsIdenticalAcrossEngines) {
     const Scenario sc = LoadScenarioFile(file);
     const std::vector<ScenarioRun> runs = ExpandSweep(sc);
     ASSERT_FALSE(runs.empty());
-    const auto fast = RunWithTelemetry(runs[0], "telemetry_fast", 1);
-    const auto ref = RunWithTelemetry(runs[0], "telemetry_ref", 0);
-    EXPECT_FALSE(fast.first.empty());
-    EXPECT_FALSE(fast.second.empty());
-    EXPECT_EQ(fast.first, ref.first);    // manifest
-    EXPECT_EQ(fast.second, ref.second);  // trace
+    std::vector<SweepRunResult> fast, ref;
+    fast.push_back(RunWithTelemetry(runs[0], "telemetry_fast", 1));
+    ref.push_back(RunWithTelemetry(runs[0], "telemetry_ref", 0));
+    ExpectArtifacts(fast);
+    ExpectSameOutputs(fast, ref);
+    RemoveArtifacts(fast);
+    RemoveArtifacts(ref);
   }
 }
 
@@ -136,9 +126,8 @@ TEST(Telemetry, ArtifactsIdenticalAcrossShards) {
     const std::vector<ScenarioRun> runs =
         ExpandSweep(LoadScenarioFile(ScenarioPath(name)));
     ASSERT_FALSE(runs.empty());
-    std::vector<std::string> base;  // CSV, then manifest + trace per point
+    std::vector<std::vector<SweepRunResult>> sweeps;
     for (const int shards : {1, 4}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
       const std::string tag = "telemetry_s" + std::to_string(shards);
       ScenarioRunnerOptions o;
       o.jobs = 1;
@@ -146,30 +135,12 @@ TEST(Telemetry, ArtifactsIdenticalAcrossShards) {
       o.manifest = true;
       o.trace_out = tag + ".trace.json";
       o.out_base = tag;
-      const std::vector<SweepRunResult> results =
-          ScenarioRunner(o).RunAll(runs);
-      ASSERT_TRUE(ScenarioRunner::WriteCsv(tag + ".csv", results));
-      std::vector<std::string> bytes = {ReadFile(tag + ".csv")};
-      std::remove((tag + ".csv").c_str());
-      for (const SweepRunResult& r : results) {
-        ASSERT_TRUE(r.ok()) << r.label << ": " << r.error;
-        ASSERT_FALSE(r.manifest_path.empty());
-        ASSERT_FALSE(r.trace_path.empty());
-        bytes.push_back(ReadFile(r.manifest_path));
-        bytes.push_back(ReadFile(r.trace_path));
-        std::remove(r.manifest_path.c_str());
-        std::remove(r.trace_path.c_str());
-      }
-      if (shards == 1) {
-        base = std::move(bytes);
-        continue;
-      }
-      ASSERT_EQ(bytes.size(), base.size());
-      for (size_t i = 0; i < bytes.size(); ++i) {
-        EXPECT_FALSE(bytes[i].empty()) << "artifact " << i;
-        EXPECT_EQ(bytes[i], base[i]) << "artifact " << i;
-      }
+      sweeps.push_back(ScenarioRunner(o).RunAll(runs));
     }
+    ExpectArtifacts(sweeps[0]);
+    ExpectSameOutputs(sweeps[0], sweeps[1]);
+    RemoveArtifacts(sweeps[0]);
+    RemoveArtifacts(sweeps[1]);
   }
 }
 
@@ -228,9 +199,14 @@ TEST(Telemetry, ManifestShape) {
   const Scenario sc = LoadScenarioFile(ScenarioPath("fig11_load_sweep.json"));
   const std::vector<ScenarioRun> runs = ExpandSweep(sc);
   ASSERT_FALSE(runs.empty());
-  const auto arts = RunWithTelemetry(runs[0], "telemetry_shape", -1);
+  const SweepRunResult r = RunWithTelemetry(runs[0], "telemetry_shape", -1);
+  std::string manifest, trace_text;
+  ASSERT_TRUE(obs::ReadTextFile(r.manifest_path, &manifest));
+  ASSERT_TRUE(obs::ReadTextFile(r.trace_path, &trace_text));
+  std::remove(r.manifest_path.c_str());
+  std::remove(r.trace_path.c_str());
 
-  const Json doc = Json::Parse(arts.first);
+  const Json doc = Json::Parse(manifest);
   ASSERT_NE(doc.Find("schema"), nullptr);
   EXPECT_EQ(doc.Find("schema")->AsString(), "hpccsim-manifest-v1");
   ASSERT_NE(doc.Find("scenario"), nullptr);
@@ -249,7 +225,7 @@ TEST(Telemetry, ManifestShape) {
   ASSERT_NE(drops->Find("buffer_full"), nullptr);
   ASSERT_NE(drops->Find("egress_threshold"), nullptr);
 
-  const Json trace = Json::Parse(arts.second);
+  const Json trace = Json::Parse(trace_text);
   const Json* events = trace.Find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
@@ -279,8 +255,10 @@ TEST(Telemetry, ProfileSectionIsOptIn) {
   opts.manifest_path = "telemetry_profile.manifest.json";
   const SweepRunResult r = ScenarioRunner::RunOne(runs[0], opts);
   ASSERT_TRUE(r.error.empty()) << r.error;
-  const Json doc = Json::Parse(ReadFile(opts.manifest_path));
+  std::string manifest;
+  ASSERT_TRUE(obs::ReadTextFile(opts.manifest_path, &manifest));
   std::remove(opts.manifest_path.c_str());
+  const Json doc = Json::Parse(manifest);
   const Json* profile = doc.Find("profile");
   ASSERT_NE(profile, nullptr);
   ASSERT_NE(profile->Find("events_executed"), nullptr);
@@ -305,21 +283,11 @@ TEST(Telemetry, CsvUnchangedByTelemetry) {
   tele.trace_out = "telemetry_csv.trace.json";
   tele.out_base = "telemetry_csv";
   const auto rt = ScenarioRunner(tele).RunAll(runs);
-
-  ASSERT_TRUE(ScenarioRunner::WriteCsv("telemetry_plain.csv", rp));
-  ASSERT_TRUE(ScenarioRunner::WriteCsv("telemetry_on.csv", rt));
-  const std::string a = ReadFile("telemetry_plain.csv");
-  const std::string b = ReadFile("telemetry_on.csv");
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
+  ExpectArtifacts(rt);
+  ExpectSameOutputs(rp, rt);
   // fig11 is a PFC scenario: no drops, so no drops_* columns.
-  EXPECT_EQ(a.find("drops_no_route"), std::string::npos);
-  std::remove("telemetry_plain.csv");
-  std::remove("telemetry_on.csv");
-  for (const auto& r : rt) {
-    if (!r.manifest_path.empty()) std::remove(r.manifest_path.c_str());
-    if (!r.trace_path.empty()) std::remove(r.trace_path.c_str());
-  }
+  EXPECT_FALSE(ScenarioRunner::HasDrops(rt));
+  RemoveArtifacts(rt);
 }
 
 TEST(Telemetry, DropReasonColumnsOnlyWithDrops) {

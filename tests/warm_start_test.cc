@@ -1,20 +1,18 @@
 // Warm-start equivalence suite: a sweep run with fabric-snapshot sharing and
 // warm_start checkpoint/restore enabled must be observably indistinguishable
-// from the all-cold run — equal combined trace hashes, byte-identical
-// aggregate CSVs and byte-identical per-run manifests — at any worker count
-// and any lane count, including configurations where warm capture is
-// ineligible and every point silently falls back to cold (pre-checkpoint
-// link flaps, a non-quiescent checkpoint instant). Covers the committed
-// example scenarios and the whole fuzz corpus, plus a purpose-built scenario
-// where the checkpoint provably engages (warm_built/warm_restored are
-// asserted, not hoped for).
+// from the all-cold run — identical outputs (ScenarioRunner::CompareOutputs:
+// every CSV cell, the golden-trace hash and the manifest of every point) —
+// at any worker count and any lane count, including configurations where
+// warm capture is ineligible and every point silently falls back to cold
+// (pre-checkpoint link flaps, a non-quiescent checkpoint instant). Covers
+// the committed example scenarios and the whole fuzz corpus, plus
+// scenarios where the checkpoint provably engages (warm_built/warm_restored
+// are asserted, not hoped for), the k=32 warm sweep among them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,13 +22,6 @@
 
 namespace hpcc {
 namespace {
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 // Expands `sc` and injects a checkpoint instant at 40% of each point's
 // horizon when the scenario doesn't set one itself. Mutating the parsed
@@ -47,70 +38,63 @@ std::vector<scenario::ScenarioRun> ExpandWithWarm(const scenario::Scenario& sc) 
   return runs;
 }
 
-struct SweepOutputs {
-  uint64_t hash = 0;
-  std::string csv_bytes;
-  std::vector<std::string> manifest_bytes;
-  std::vector<uint64_t> flows_created;  // per point, grid order
+// A sweep's results and how many of its points built / restored a warm
+// checkpoint.
+struct WarmSweep {
+  std::vector<scenario::SweepRunResult> points;
   size_t built = 0;
   size_t restored = 0;
 };
 
-// One full sweep under the given warm/jobs/shards configuration, with the
-// aggregate CSV and per-run manifests captured as bytes (files are removed
-// before returning). Registers failures for run errors.
-SweepOutputs RunVariant(const std::vector<scenario::ScenarioRun>& runs,
-                        bool warm, int jobs, int shards,
-                        const std::string& tag) {
+// One full sweep under the given warm/jobs/shards configuration, every point
+// writing its manifest under `tag`. Registers failures for run errors.
+WarmSweep RunVariant(const std::vector<scenario::ScenarioRun>& runs, bool warm,
+                     int jobs, int shards, const std::string& tag) {
   scenario::ScenarioRunnerOptions opts;
   opts.jobs = jobs;
   opts.warm = warm;
   opts.shards_override = shards;
   opts.manifest = true;
   opts.out_base = tag;
-  const std::vector<scenario::SweepRunResult> results =
-      scenario::ScenarioRunner(opts).RunAll(runs);
-
-  SweepOutputs out;
-  out.hash = scenario::ScenarioRunner::CombinedTraceHash(results);
-  const std::string csv = tag + ".csv";
-  EXPECT_TRUE(scenario::ScenarioRunner::WriteCsv(csv, results));
-  out.csv_bytes = ReadFile(csv);
-  EXPECT_FALSE(out.csv_bytes.empty());
-  std::remove(csv.c_str());
-  for (const scenario::SweepRunResult& r : results) {
+  WarmSweep out;
+  out.points = scenario::ScenarioRunner(opts).RunAll(runs);
+  for (const scenario::SweepRunResult& r : out.points) {
     EXPECT_TRUE(r.error.empty()) << r.label << ": " << r.error;
     EXPECT_FALSE(r.manifest_path.empty()) << r.label;
-    out.manifest_bytes.push_back(ReadFile(r.manifest_path));
-    EXPECT_FALSE(out.manifest_bytes.back().empty()) << r.manifest_path;
-    std::remove(r.manifest_path.c_str());
-    out.flows_created.push_back(r.result.flows_created);
     out.built += r.warm_built ? 1 : 0;
     out.restored += r.warm_restored ? 1 : 0;
   }
   return out;
 }
 
-void ExpectSameOutputs(const SweepOutputs& cold, const SweepOutputs& other) {
-  EXPECT_EQ(other.hash, cold.hash);
-  EXPECT_EQ(other.csv_bytes, cold.csv_bytes);
-  ASSERT_EQ(other.manifest_bytes.size(), cold.manifest_bytes.size());
-  for (size_t i = 0; i < other.manifest_bytes.size(); ++i) {
-    EXPECT_EQ(other.manifest_bytes[i], cold.manifest_bytes[i]) << "run " << i;
+void RemoveManifests(const WarmSweep& sweep) {
+  for (const scenario::SweepRunResult& r : sweep.points) {
+    std::remove(r.manifest_path.c_str());
   }
 }
 
+// Expects `other`'s outputs identical to the cold sweep's, then removes
+// `other`'s manifests.
+void ExpectSameOutputs(const WarmSweep& cold, const WarmSweep& other) {
+  for (const scenario::OutputDiff& d :
+       scenario::ScenarioRunner::CompareOutputs(cold.points, other.points)) {
+    ADD_FAILURE() << d.Format();
+  }
+  RemoveManifests(other);
+}
+
 // Cold baseline vs warm at jobs {1, 4} vs warm on 4 execution lanes: all
-// four must produce the same bytes, and the lanes must checkpoint exactly
+// four must produce the same outputs, and the lanes must checkpoint exactly
 // where one lane does (a checkpoint instant is quiescent at any lane count
-// or at none).
-void ExpectWarmEquivalence(const std::vector<scenario::ScenarioRun>& runs,
-                           const std::string& tag) {
-  const SweepOutputs cold = RunVariant(runs, /*warm=*/false, 1, 0,
-                                       tag + "_cold");
-  const SweepOutputs warm1 = RunVariant(runs, true, 1, 0, tag + "_w1");
+// or at none). Returns the warm jobs=1 sweep's {built, restored} counts.
+std::pair<size_t, size_t> ExpectWarmEquivalence(
+    const std::vector<scenario::ScenarioRun>& runs, const std::string& tag) {
+  const WarmSweep cold = RunVariant(runs, /*warm=*/false, 1, 0, tag + "_cold");
+  std::pair<size_t, size_t> engaged;
   {
     SCOPED_TRACE("warm jobs=1");
+    const WarmSweep warm1 = RunVariant(runs, true, 1, 0, tag + "_w1");
+    engaged = {warm1.built, warm1.restored};
     ExpectSameOutputs(cold, warm1);
   }
   {
@@ -119,20 +103,22 @@ void ExpectWarmEquivalence(const std::vector<scenario::ScenarioRun>& runs,
   }
   {
     SCOPED_TRACE("warm shards=4");
-    const SweepOutputs sharded = RunVariant(runs, true, 1, 4, tag + "_ws4");
-    EXPECT_EQ(sharded.built, warm1.built);
-    EXPECT_EQ(sharded.restored, warm1.restored);
+    const WarmSweep sharded = RunVariant(runs, true, 1, 4, tag + "_ws4");
+    EXPECT_EQ(sharded.built, engaged.first);
+    EXPECT_EQ(sharded.restored, engaged.second);
     ExpectSameOutputs(cold, sharded);
   }
+  RemoveManifests(cold);
+  return engaged;
 }
 
-void ExpectWarmEquivalenceFile(const std::string& path,
-                               const std::string& tag) {
+std::pair<size_t, size_t> ExpectWarmEquivalenceFile(const std::string& path,
+                                                    const std::string& tag) {
   SCOPED_TRACE(path);
   const scenario::Scenario sc = scenario::LoadScenarioFile(path);
   const std::vector<scenario::ScenarioRun> runs = ExpandWithWarm(sc);
-  ASSERT_FALSE(runs.empty());
-  ExpectWarmEquivalence(runs, tag);
+  EXPECT_FALSE(runs.empty());
+  return ExpectWarmEquivalence(runs, tag);
 }
 
 TEST(WarmStart, Fig11LoadSweep) {
@@ -159,11 +145,37 @@ TEST(WarmStart, Fattree16HadoopBurst) {
       "warm_eq_ft16");
 }
 
-TEST(WarmStart, Fattree32Websearch) {
-  ExpectWarmEquivalenceFile(
+TEST(WarmStart, Fattree32WarmSweep) {
+  // The k=32 sweep engages: background load stops at 40 us, the fabric
+  // drains before the 1.4 ms checkpoint, and only the post-checkpoint
+  // incast's fan-in varies, so one point builds and seven restore — at one
+  // lane and at four.
+  const auto [built, restored] = ExpectWarmEquivalenceFile(
       std::string(HPCC_SOURCE_DIR) +
-          "/examples/scenarios/fattree32_websearch.json",
+          "/examples/scenarios/fattree32_warm_sweep.json",
       "warm_eq_ft32");
+  EXPECT_EQ(built, 1u);
+  EXPECT_EQ(restored, 7u);
+}
+
+TEST(WarmStart, FabricSnapshotThenLinkFlaps) {
+  // The second seed adopts the fabric snapshot the first one built, then
+  // its link events flap fabric links the snapshot shares: the flaps land
+  // before the injected checkpoint instant, so every point runs cold on the
+  // shared snapshot.
+  scenario::Json doc =
+      scenario::LoadScenarioFile(std::string(HPCC_SOURCE_DIR) +
+                                 "/tests/corpus/storm_fattree_flaps.json")
+          .source;
+  doc.Set("sweep", scenario::Json::Parse(R"({"seed": [505, 506]})"));
+  const std::vector<scenario::ScenarioRun> runs =
+      ExpandWithWarm(scenario::ParseScenario(doc));
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(scenario::FabricSignature(runs[0].scenario),
+            scenario::FabricSignature(runs[1].scenario));
+  const auto [built, restored] = ExpectWarmEquivalence(runs, "warm_eq_flaps");
+  EXPECT_EQ(built, 0u);
+  EXPECT_EQ(restored, 0u);
 }
 
 TEST(WarmStart, Corpus) {
@@ -248,8 +260,8 @@ std::vector<scenario::ScenarioRun> PhaseCapRuns() {
 // Every point shares one WarmFingerprint; the sweep runs cold on one lane,
 // then warm on `shards` lanes at jobs 1 and 4, where exactly one point
 // builds the checkpoint and every other point restores it, with outputs
-// byte-identical to the cold run's. Returns the warm jobs=1 outputs.
-SweepOutputs ExpectCheckpointEngages(
+// identical to the cold run's. Returns the points' flows_created.
+std::vector<uint64_t> ExpectCheckpointEngages(
     const std::vector<scenario::ScenarioRun>& runs, int shards,
     const std::string& tag) {
   const uint64_t fp = scenario::WarmFingerprint(runs[0].scenario);
@@ -257,24 +269,25 @@ SweepOutputs ExpectCheckpointEngages(
     EXPECT_EQ(scenario::WarmFingerprint(run.scenario), fp) << run.label;
   }
 
-  const SweepOutputs cold = RunVariant(runs, /*warm=*/false, 1, 0,
-                                       tag + "_cold");
+  const WarmSweep cold = RunVariant(runs, /*warm=*/false, 1, 0, tag + "_cold");
   EXPECT_EQ(cold.built, 0u);
   EXPECT_EQ(cold.restored, 0u);
-
-  const SweepOutputs warm = RunVariant(runs, /*warm=*/true, 1, shards,
-                                       tag + "_w1");
-  // Exactly one point builds the checkpoint; every other point restores it.
-  EXPECT_EQ(warm.built, 1u);
-  EXPECT_EQ(warm.restored, runs.size() - 1);
-  ExpectSameOutputs(cold, warm);
-
-  const SweepOutputs warm4 = RunVariant(runs, /*warm=*/true, 4, shards,
-                                        tag + "_w4");
-  EXPECT_EQ(warm4.built, 1u);
-  EXPECT_EQ(warm4.restored, runs.size() - 1);
-  ExpectSameOutputs(cold, warm4);
-  return warm;
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const WarmSweep warm =
+        RunVariant(runs, /*warm=*/true, jobs, shards,
+                   tag + "_w" + std::to_string(jobs));
+    // Exactly one point builds the checkpoint; every other point restores.
+    EXPECT_EQ(warm.built, 1u);
+    EXPECT_EQ(warm.restored, runs.size() - 1);
+    ExpectSameOutputs(cold, warm);
+  }
+  RemoveManifests(cold);
+  std::vector<uint64_t> flows;
+  for (const scenario::SweepRunResult& r : cold.points) {
+    flows.push_back(r.result.flows_created);
+  }
+  return flows;
 }
 
 TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
@@ -291,11 +304,11 @@ TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
       SCOPED_TRACE("phase flow cap");
       const std::vector<scenario::ScenarioRun> runs = PhaseCapRuns();
       ASSERT_EQ(runs.size(), 3u);
-      const SweepOutputs warm =
+      const std::vector<uint64_t> flows =
           ExpectCheckpointEngages(runs, shards, "warm_phase_cap" + lanes);
-      ASSERT_EQ(warm.flows_created.size(), runs.size());
+      ASSERT_EQ(flows.size(), runs.size());
       for (size_t i = 0; i < runs.size(); ++i) {
-        EXPECT_EQ(warm.flows_created[i],
+        EXPECT_EQ(flows[i],
                   12u + static_cast<uint64_t>(
                             runs[i].scenario.events[2].incast.fan_in))
             << runs[i].label;
@@ -307,7 +320,7 @@ TEST(WarmStart, CheckpointEngagesAndMatchesCold) {
 // The committed warm-sweep showcase must expand through the array-indexing
 // sweep axis ("events.1.fan_in") into 8 points that all share one warm
 // fingerprint — i.e. the scenario file really is warm-shareable as written.
-// Expansion only; the k=32 simulation itself is covered by the macro bench.
+// Expansion only; WarmStart.Fattree32WarmSweep runs it.
 TEST(WarmStart, Fattree32WarmSweepExampleSharesOneFingerprint) {
   const scenario::Scenario sc = scenario::LoadScenarioFile(
       std::string(HPCC_SOURCE_DIR) +
