@@ -309,11 +309,8 @@ std::vector<scenario::SweepRunResult> RunSide(const Json& doc,
 
 scenario::SweepRunResult RunScenarioDocChecked(const Json& doc,
                                                uint64_t max_events,
-                                               const MonitorInstaller& extra,
-                                               int fastpath_override,
-                                               int shards_override) {
-  const Replay row = {"", "", fastpath_override, shards_override, false};
-  return std::move(RunSide(doc, row, max_events, extra, "").front());
+                                               const MonitorInstaller& extra) {
+  return std::move(RunSide(doc, kChecked, max_events, extra, "").front());
 }
 
 std::string WriteReproducer(const Json& doc, const std::string& dir,

@@ -58,15 +58,12 @@ scenario::Json GenerateScenarioDoc(uint64_t seed, int index,
 // under the standard monitors (plus `extra`, if any) with the event-budget
 // watchdog armed and telemetry off; the result's label is the scenario's
 // name. Never throws: parse and runtime errors land in the result's error.
-// `fastpath_override`: -1 as the scenario says, 0/1 force the
-// reference/train transmit engine. `shards_override`: 0 as the scenario
-// says, >= 1 forces that many execution lanes (each lane gets its own
-// registry; `extra` is invoked once per lane, so installers must hand out a
-// fresh monitor instance per call).
+// A multi-lane scenario gives each lane its own registry; `extra` is invoked
+// once per lane, so installers must hand out a fresh monitor instance per
+// call.
 scenario::SweepRunResult RunScenarioDocChecked(
     const scenario::Json& doc, uint64_t max_events,
-    const MonitorInstaller& extra = nullptr, int fastpath_override = -1,
-    int shards_override = 0);
+    const MonitorInstaller& extra = nullptr);
 
 // Writes `doc` as "<dir>/repro_<name>.json"; returns the path, or "" when
 // the file cannot be written.

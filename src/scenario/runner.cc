@@ -710,11 +710,15 @@ std::vector<OutputDiff> ScenarioRunner::CompareOutputs(
     if (x.result.trace_hash != y.result.trace_hash) {
       differ("trace_hash", hex(x.result.trace_hash), hex(y.result.trace_hash));
     }
-    // Artifacts compare only when both points wrote one: a telemetry-off
-    // run is still output-equal to a telemetry-on one.
+    // An artifact only one point wrote is a difference too.
     const auto artifact = [&](const char* item, const std::string& px,
                               const std::string& py) {
-      if (px.empty() || py.empty()) return;
+      if (px.empty() && py.empty()) return;
+      if (px.empty() || py.empty()) {
+        differ(item, px.empty() ? "(not written)" : px,
+               py.empty() ? "(not written)" : py);
+        return;
+      }
       std::string tx, ty;
       if (!obs::ReadTextFile(px, &tx) || !obs::ReadTextFile(py, &ty)) {
         differ(item, "cannot read " + px, "cannot read " + py);

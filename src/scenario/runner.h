@@ -101,8 +101,10 @@ struct OutputDiff {
   // column ("error", "status", "queue_max_kb", ...), "trace_hash", or an
   // artifact: "manifest" / "trace".
   std::string item;
-  size_t line = 0;  // artifacts: the first differing line (1-based)
-  std::string a, b;  // the item in each sweep (an artifact's line text)
+  size_t line = 0;  // artifacts: the first differing line (1-based), else 0
+  // The item in each sweep: an artifact's line text, or its path when only
+  // one point wrote it.
+  std::string a, b;
 
   // e.g. `point 2 (fig11[load=0.5]) queue_max_kb: "41.2" vs "40.9"`.
   std::string Format() const;
@@ -250,11 +252,11 @@ class ScenarioRunner {
   // The output-equality check behind every byte-identity contract (jobs,
   // engines, lanes, warm vs cold, resume, telemetry on/off): compares two
   // sweeps point by point — label, params, error, status, every MetricCells
-  // column, TraceHash, and the bytes of each manifest and trace both points
-  // wrote — and returns every difference, in that order per point. Empty
-  // means the sweeps' outputs are identical. A single result compares as
-  // the sweep {&r, 1}; Experiment-level runs wrap their ExperimentResult in
-  // a SweepRunResult.
+  // column, TraceHash, and the bytes of each manifest and trace (one that
+  // only one point wrote differs) — and returns every difference, in that
+  // order per point. Empty means the sweeps' outputs are identical. A
+  // single result compares as the sweep {&r, 1}; Experiment-level runs wrap
+  // their ExperimentResult in a SweepRunResult.
   static std::vector<OutputDiff> CompareOutputs(
       std::span<const SweepRunResult> a, std::span<const SweepRunResult> b);
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "check/fuzzer.h"
+#include "same_outputs.h"
 #include "scenario/scenario.h"
 
 namespace hpcc::check {
@@ -54,10 +55,7 @@ TEST(Corpus, ScenariosRunCleanUnderAllMonitors) {
     // Replay determinism: a corpus file is also a golden-trace pin.
     const scenario::SweepRunResult again =
         RunScenarioDocChecked(s.source, 50'000'000);
-    for (const scenario::OutputDiff& d :
-         scenario::ScenarioRunner::CompareOutputs({&rep, 1}, {&again, 1})) {
-      ADD_FAILURE() << d.Format();
-    }
+    scenario::ExpectSameOutputs({&rep, 1}, {&again, 1});
   }
 }
 

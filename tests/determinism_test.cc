@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "same_outputs.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -29,9 +30,7 @@ TEST(Determinism, Fig11LoadSweepIdenticalAcrossJobs) {
   const auto r4 = ScenarioRunner(o4).RunAll(runs);
   ASSERT_EQ(r1.size(), runs.size());
   for (const SweepRunResult& r : r1) ASSERT_TRUE(r.ok()) << r.error;
-  for (const OutputDiff& d : ScenarioRunner::CompareOutputs(r1, r4)) {
-    ADD_FAILURE() << d.Format();
-  }
+  ExpectSameOutputs(r1, r4);
 }
 
 }  // namespace

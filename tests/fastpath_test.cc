@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "runner/experiment.h"
+#include "same_outputs.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -39,10 +40,7 @@ void ExpectEngineEquivalence(const std::string& path,
   off.fastpath_override = 0;
   const auto r_on = scenario::ScenarioRunner(on).RunAll(runs);
   const auto r_off = scenario::ScenarioRunner(off).RunAll(runs);
-  for (const scenario::OutputDiff& d :
-       scenario::ScenarioRunner::CompareOutputs(r_on, r_off)) {
-    ADD_FAILURE() << d.Format();
-  }
+  scenario::ExpectSameOutputs(r_on, r_off);
 
   uint64_t ev_on = 0, ev_off = 0;
   for (size_t i = 0; i < r_on.size(); ++i) {
@@ -65,10 +63,7 @@ runner::ExperimentResult RunPair(runner::ExperimentConfig cfg) {
   on.result = runner::Experiment(cfg).Run();
   cfg.fast_path = false;
   off.result = runner::Experiment(cfg).Run();
-  for (const scenario::OutputDiff& d :
-       scenario::ScenarioRunner::CompareOutputs({&on, 1}, {&off, 1})) {
-    ADD_FAILURE() << d.Format();
-  }
+  scenario::ExpectSameOutputs({&on, 1}, {&off, 1});
   return std::move(on.result);
 }
 

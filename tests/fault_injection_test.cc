@@ -7,13 +7,13 @@
 
 #include <cstdio>
 #include <fstream>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "check/monitors.h"
 #include "host/flow.h"
 #include "host/host_node.h"
+#include "same_outputs.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "sim/time.h"
@@ -21,13 +21,6 @@
 
 namespace hpcc::scenario {
 namespace {
-
-void ExpectSameOutputs(std::span<const SweepRunResult> a,
-                       std::span<const SweepRunResult> b) {
-  for (const OutputDiff& d : ScenarioRunner::CompareOutputs(a, b)) {
-    ADD_FAILURE() << d.Format();
-  }
-}
 
 std::string Cell(const SweepRunResult& r, const std::string& column) {
   for (const auto& [name, value] : ScenarioRunner::MetricCells(r)) {

@@ -5,12 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
-#include <span>
 #include <stdexcept>
 #include <string>
 
-#include "check/fuzzer.h"
 #include "runner/experiment.h"
+#include "same_outputs.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -147,14 +146,6 @@ constexpr char kHybridScenario[] = R"({
   "seed": 3
 })";
 
-void ExpectSameOutputs(std::span<const scenario::SweepRunResult> a,
-                       std::span<const scenario::SweepRunResult> b) {
-  for (const scenario::OutputDiff& d :
-       scenario::ScenarioRunner::CompareOutputs(a, b)) {
-    ADD_FAILURE() << d.Format();
-  }
-}
-
 TEST(Hybrid, DeterministicAcrossJobsAndRepeats) {
   scenario::Json doc = scenario::Json::Parse(kHybridScenario);
   scenario::Json sweep = scenario::Json::MakeObject();
@@ -179,8 +170,8 @@ TEST(Hybrid, DeterministicAcrossJobsAndRepeats) {
     ASSERT_TRUE(r.error.empty()) << r.error;
     EXPECT_NE(r.result.trace_hash, 0u);
   }
-  ExpectSameOutputs(r1, r1b);
-  ExpectSameOutputs(r1, r4);
+  scenario::ExpectSameOutputs(r1, r1b);
+  scenario::ExpectSameOutputs(r1, r4);
 }
 
 TEST(Hybrid, ShardsOverrideFailsLoudly) {
@@ -198,19 +189,23 @@ TEST(Hybrid, ShardsOverrideFailsLoudly) {
 }
 
 TEST(Hybrid, DeterministicAcrossFastpathEnginesAndMonitorClean) {
-  const scenario::Json doc = scenario::Json::Parse(kHybridScenario);
+  scenario::ScenarioRun run;
+  run.scenario = scenario::ParseScenarioText(kHybridScenario);
+  run.label = run.scenario.name;
+  scenario::RunOneOptions opts;
+  opts.check = true;
+  opts.fastpath_override = 1;
   const scenario::SweepRunResult trains =
-      check::RunScenarioDocChecked(doc, 50'000'000, nullptr,
-                                   /*fastpath_override=*/1);
+      scenario::ScenarioRunner::RunOne(run, opts);
+  opts.fastpath_override = 0;
   const scenario::SweepRunResult reference =
-      check::RunScenarioDocChecked(doc, 50'000'000, nullptr,
-                                   /*fastpath_override=*/0);
+      scenario::ScenarioRunner::RunOne(run, opts);
   ASSERT_TRUE(trains.error.empty()) << trains.error;
   EXPECT_EQ(trains.violation_count, 0u)
       << trains.violations.front().Format();
   EXPECT_NE(trains.result.trace_hash, 0u);
   EXPECT_GT(trains.result.flows_created, 0u);
-  ExpectSameOutputs({&trains, 1}, {&reference, 1});
+  scenario::ExpectSameOutputs({&trains, 1}, {&reference, 1});
 }
 
 // The k=16 A/B gate: the same foreground (16-way incast of short packet

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "runner/experiment.h"
+#include "same_outputs.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -201,10 +202,7 @@ TEST(Runner, RunUntilWithLinkFlapIsShardEqual) {
   const scenario::SweepRunResult one = run(1);
   const scenario::SweepRunResult two = run(2);
   EXPECT_GT(one.result.flows_created, 0u);
-  for (const scenario::OutputDiff& d :
-       scenario::ScenarioRunner::CompareOutputs({&one, 1}, {&two, 1})) {
-    ADD_FAILURE() << d.Format();
-  }
+  scenario::ExpectSameOutputs({&one, 1}, {&two, 1});
 }
 
 // Destroying a sharded run mid-flight: lane 1's hosts still hold DCQCN

@@ -11,6 +11,7 @@
 
 #include "net/packet.h"
 #include "obs/manifest.h"
+#include "same_outputs.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -186,9 +187,7 @@ TEST(ScenarioRunnerTest, ParallelSweepIsByteIdenticalToSerial) {
 
   ASSERT_EQ(r1.size(), 4u);
   ASSERT_EQ(r4.size(), 4u);
-  for (const OutputDiff& d : ScenarioRunner::CompareOutputs(r1, r4)) {
-    ADD_FAILURE() << d.Format();
-  }
+  ExpectSameOutputs(r1, r4);
   for (size_t i = 0; i < r1.size(); ++i) {
     EXPECT_TRUE(r1[i].ok()) << r1[i].error;
     // Same grid point -> bit-identical simulation regardless of scheduling,
@@ -220,16 +219,17 @@ TEST(ScenarioRunnerTest, CompareOutputsNamesEachDifference) {
   EXPECT_TRUE(ScenarioRunner::CompareOutputs(a, b).empty());
 
   // Each single perturbation of `b` is exactly one difference, naming its
-  // point and item (and, for an artifact, the line).
+  // point and item (and, for differing artifact bytes, the line).
   const auto expect_one = [&a](std::span<const SweepRunResult> other,
-                               size_t point, const std::string& item) {
+                               size_t point, const std::string& item,
+                               bool at_line = false) {
     const std::vector<OutputDiff> diffs =
         ScenarioRunner::CompareOutputs(a, other);
     ASSERT_EQ(diffs.size(), 1u) << item;
     EXPECT_EQ(diffs[0].point, point);
     EXPECT_EQ(diffs[0].label, a[point].label);
     EXPECT_EQ(diffs[0].item, item);
-    EXPECT_EQ(diffs[0].line > 0, item == "manifest" || item == "trace");
+    EXPECT_EQ(diffs[0].line > 0, at_line);
   };
   // Twice restores the file.
   const auto flip_middle_byte = [](const std::string& path) {
@@ -249,11 +249,15 @@ TEST(ScenarioRunnerTest, CompareOutputsNamesEachDifference) {
   expect_one(b, 0, "trace_hash");
   b[0].result.trace_hash ^= 1;
   flip_middle_byte(b[3].manifest_path);
-  expect_one(b, 3, "manifest");
+  expect_one(b, 3, "manifest", true);
   flip_middle_byte(b[3].manifest_path);
   flip_middle_byte(b[1].trace_path);
-  expect_one(b, 1, "trace");
+  expect_one(b, 1, "trace", true);
   flip_middle_byte(b[1].trace_path);
+  // An artifact only one side wrote.
+  const std::string trace = std::exchange(b[2].trace_path, "");
+  expect_one(b, 2, "trace");
+  b[2].trace_path = trace;
   EXPECT_TRUE(ScenarioRunner::CompareOutputs(a, b).empty());
 
   for (const std::vector<SweepRunResult>* sweep : {&a, &std::as_const(b)}) {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "same_outputs.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -58,11 +59,7 @@ void ExpectShardEquivalence(const std::string& path) {
   for (int shards : kShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     sweeps.push_back(RunChecked(runs, shards));
-    for (const scenario::OutputDiff& d :
-         scenario::ScenarioRunner::CompareOutputs(sweeps.front(),
-                                                  sweeps.back())) {
-      ADD_FAILURE() << d.Format();
-    }
+    scenario::ExpectSameOutputs(sweeps.front(), sweeps.back());
   }
   for (const auto& sweep : sweeps) {
     for (const scenario::SweepRunResult& r : sweep) {
@@ -143,10 +140,7 @@ TEST(ShardEquivalence, ScenarioShardsKey) {
   sc.config.shards = 1;
   const auto without = scenario::ScenarioRunner::RunOne(
       scenario::ExpandSweep(sc).front(), checked);
-  for (const scenario::OutputDiff& d :
-       scenario::ScenarioRunner::CompareOutputs({&with, 1}, {&without, 1})) {
-    ADD_FAILURE() << d.Format();
-  }
+  scenario::ExpectSameOutputs({&with, 1}, {&without, 1});
 }
 
 }  // namespace

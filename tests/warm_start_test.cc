@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "same_outputs.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "sim/time.h"
@@ -75,11 +76,8 @@ void RemoveManifests(const WarmSweep& sweep) {
 
 // Expects `other`'s outputs identical to the cold sweep's, then removes
 // `other`'s manifests.
-void ExpectSameOutputs(const WarmSweep& cold, const WarmSweep& other) {
-  for (const scenario::OutputDiff& d :
-       scenario::ScenarioRunner::CompareOutputs(cold.points, other.points)) {
-    ADD_FAILURE() << d.Format();
-  }
+void ExpectLikeCold(const WarmSweep& cold, const WarmSweep& other) {
+  scenario::ExpectSameOutputs(cold.points, other.points);
   RemoveManifests(other);
 }
 
@@ -95,18 +93,18 @@ std::pair<size_t, size_t> ExpectWarmEquivalence(
     SCOPED_TRACE("warm jobs=1");
     const WarmSweep warm1 = RunVariant(runs, true, 1, 0, tag + "_w1");
     engaged = {warm1.built, warm1.restored};
-    ExpectSameOutputs(cold, warm1);
+    ExpectLikeCold(cold, warm1);
   }
   {
     SCOPED_TRACE("warm jobs=4");
-    ExpectSameOutputs(cold, RunVariant(runs, true, 4, 0, tag + "_w4"));
+    ExpectLikeCold(cold, RunVariant(runs, true, 4, 0, tag + "_w4"));
   }
   {
     SCOPED_TRACE("warm shards=4");
     const WarmSweep sharded = RunVariant(runs, true, 1, 4, tag + "_ws4");
     EXPECT_EQ(sharded.built, engaged.first);
     EXPECT_EQ(sharded.restored, engaged.second);
-    ExpectSameOutputs(cold, sharded);
+    ExpectLikeCold(cold, sharded);
   }
   RemoveManifests(cold);
   return engaged;
@@ -280,7 +278,7 @@ std::vector<uint64_t> ExpectCheckpointEngages(
     // Exactly one point builds the checkpoint; every other point restores.
     EXPECT_EQ(warm.built, 1u);
     EXPECT_EQ(warm.restored, runs.size() - 1);
-    ExpectSameOutputs(cold, warm);
+    ExpectLikeCold(cold, warm);
   }
   RemoveManifests(cold);
   std::vector<uint64_t> flows;
